@@ -13,12 +13,11 @@ import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
-                      LayerConj, Or, Top)
-from .relational import (IntLayeredFrame, RelationalModel, frame_tables,
-                         rel_satisfies)
+from .formula import Formula
+from .relational import (OP_NAME, Evaluator, IntLayeredFrame,
+                         RelationalModel, fold_tables, frame_tables, postfix)
 
-BINOPS = ("meet", "join", "himp", "lconj", "rres", "lres")
+BINOPS = tuple(OP_NAME.values())
 
 
 @dataclass
@@ -50,17 +49,8 @@ class AlgebraInterpretation:
 def interpret(interp: AlgebraInterpretation, f: Formula) -> int:
     """Fold ``f`` through the operation tables; unknown atoms go to bot."""
     alg = interp.algebra
-    if isinstance(f, Atom):
-        return interp.valuation.get(f.name, alg.bot)
-    if isinstance(f, Top):
-        return alg.top
-    if isinstance(f, Bot):
-        return alg.bot
-    a = interpret(interp, f.left)
-    b = interpret(interp, f.right)
-    name = {And: "meet", Or: "join", Imp: "himp", LayerConj: "lconj",
-            ImpRight: "rres", ImpLeft: "lres"}[type(f)]
-    return alg.op(name)[a][b]
+    return fold_tables(postfix(f), lambda name, a, b: alg.op(name)[a][b],
+                       interp.valuation, alg.bot, alg.top)
 
 
 def validate_algebra(alg: FiniteLayeredHeytingAlgebra,
@@ -161,18 +151,15 @@ def algebra_satisfaction_agrees(model: RelationalModel, f: Formula) -> bool:
     relational satisfaction (the two-semantics bridge, used as a test)."""
     alg, ups = complex_algebra_with_elements(model.frame)
     index = {m: i for i, m in enumerate(ups)}
-    n = model.frame.worlds
-    valuation = {}
-    for p, worlds in model.valuation.items():
-        mask = sum(1 << w for w in worlds)
-        if mask not in index:
-            return False  # not persistent, so not a valid model
-    for p, worlds in model.valuation.items():
-        valuation[p] = index[sum(1 << w for w in worlds)]
-    value = interpret(AlgebraInterpretation(alg, valuation), f)
-    mask = ups[value]
-    return all((mask >> w & 1 == 1) == rel_satisfies(model, w, f)
-               for w in range(n))
+    masks = {p: sum(1 << w for w in worlds)
+             for p, worlds in model.valuation.items()}
+    if any(m not in index for m in masks.values()):
+        return False  # not persistent, so not a valid model
+    valuation = {p: index[m] for p, m in masks.items()}
+    mask = ups[interpret(AlgebraInterpretation(alg, valuation), f)]
+    ev = Evaluator(model.frame, model.valuation)
+    return all((mask >> w & 1 == 1) == ev.sat(w, f)
+               for w in range(model.frame.worlds))
 
 
 # -- prime filters and representation ------------------------------------

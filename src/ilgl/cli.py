@@ -22,7 +22,7 @@ from . import hilbert
 from . import predicate as predmod
 from . import relational as relmod
 from . import tableaux
-from .formula import ParseError, parse, render
+from .formula import ParseError, parse, parse_pred, render
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -139,8 +139,12 @@ def cmd_check(args) -> int:
     started = time.monotonic()
     try:
         model, rm = _load_any_model(args.model)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         return _fail("check", f"cannot load model: {exc}", args.json)
+    n = model.world_count()
+    if args.world is not None and not 0 <= args.world < n:
+        return _fail("check", f"world {args.world} is not among the "
+                     f"model's worlds 0..{n - 1}", args.json)
     problems = graphmod.validate_model(model, exhaustive=args.exhaustive)
     if problems:
         RunResult("check", "error", EXIT_INPUT,
@@ -152,21 +156,18 @@ def cmd_check(args) -> int:
         propositional = parse(args.formula)
     except ParseError:
         pass
-    payload = {"formula": args.formula}
     if propositional is not None:
         if args.world is not None:
             ok = graphmod.satisfies(model, args.world, propositional)
-            status = "sat" if ok else "unsat"
         else:
             ok = graphmod.valid_in_model(model, propositional)
-            status = "valid" if ok else "invalid"
     else:
         if rm is None:
             return _fail("check", "predicate formulas need a resource "
                          "model (placement/resources)", args.json)
         try:
-            pf = predmod.parse_pred(args.formula)
-        except predmod.PredParseError as exc:
+            pf = parse_pred(args.formula)
+        except ParseError as exc:
             return _fail("check", str(exc), args.json)
         free = predmod.free_resources(pf)
         if free:
@@ -176,16 +177,17 @@ def cmd_check(args) -> int:
         try:
             if args.world is not None:
                 ok = predmod.pred_satisfies(rm, {}, args.world, pf)
-                status = "sat" if ok else "unsat"
             else:
-                ok = all(predmod.pred_satisfies(rm, {}, w, pf)
-                         for w in range(model.world_count()))
-                status = "valid" if ok else "invalid"
+                ok = predmod.pred_valid_in_model(rm, pf)
         except ValueError as exc:
             return _fail("check", str(exc), args.json)
+    if args.world is not None:
+        status = "sat" if ok else "unsat"
+    else:
+        status = "valid" if ok else "invalid"
     run = RunResult("check", status,
-                    EXIT_OK if ok else EXIT_REFUTED, payload, [],
-                    time.monotonic() - started)
+                    EXIT_OK if ok else EXIT_REFUTED, {"formula": args.formula},
+                    [], time.monotonic() - started)
     run.emit(args.json)
     return run.exit_code
 
@@ -218,7 +220,7 @@ def cmd_validate(args) -> int:
                     exhaustive=args.exhaustive)
         else:
             return _fail("validate", "unrecognized file kind", args.json)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         return _fail("validate", f"malformed {args.path}: {exc}", args.json)
     payload = {"kind": kind, "violations": problems[:20],
                "violation_count": len(problems)}

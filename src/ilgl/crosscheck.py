@@ -1,5 +1,11 @@
-"""Batch cross-validation suites tying the prover and the three
-satisfaction relations together.
+"""Batch cross-validation suites tying the prover, the validity oracle,
+the complex algebras and the satisfaction relation together.
+
+Layered-graph, relational and predicate satisfaction share one set of
+clauses (``relational.Evaluator``); the graph semantics is the relational
+one on the scaffold's frame.  The suites therefore pair independent
+procedures: prover against oracle and graph models, relational clauses
+against complex-algebra tables, and persistence of each semantics.
 
 Each suite runs a seeded sweep and returns (ok, summary, repro): on
 failure ``repro`` is a JSON-ready reproduction of the first (shrunk where
@@ -16,10 +22,10 @@ from . import gen
 from . import graph as graphmod
 from . import relational as relmod
 from . import tableaux
-from .formula import Formula, render, subformulas
-from .predicate import (Contains, Exists, Forall, LinkGraphSpec, PointsTo,
-                        build_bigraph_scaffold, enumerate_upsets,
-                        pred_satisfies)
+from .formula import (Contains, Exists, Forall, Formula, PointsTo, render,
+                      subformulas)
+from .predicate import (LinkGraphSpec, build_bigraph_scaffold,
+                        resource_evaluator)
 
 SUITES = ("soundness", "persistence", "residuation", "representation",
           "fep", "oracle-agreement")
@@ -88,55 +94,59 @@ def _bigraph_fixture():
 def suite_persistence(seed: int, budget: int
                       ) -> Tuple[bool, dict, Optional[dict]]:
     """Satisfaction is upward closed along the order, in all three
-    semantics."""
+    semantics, each checked with one evaluator per model."""
     rng = random.Random(seed)
     checked = 0
+
+    def lost_going_up(n: int, leq, holds) -> Optional[Tuple[int, int]]:
+        # First (below, above) pair in row-major order where ``holds`` is
+        # lost; every pair looked at before it counts as checked.
+        nonlocal checked
+        for a in range(n):
+            for b in range(n):
+                if leq(a, b) and holds(a) and not holds(b):
+                    return a, b
+                checked += 1
+        return None
+
     for i in range(budget):
         model = gen.random_graph_model(rng)
         f = gen.random_formula(rng, 3)
-        n = model.world_count()
-        for a in range(n):
-            for b in range(n):
-                if (model.scaffold.leq(a, b)
-                        and graphmod.satisfies(model, a, f)
-                        and not graphmod.satisfies(model, b, f)):
-                    return False, {"checked": checked}, {
-                        "suite": "persistence", "semantics": "graph",
-                        "formula": render(f), "below": a, "above": b,
-                        "model": graphmod.model_to_dict(model)}
-                checked += 1
+        ev = graphmod.model_evaluator(model)
+        bad = lost_going_up(model.world_count(), model.scaffold.leq,
+                            lambda w: ev.sat(w, f))
+        if bad:
+            return False, {"checked": checked}, {
+                "suite": "persistence", "semantics": "graph",
+                "formula": render(f), "below": bad[0], "above": bad[1],
+                "model": graphmod.model_to_dict(model)}
         rmodel = gen.random_relational_model(rng, rng.randrange(1, 5))
         g = gen.random_formula(rng, 3)
-        for a in range(rmodel.frame.worlds):
-            for b in range(rmodel.frame.worlds):
-                if (rmodel.frame.leq(a, b)
-                        and relmod.rel_satisfies(rmodel, a, g)
-                        and not relmod.rel_satisfies(rmodel, b, g)):
-                    return False, {"checked": checked}, {
-                        "suite": "persistence", "semantics": "relational",
-                        "formula": render(g),
-                        "model": relmod.frame_to_dict(rmodel),
-                        "below": a, "above": b}
-                checked += 1
+        ev = relmod.Evaluator(rmodel.frame, rmodel.valuation)
+        bad = lost_going_up(rmodel.frame.worlds, rmodel.frame.leq,
+                            lambda w: ev.sat(w, g))
+        if bad:
+            return False, {"checked": checked}, {
+                "suite": "persistence", "semantics": "relational",
+                "formula": render(g),
+                "model": relmod.frame_to_dict(rmodel),
+                "below": bad[0], "above": bad[1]}
     rm = _bigraph_fixture()
-    upsets = list(enumerate_upsets(rm.placement))
+    ev = resource_evaluator(rm)
     pformulas = [Contains("r1"), PointsTo("r1", "r2"),
                  Exists("s", Contains("s")),
                  Forall("s", Contains("s"))]
     rng2 = random.Random(seed + 1)
-    n = rm.model.world_count()
     for _ in range(min(budget, 60)):
-        s = {"r1": rng2.choice(upsets), "r2": rng2.choice(upsets)}
+        s = frozenset({"r1": rng2.choice(ev.upsets),
+                       "r2": rng2.choice(ev.upsets)}.items())
         pf = rng2.choice(pformulas)
-        for a in range(n):
-            for b in range(n):
-                if (rm.model.scaffold.leq(a, b)
-                        and pred_satisfies(rm, s, a, pf)
-                        and not pred_satisfies(rm, s, b, pf)):
-                    return False, {"checked": checked}, {
-                        "suite": "persistence", "semantics": "predicate",
-                        "world_below": a, "world_above": b}
-                checked += 1
+        bad = lost_going_up(rm.model.world_count(), rm.model.scaffold.leq,
+                            lambda w: ev.sat(w, pf, s))
+        if bad:
+            return False, {"checked": checked}, {
+                "suite": "persistence", "semantics": "predicate",
+                "world_below": bad[0], "world_above": bad[1]}
     return True, {"pairs": checked}, None
 
 
@@ -224,11 +234,14 @@ def suite_fep(seed: int, budget: int) -> Tuple[bool, dict, Optional[dict]]:
 def suite_oracle_agreement(seed: int, budget: int
                            ) -> Tuple[bool, dict, Optional[dict]]:
     """Graph satisfaction == relational satisfaction on converted
-    scaffolds; relational == complex-algebra interpretation."""
+    scaffolds, which since both run the same clauses checks only that
+    graph satisfaction reads ``scaffold_to_frame``; and relational
+    satisfaction == complex-algebra interpretation, two independent
+    procedures."""
     rng = random.Random(seed)
     for i in range(budget):
         model = gen.random_graph_model(rng)
-        frame = relmod.scaffold_to_frame(model.scaffold)
+        frame = graphmod.scaffold_to_frame(model.scaffold)
         rmodel = relmod.RelationalModel(frame, model.valuation)
         f = gen.random_formula(rng, 3)
         for w in range(model.world_count()):

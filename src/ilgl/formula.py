@@ -1,4 +1,4 @@
-"""Propositional ILGL formulas: AST, ASCII parser, and printer.
+"""ILGL formulas: AST, ASCII parser, and printer.
 
 Connectives, tightest-binding first: ``|>`` (layering conjunction), ``&``,
 ``|``, and the implication family ``->``, ``-|>``, ``<|-``.  ``|>`` is
@@ -6,6 +6,11 @@ non-associative (chains must be parenthesized), implications are
 right-associative with themselves, and mixing two different implication
 operators at one level requires parentheses.  ``~ f`` is accepted as sugar
 for ``f -> bot``.
+
+Predicate formulas (``parse_pred``) use the same grammar without bare
+atoms, plus the units ``Contains(r)`` and ``r ~> s`` and a quantifier
+prefix ``exists r.`` / ``forall r.`` that scopes as far right as possible.
+Shadowed binders are renamed apart during parsing.
 """
 
 from __future__ import annotations
@@ -78,13 +83,45 @@ class ImpLeft:
     right: "Formula"
 
 
-Formula = Union[Atom, Top, Bot, And, Or, Imp, LayerConj, ImpRight, ImpLeft]
+@dataclass(frozen=True)
+class Contains:
+    """Predicate atom: the world has a vertex of the resource's block."""
+
+    resource: str
+
+
+@dataclass(frozen=True)
+class PointsTo:
+    """Predicate atom: a non-empty path inside the world runs from the
+    source's block to the target's."""
+
+    source: str
+    target: str
+
+
+@dataclass(frozen=True)
+class Exists:
+    var: str
+    body: "Formula"
+
+
+@dataclass(frozen=True)
+class Forall:
+    var: str
+    body: "Formula"
+
+
+# Propositional formulas use the first nine node kinds; predicate formulas
+# use all but Atom.
+Formula = Union[Atom, Top, Bot, And, Or, Imp, LayerConj, ImpRight, ImpLeft,
+                Contains, PointsTo, Exists, Forall]
 
 TOP = Top()
 BOT = Bot()
 
 BINARY_NODES = (And, Or, Imp, LayerConj, ImpRight, ImpLeft)
 IMP_NODES = (Imp, ImpRight, ImpLeft)
+QUANT_NODES = (Exists, Forall)
 
 
 class ParseError(Exception):
@@ -100,12 +137,22 @@ class ParseError(Exception):
 
 
 # Tokens are (kind, text, offset); kind is the operator/keyword itself for
-# fixed tokens, "ident" for atoms, "end" at EOF.
+# fixed tokens, "ident" for names, "end" at EOF.  Predicate mode adds its
+# tokens to both lists; "~>" must precede "~".
 _FIXED = ("-|>", "<|-", "|>", "->", "&", "|", "~", "(", ")")
 _KEYWORDS = ("top", "bot")
+_PRED_FIXED = ("~>",) + _FIXED + (".",)
+_PRED_KEYWORDS = _KEYWORDS + ("exists", "forall", "Contains")
 
 
 def tokenize(text: str) -> list:
+    """Tokens of a propositional formula."""
+    return _tokenize(text, False)
+
+
+def _tokenize(text: str, pred: bool) -> list:
+    fixed, keywords = ((_PRED_FIXED, _PRED_KEYWORDS) if pred
+                       else (_FIXED, _KEYWORDS))
     tokens = []
     i = 0
     n = len(text)
@@ -114,7 +161,7 @@ def tokenize(text: str) -> list:
         if c.isspace():
             i += 1
             continue
-        for op in _FIXED:
+        for op in fixed:
             if text.startswith(op, i):
                 tokens.append((op, op, i))
                 i += len(op)
@@ -125,7 +172,7 @@ def tokenize(text: str) -> list:
                 while j < n and (text[j].isalnum() or text[j] == "_"):
                     j += 1
                 word = text[i:j]
-                if word in _KEYWORDS:
+                if word in keywords:
                     tokens.append((word, word, i))
                 elif ATOM_RE.match(word):
                     tokens.append(("ident", word, i))
@@ -146,9 +193,16 @@ _UNIT_EXPECTED = ("identifier", "top", "bot", "~", "(")
 
 
 class _Parser:
-    def __init__(self, tokens: list):
+    """Recursive descent over the token list.  In predicate mode a name is
+    a resource, resolved through the binders in scope, and never an
+    atom."""
+
+    def __init__(self, tokens: list, pred: bool):
         self.tokens = tokens
         self.pos = 0
+        self.pred = pred
+        self.scope: list = []  # (surface name, real name) of the binders
+        self.renamed = 0
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -164,7 +218,15 @@ class _Parser:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2], (kind,))
         return self.take()
 
+    def resolve(self, name: str) -> str:
+        for surface, real in reversed(self.scope):
+            if surface == name:
+                return real
+        return name
+
     def form(self) -> Formula:
+        if self.pred and self.peek()[0] in ("exists", "forall"):
+            return self.quantifier()
         # Collect the whole implication chain, then fold right-associatively.
         # A chain mixing two operator spellings is rejected outright.
         parts = [self.disj()]
@@ -184,6 +246,21 @@ class _Parser:
         for g in reversed(parts[:-1]):
             f = cls(g, f)
         return f
+
+    def quantifier(self) -> Formula:
+        # The binder scopes as far right as possible; a name already bound
+        # in an enclosing scope is renamed apart.
+        kind = self.take()[0]
+        var = self.expect("ident")[1]
+        self.expect(".")
+        real = var
+        if any(surface == var for surface, _ in self.scope):
+            self.renamed += 1
+            real = f"{var}_{self.renamed}"
+        self.scope.append((var, real))
+        body = self.form()
+        self.scope.pop()
+        return (Exists if kind == "exists" else Forall)(real, body)
 
     def disj(self) -> Formula:
         f = self.conj()
@@ -214,7 +291,20 @@ class _Parser:
         kind, text, off = self.peek()
         if kind == "ident":
             self.take()
-            return Atom(text)
+            if not self.pred:
+                return Atom(text)
+            if self.peek()[0] != "~>":
+                raise ParseError(f"bare name {text!r}: predicate formulas "
+                                 "have no propositional atoms", off)
+            self.take()
+            target = self.expect("ident")[1]
+            return PointsTo(self.resolve(text), self.resolve(target))
+        if kind == "Contains":
+            self.take()
+            self.expect("(")
+            name = self.expect("ident")[1]
+            self.expect(")")
+            return Contains(self.resolve(name))
         if kind == "top":
             self.take()
             return TOP
@@ -233,9 +323,8 @@ class _Parser:
                          _UNIT_EXPECTED)
 
 
-def parse(text: str) -> Formula:
-    """Parse ``text`` into a Formula, raising ParseError on any flaw."""
-    parser = _Parser(tokenize(text))
+def _parse(text: str, pred: bool) -> Formula:
+    parser = _Parser(_tokenize(text, pred), pred)
     f = parser.form()
     kind, tok, off = parser.peek()
     if kind != "end":
@@ -243,20 +332,26 @@ def parse(text: str) -> Formula:
     return f
 
 
-# Precedence levels used by the printer; higher binds tighter.
-_LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_LAYER, _LEVEL_UNIT = range(5)
+def parse(text: str) -> Formula:
+    """Parse ``text`` into a Formula, raising ParseError on any flaw."""
+    return _parse(text, False)
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, IMP_NODES):
-        return _LEVEL_IMP
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, LayerConj):
-        return _LEVEL_LAYER
-    return _LEVEL_UNIT
+def parse_pred(text: str) -> Formula:
+    """Parse a predicate formula, raising ParseError on any flaw."""
+    return _parse(text, True)
+
+
+# Precedence levels used by the printer; higher binds tighter.  A
+# quantifier body extends to the right, so a quantifier operand is always
+# parenthesized.
+(_LEVEL_QUANT, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_LAYER,
+ _LEVEL_UNIT) = range(6)
+
+
+_LEVEL = {Exists: _LEVEL_QUANT, Forall: _LEVEL_QUANT, Imp: _LEVEL_IMP,
+          ImpRight: _LEVEL_IMP, ImpLeft: _LEVEL_IMP, Or: _LEVEL_OR,
+          And: _LEVEL_AND, LayerConj: _LEVEL_LAYER}
 
 
 _OP_TEXT = {Imp: "->", ImpRight: "-|>", ImpLeft: "<|-", And: "&", Or: "|",
@@ -264,17 +359,26 @@ _OP_TEXT = {Imp: "->", ImpRight: "-|>", ImpLeft: "<|-", And: "&", Or: "|",
 
 
 def render(f: Formula) -> str:
-    """Print ``f`` with minimal parentheses; parse(render(f)) == f."""
+    """Print ``f`` with minimal parentheses; parse(render(f)) == f, and
+    parse_pred(render(f)) == f for predicate formulas."""
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Top):
         return "top"
     if isinstance(f, Bot):
         return "bot"
-    op = _OP_TEXT[type(f)]
+    op = _OP_TEXT.get(type(f))
+    if op is None:
+        if isinstance(f, Contains):
+            return f"Contains({f.resource})"
+        if isinstance(f, PointsTo):
+            return f"{f.source} ~> {f.target}"
+        word = "exists" if isinstance(f, Exists) else "forall"
+        return f"{word} {f.var}. {render(f.body)}"
     if isinstance(f, IMP_NODES):
         left = _wrap(f.left, _LEVEL_OR)
-        if isinstance(f.right, IMP_NODES) and type(f.right) is not type(f):
+        if (isinstance(f.right, QUANT_NODES) or isinstance(f.right, IMP_NODES)
+                and type(f.right) is not type(f)):
             right = "(" + render(f.right) + ")"
         else:
             right = render(f.right)
@@ -292,7 +396,7 @@ def render(f: Formula) -> str:
 
 def _wrap(f: Formula, min_level: int) -> str:
     text = render(f)
-    if _level(f) < min_level:
+    if _LEVEL.get(type(f), _LEVEL_UNIT) < min_level:
         return "(" + text + ")"
     return text
 

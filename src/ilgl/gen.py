@@ -9,14 +9,11 @@ from __future__ import annotations
 import random
 from typing import Optional, Tuple
 
-from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
-                      LayerConj, Or, Top)
+from .formula import BINARY_NODES, Atom, Bot, Formula, Top
 from .graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
-                    Subgraph, check_admissible, closure_pairs, compose)
-from .relational import IntLayeredFrame, RelationalModel
-
-_BINARY = [And, Or, Imp, LayerConj, ImpRight, ImpLeft]
-
+                    Subgraph, _all_decompositions, check_admissible, compose)
+from .relational import (IntLayeredFrame, RelationalModel, closure_pairs,
+                         principal_upsets)
 
 def random_formula(rng: random.Random, max_depth: int = 4,
                    atom_names: Tuple[str, ...] = ("p", "q", "r")) -> Formula:
@@ -27,7 +24,7 @@ def random_formula(rng: random.Random, max_depth: int = 4,
         if roll < 0.2:
             return Bot()
         return Atom(rng.choice(atom_names))
-    cls = rng.choice(_BINARY)
+    cls = rng.choice(BINARY_NODES)
     return cls(random_formula(rng, max_depth - 1, atom_names),
                random_formula(rng, max_depth - 1, atom_names))
 
@@ -48,27 +45,27 @@ def random_frame(rng: random.Random, worlds: int,
     return IntLayeredFrame(worlds, order, frozenset(triples))
 
 
-def _up_close(seed_worlds, order_pairs, n: int) -> frozenset:
-    out = set(seed_worlds)
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in order_pairs:
-            if i in out and j not in out:
-                out.add(j)
-                changed = True
-    return frozenset(out)
+def _random_valuation(rng: random.Random, n: int, order,
+                      atom_names: Tuple[str, ...]) -> dict:
+    """Each atom true on the up-closure of a random seed set of worlds:
+    the union of the seeds' principal up-sets."""
+    up = principal_upsets(n, order)
+    valuation = {}
+    for p in atom_names:
+        mask = 0
+        for w in range(n):
+            if rng.random() < 0.4:
+                mask |= up[w]
+        valuation[p] = frozenset(w for w in range(n) if mask >> w & 1)
+    return valuation
 
 
 def random_relational_model(rng: random.Random, worlds: int,
                             atom_names: Tuple[str, ...] = ("p", "q", "r")
                             ) -> RelationalModel:
     frame = random_frame(rng, worlds)
-    valuation = {}
-    for p in atom_names:
-        seed = {w for w in range(worlds) if rng.random() < 0.4}
-        valuation[p] = _up_close(seed, frame.order, worlds)
-    return RelationalModel(frame, valuation)
+    return RelationalModel(
+        frame, _random_valuation(rng, worlds, frame.order, atom_names))
 
 
 def random_scaffold(rng: random.Random, max_attempts: int = 40
@@ -88,7 +85,8 @@ def _try_scaffold(rng: random.Random) -> Optional[OrderedScaffold]:
     edges = {(a, b) for a in names for b in names
              if a != b and rng.random() < 0.25}
     graph = DirectedGraph(frozenset(names), frozenset(edges))
-    eset = frozenset(e for e in edges if rng.random() < 0.6)
+    # Draw over a sorted list: set order depends on the hash seed.
+    eset = frozenset(e for e in sorted(edges) if rng.random() < 0.6)
 
     def sub(verts) -> Subgraph:
         vs = frozenset(verts)
@@ -119,7 +117,6 @@ def _try_scaffold(rng: random.Random) -> Optional[OrderedScaffold]:
                 if out is not None and out.key() not in pool:
                     pool[out.key()] = out
                     grown = True
-        from .graph import _all_decompositions
         for m in members:
             for h, k in _all_decompositions(m, eset):
                 for part_sg in (h, k):
@@ -142,9 +139,5 @@ def random_graph_model(rng: random.Random,
                        atom_names: Tuple[str, ...] = ("p", "q", "r")
                        ) -> LayeredGraphModel:
     scaffold = random_scaffold(rng)
-    n = len(scaffold.subgraphs)
-    valuation = {}
-    for p in atom_names:
-        seed = {w for w in range(n) if rng.random() < 0.4}
-        valuation[p] = _up_close(seed, scaffold.order, n)
-    return LayeredGraphModel(scaffold, valuation)
+    return LayeredGraphModel(scaffold, _random_valuation(
+        rng, len(scaffold.subgraphs), scaffold.order, atom_names))

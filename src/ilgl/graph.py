@@ -2,40 +2,21 @@
 layered-graph satisfaction relation.
 
 Worlds of a model are indices into the scaffold's admissible subgraph list
-X; the preorder is stored as its full reflexive-transitive closure so
-satisfaction clauses can query it directly.
+X; the preorder is stored as its full reflexive-transitive closure.
+Satisfaction is relational satisfaction on the scaffold's frame, where
+R(i, j, k) holds iff X[i] @ X[j] = X[k].
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
-                      LayerConj, Or, Top)
+from .formula import Formula
+from .relational import Evaluator, IntLayeredFrame, closure_pairs
 
 Edge = Tuple[str, str]
-
-
-def closure_pairs(pairs, domain) -> Set[Tuple]:
-    """Reflexive-transitive closure of ``pairs`` over ``domain``."""
-    succ: Dict = {d: {d} for d in domain}
-    for a, b in pairs:
-        if a not in succ or b not in succ:
-            raise ValueError(f"order pair ({a},{b}) outside the domain")
-        succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in succ:
-            extra = set()
-            for b in succ[a]:
-                extra |= succ[b]
-            if not extra <= succ[a]:
-                succ[a] |= extra
-                changed = True
-    return {(a, b) for a in succ for b in succ[a]}
 
 
 @dataclass(frozen=True)
@@ -124,9 +105,6 @@ class OrderedScaffold:
 
     def leq(self, i: int, j: int) -> bool:
         return (i, j) in self.order
-
-    def index_of(self, sg: Subgraph) -> Optional[int]:
-        return self._index.get(sg.key())
 
     def composition_index(self, i: int, j: int) -> Optional[int]:
         return self._comp[(i, j)]
@@ -256,62 +234,27 @@ def validate_model(model: LayeredGraphModel,
     return problems
 
 
-class _Evaluator:
-    def __init__(self, model: LayeredGraphModel):
-        self.model = model
-        self.sc = model.scaffold
-        self.n = len(self.sc.subgraphs)
-        self.memo: Dict[Tuple[int, Formula], bool] = {}
-        # Pairs whose composition lands in X, precomputed once.
-        self.comp_pairs = [(i, j, m) for (i, j), m in self.sc._comp.items()
-                           if m is not None]
+def scaffold_to_frame(scaffold: OrderedScaffold) -> IntLayeredFrame:
+    """Frame on X with R(i,j,k) iff X[i] @ X[j] is defined and equals X[k]."""
+    n = len(scaffold.subgraphs)
+    rel = {(i, j, m) for (i, j), m in scaffold._comp.items()
+           if m is not None}
+    return IntLayeredFrame(n, scaffold.order, frozenset(rel))
 
-    def sat(self, w: int, f: Formula) -> bool:
-        key = (w, f)
-        if key not in self.memo:
-            self.memo[key] = self._sat(w, f)
-        return self.memo[key]
 
-    def _sat(self, w: int, f: Formula) -> bool:
-        sc = self.sc
-        if isinstance(f, Atom):
-            return w in self.model.valuation.get(f.name, frozenset())
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, And):
-            return self.sat(w, f.left) and self.sat(w, f.right)
-        if isinstance(f, Or):
-            return self.sat(w, f.left) or self.sat(w, f.right)
-        if isinstance(f, Imp):
-            return all(self.sat(v, f.right)
-                       for v in range(self.n)
-                       if sc.leq(w, v) and self.sat(v, f.left))
-        if isinstance(f, LayerConj):
-            return any(sc.leq(m, w)
-                       and self.sat(i, f.left) and self.sat(j, f.right)
-                       for i, j, m in self.comp_pairs)
-        if isinstance(f, ImpRight):
-            # receiver rises, then composes on the left with the argument
-            return all(self.sat(m, f.right)
-                       for i, j, m in self.comp_pairs
-                       if sc.leq(w, i) and self.sat(j, f.left))
-        if isinstance(f, ImpLeft):
-            return all(self.sat(m, f.right)
-                       for i, j, m in self.comp_pairs
-                       if sc.leq(w, j) and self.sat(i, f.left))
-        raise TypeError(f"not a formula: {f!r}")
+def model_evaluator(model: LayeredGraphModel) -> Evaluator:
+    """One evaluator for every satisfaction query on ``model``."""
+    return Evaluator(scaffold_to_frame(model.scaffold), model.valuation)
 
 
 def satisfies(model: LayeredGraphModel, world: int, f: Formula) -> bool:
     """Satisfaction at a world (an index into the scaffold's X list)."""
-    return _Evaluator(model).sat(world, f)
+    return model_evaluator(model).sat(world, f)
 
 
 def valid_in_model(model: LayeredGraphModel, f: Formula) -> bool:
     """True iff every world of the model satisfies ``f``."""
-    ev = _Evaluator(model)
+    ev = model_evaluator(model)
     return all(ev.sat(w, f) for w in range(ev.n))
 
 

@@ -2,285 +2,38 @@
 models: Contains / points-to atoms and intuitionistic quantifiers ranging
 over up-closed vertex sets of the placement order.
 
+Formulas are parsed by ``formula.parse_pred`` and checked by the shared
+satisfaction clauses of ``relational.Evaluator`` on the scaffold's frame.
 The quantifier domain is fully enumerated, so models are capped at 14
 placement vertices (16384 up-sets worst case).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
+from .formula import (BINARY_NODES, QUANT_NODES, Contains, Formula,
+                      PointsTo)
 from .graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
-                    Subgraph, closure_pairs, compose)
+                    Subgraph, compose, model_from_dict, model_to_dict,
+                    scaffold_to_frame)
+from .relational import (Evaluator, closure_pairs, principal_upsets,
+                         upset_masks)
 
 MAX_PLACEMENT_VERTICES = 14
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-@dataclass(frozen=True)
-class Bot:
-    pass
-
-
-@dataclass(frozen=True)
-class Contains:
-    resource: str
-
-
-@dataclass(frozen=True)
-class PointsTo:
-    source: str
-    target: str
-
-
-@dataclass(frozen=True)
-class And:
-    left: "PredFormula"
-    right: "PredFormula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "PredFormula"
-    right: "PredFormula"
-
-
-@dataclass(frozen=True)
-class Imp:
-    left: "PredFormula"
-    right: "PredFormula"
-
-
-@dataclass(frozen=True)
-class LayerConj:
-    left: "PredFormula"
-    right: "PredFormula"
-
-
-@dataclass(frozen=True)
-class ImpRight:
-    left: "PredFormula"
-    right: "PredFormula"
-
-
-@dataclass(frozen=True)
-class ImpLeft:
-    left: "PredFormula"
-    right: "PredFormula"
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "PredFormula"
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "PredFormula"
-
-
-PredFormula = Union[Top, Bot, Contains, PointsTo, And, Or, Imp, LayerConj,
-                    ImpRight, ImpLeft, Exists, Forall]
-
-_BINARY = (And, Or, Imp, LayerConj, ImpRight, ImpLeft)
-_QUANT = (Exists, Forall)
-
-
-def free_resources(f: PredFormula) -> Set[str]:
+def free_resources(f: Formula) -> Set[str]:
     if isinstance(f, Contains):
         return {f.resource}
     if isinstance(f, PointsTo):
         return {f.source, f.target}
-    if isinstance(f, _BINARY):
+    if isinstance(f, BINARY_NODES):
         return free_resources(f.left) | free_resources(f.right)
-    if isinstance(f, _QUANT):
+    if isinstance(f, QUANT_NODES):
         return free_resources(f.body) - {f.var}
     return set()
-
-
-# -- concrete syntax -------------------------------------------------------
-
-class PredParseError(Exception):
-    def __init__(self, message: str, offset: int):
-        self.offset = offset
-        super().__init__(f"{message} at offset {offset}")
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(Contains\b|exists\b|forall\b|top\b|bot\b|~>|-\|>|<\|-|\|>|->"
-    r"|[&|().]|[a-z][a-zA-Z0-9_]*)")
-
-_IMP_OPS = {"->": Imp, "-|>": ImpRight, "<|-": ImpLeft}
-
-
-def _pred_tokens(text: str) -> List[Tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise PredParseError(f"unexpected character {rest[0]!r}",
-                                 len(text) - len(rest))
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append(("", len(text)))
-    return tokens
-
-
-class _PredParser:
-    """Recursive descent mirroring the propositional grammar, with
-    quantifiers scoping as far right as possible.  Shadowed binders are
-    renamed apart during parsing."""
-
-    def __init__(self, tokens: List[Tuple[str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-        self.scope: List[Tuple[str, str]] = []  # (surface name, real name)
-        self.counter = 0
-
-    def peek(self) -> Tuple[str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> Tuple[str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def resolve(self, name: str) -> str:
-        for surface, real in reversed(self.scope):
-            if surface == name:
-                return real
-        return name
-
-    def form(self) -> PredFormula:
-        tok, off = self.peek()
-        if tok in ("exists", "forall"):
-            self.take()
-            var, voff = self.take()
-            if not re.match(r"[a-z][a-zA-Z0-9_]*\Z", var):
-                raise PredParseError("expected a resource variable", voff)
-            dot, doff = self.take()
-            if dot != ".":
-                raise PredParseError("expected '.' after the binder", doff)
-            real = var
-            if any(surface == var for surface, _ in self.scope):
-                self.counter += 1
-                real = f"{var}_{self.counter}"
-            self.scope.append((var, real))
-            body = self.form()
-            self.scope.pop()
-            return (Exists if tok == "exists" else Forall)(real, body)
-        parts = [self.disj()]
-        ops = []
-        while self.peek()[0] in _IMP_OPS:
-            ops.append(self.take())
-            parts.append(self.disj())
-        if not ops:
-            return parts[0]
-        if len({name for name, _ in ops}) > 1:
-            raise PredParseError("mixing different implication operators "
-                                 "requires parentheses", ops[1][1])
-        cls = _IMP_OPS[ops[0][0]]
-        f = parts[-1]
-        for g in reversed(parts[:-1]):
-            f = cls(g, f)
-        return f
-
-    def disj(self) -> PredFormula:
-        f = self.conj()
-        while self.peek()[0] == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> PredFormula:
-        f = self.layer()
-        while self.peek()[0] == "&":
-            self.take()
-            f = And(f, self.layer())
-        return f
-
-    def layer(self) -> PredFormula:
-        f = self.unit()
-        if self.peek()[0] == "|>":
-            self.take()
-            f = LayerConj(f, self.unit())
-            if self.peek()[0] == "|>":
-                raise PredParseError(
-                    "chained non-associative operator '|>'", self.peek()[1])
-        return f
-
-    def unit(self) -> PredFormula:
-        tok, off = self.take()
-        if tok == "top":
-            return Top()
-        if tok == "bot":
-            return Bot()
-        if tok == "Contains":
-            if self.take()[0] != "(":
-                raise PredParseError("expected '(' after Contains", off)
-            name, noff = self.take()
-            if not re.match(r"[a-z][a-zA-Z0-9_]*\Z", name):
-                raise PredParseError("expected a resource name", noff)
-            if self.take()[0] != ")":
-                raise PredParseError("expected ')'", noff)
-            return Contains(self.resolve(name))
-        if tok == "(":
-            f = self.form()
-            close, coff = self.take()
-            if close != ")":
-                raise PredParseError("expected ')'", coff)
-            return f
-        if re.match(r"[a-z][a-zA-Z0-9_]*\Z", tok):
-            nxt, _ = self.peek()
-            if nxt == "~>":
-                self.take()
-                dst, doff = self.take()
-                if not re.match(r"[a-z][a-zA-Z0-9_]*\Z", dst):
-                    raise PredParseError("expected a resource name", doff)
-                return PointsTo(self.resolve(tok), self.resolve(dst))
-            raise PredParseError(
-                f"bare name {tok!r}: predicate formulas have no "
-                "propositional atoms", off)
-        raise PredParseError(f"unexpected {tok or 'end of input'!r}", off)
-
-
-def parse_pred(text: str) -> PredFormula:
-    parser = _PredParser(_pred_tokens(text))
-    f = parser.form()
-    tok, off = parser.peek()
-    if tok:
-        raise PredParseError(f"trailing input {tok!r}", off)
-    return f
-
-
-def render_pred(f: PredFormula) -> str:
-    if isinstance(f, Top):
-        return "top"
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Contains):
-        return f"Contains({f.resource})"
-    if isinstance(f, PointsTo):
-        return f"{f.source} ~> {f.target}"
-    if isinstance(f, Exists):
-        return f"exists {f.var}. {render_pred(f.body)}"
-    if isinstance(f, Forall):
-        return f"forall {f.var}. {render_pred(f.body)}"
-    op = {And: "&", Or: "|", Imp: "->", LayerConj: "|>", ImpRight: "-|>",
-          ImpLeft: "<|-"}[type(f)]
-    return f"({render_pred(f.left)} {op} {render_pred(f.right)})"
 
 
 # -- resource models -------------------------------------------------------
@@ -323,107 +76,36 @@ def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]
         raise ValueError(
             f"{len(domain)} placement vertices exceed the quantifier cap "
             f"of {MAX_PLACEMENT_VERTICES}; shrink the model")
-    closed = closure_pairs(placement, domain)
-    ups = [sum(1 << j for j, w in enumerate(domain) if (v, w) in closed)
-           for v in domain]
-    masks = {0}
-    frontier = set(ups) - masks
-    while frontier:
-        masks |= frontier
-        frontier = {a | b for a in masks for b in masks} - masks
-    for mask in sorted(masks):
+    pos = {v: j for j, v in enumerate(domain)}
+    order = {(pos[u], pos[v]) for u, v in closure_pairs(placement, domain)}
+    for mask in upset_masks(principal_upsets(len(domain), order)):
         yield frozenset(v for j, v in enumerate(domain) if mask >> j & 1)
 
 
-def _has_path(sg: Subgraph, sources: Set[str], targets: Set[str]) -> bool:
-    """Non-empty directed path inside the subgraph from a source vertex to
-    a target vertex (at least one edge)."""
-    starts = sources & sg.vertices
-    if not starts:
-        return False
-    succ: Dict[str, Set[str]] = {}
-    for u, v in sg.edges:
-        succ.setdefault(u, set()).add(v)
-    seen: Set[str] = set()
-    frontier = {v for u in starts for v in succ.get(u, ())}
-    while frontier:
-        if frontier & targets:
-            return True
-        seen |= frontier
-        frontier = {v for u in frontier for v in succ.get(u, ())} - seen
-    return False
-
-
-class _PredEvaluator:
-    def __init__(self, rm: ResourceModel):
-        self.rm = rm
-        self.sc = rm.model.scaffold
-        self.n = len(self.sc.subgraphs)
-        self.comp_pairs = [(i, j, m) for (i, j), m in self.sc._comp.items()
-                           if m is not None]
-        self.upsets = list(enumerate_upsets(rm.placement))
-        self.memo: Dict[tuple, bool] = {}
-
-    def sat(self, s: ResourceAssignment, w: int, f: PredFormula) -> bool:
-        key = (frozenset(s.items()), w, f)
-        if key not in self.memo:
-            self.memo[key] = self._sat(s, w, f)
-        return self.memo[key]
-
-    def _sat(self, s: ResourceAssignment, w: int, f: PredFormula) -> bool:
-        sc = self.sc
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Contains):
-            if f.resource not in s:
-                raise KeyError(f"unbound resource {f.resource!r}")
-            return bool(s[f.resource] & sc.subgraphs[w].vertices)
-        if isinstance(f, PointsTo):
-            for r in (f.source, f.target):
-                if r not in s:
-                    raise KeyError(f"unbound resource {r!r}")
-            return _has_path(sc.subgraphs[w], set(s[f.source]),
-                             set(s[f.target]))
-        if isinstance(f, And):
-            return self.sat(s, w, f.left) and self.sat(s, w, f.right)
-        if isinstance(f, Or):
-            return self.sat(s, w, f.left) or self.sat(s, w, f.right)
-        if isinstance(f, Imp):
-            return all(self.sat(s, v, f.right) for v in range(self.n)
-                       if sc.leq(w, v) and self.sat(s, v, f.left))
-        if isinstance(f, LayerConj):
-            return any(sc.leq(m, w) and self.sat(s, i, f.left)
-                       and self.sat(s, j, f.right)
-                       for i, j, m in self.comp_pairs)
-        if isinstance(f, ImpRight):
-            return all(self.sat(s, m, f.right)
-                       for i, j, m in self.comp_pairs
-                       if sc.leq(w, i) and self.sat(s, j, f.left))
-        if isinstance(f, ImpLeft):
-            return all(self.sat(s, m, f.right)
-                       for i, j, m in self.comp_pairs
-                       if sc.leq(w, j) and self.sat(s, i, f.left))
-        if isinstance(f, Exists):
-            return any(self.sat({**s, f.var: block}, w, f.body)
-                       for block in self.upsets)
-        if isinstance(f, Forall):
-            # World and domain quantification combined, as the semantics
-            # states it: every extension at every order-successor.
-            return all(self.sat({**s, f.var: block}, v, f.body)
-                       for block in self.upsets
-                       for v in range(self.n) if sc.leq(w, v))
-        raise TypeError(f"not a predicate formula: {f!r}")
+def resource_evaluator(rm: ResourceModel) -> Evaluator:
+    """One evaluator for every predicate query on ``rm``; its quantifiers
+    range over the up-sets of the placement order."""
+    sc = rm.model.scaffold
+    return Evaluator(scaffold_to_frame(sc), rm.model.valuation,
+                     sc.subgraphs, list(enumerate_upsets(rm.placement)))
 
 
 def pred_satisfies(rm: ResourceModel, s: ResourceAssignment, world: int,
-                   f: PredFormula) -> bool:
+                   f: Formula) -> bool:
     """Satisfaction of a predicate formula at a world under an assignment."""
     missing = free_resources(f) - set(s)
     if missing:
         raise KeyError(f"unbound resources: {sorted(missing)}")
-    return _PredEvaluator(rm).sat(dict(s), world, f)
+    return resource_evaluator(rm).sat(world, f, frozenset(s.items()))
+
+
+def pred_valid_in_model(rm: ResourceModel, f: Formula) -> bool:
+    """True iff the sentence ``f`` holds at every world of the model."""
+    missing = free_resources(f)
+    if missing:
+        raise KeyError(f"unbound resources: {sorted(missing)}")
+    ev = resource_evaluator(rm)
+    return all(ev.sat(w, f) for w in range(ev.n))
 
 
 # -- bigraph scaffold construction -----------------------------------------
@@ -543,7 +225,6 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
 # -- JSON format extension -------------------------------------------------
 
 def resource_model_from_dict(data: dict) -> ResourceModel:
-    from .graph import model_from_dict
     model = model_from_dict(data)
     placement = frozenset((u, v) for u, v in data.get("placement", []))
     return ResourceModel(model, placement,
@@ -551,7 +232,6 @@ def resource_model_from_dict(data: dict) -> ResourceModel:
 
 
 def resource_model_to_dict(rm: ResourceModel) -> dict:
-    from .graph import model_to_dict
     out = model_to_dict(rm.model)
     out["placement"] = sorted(map(list, rm.placement))
     out["resources"] = sorted(rm.resources)

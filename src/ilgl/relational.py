@@ -1,5 +1,6 @@
-"""Intuitionistic layered frames, relational satisfaction, and the
-exhaustive small-frame validity oracle used to cross-check the prover.
+"""Intuitionistic layered frames, the satisfaction clauses shared by the
+relational, layered-graph and predicate semantics, and the exhaustive
+small-frame validity oracle used to cross-check the prover.
 
 Enumeration policy for the oracle: frames with at most 2 worlds are swept
 over the full ternary-relation space; at 3 and 4 worlds the relation is
@@ -14,15 +15,52 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
+                    Tuple)
 
 import numpy as np
 
-from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
-                      LayerConj, Or, Top, atoms)
-from .graph import OrderedScaffold, closure_pairs
+from .formula import (BINARY_NODES, And, Atom, Bot, Contains, Exists, Forall,
+                      Formula, Imp, ImpLeft, ImpRight, LayerConj, Or,
+                      PointsTo, Top, atoms)
 
 Triple = Tuple[int, int, int]
+
+
+def closure_pairs(pairs, domain) -> Set[Tuple]:
+    """Reflexive-transitive closure of ``pairs`` over ``domain``."""
+    succ: Dict = {d: {d} for d in domain}
+    for a, b in pairs:
+        if a not in succ or b not in succ:
+            raise ValueError(f"order pair ({a},{b}) outside the domain")
+        succ[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in succ:
+            extra = set()
+            for b in succ[a]:
+                extra |= succ[b]
+            if not extra <= succ[a]:
+                succ[a] |= extra
+                changed = True
+    return {(a, b) for a in succ for b in succ[a]}
+
+
+def principal_upsets(n: int, order) -> List[int]:
+    """The up-set of each world 0..n-1 under the closed preorder ``order``,
+    as bitmasks."""
+    return [sum(1 << y for y in range(n) if (x, y) in order)
+            for x in range(n)]
+
+
+def upset_masks(principals) -> List[int]:
+    """Every up-set, ascending: the unions of the principal up-set masks,
+    built by adding one principal up-set at a time."""
+    masks = {0}
+    for p in principals:
+        masks |= {m | p for m in masks}
+    return sorted(masks)
 
 
 @dataclass
@@ -59,7 +97,7 @@ class IntLayeredFrame:
 
     def upsets(self) -> List[int]:
         """All up-closed world sets as bitmasks, ascending."""
-        return _order_tables(self.worlds, self.order)[0]
+        return upset_masks(principal_upsets(self.worlds, self.order))
 
 
 @dataclass
@@ -79,64 +117,94 @@ class RelationalModel:
         return problems
 
 
-def scaffold_to_frame(scaffold: OrderedScaffold) -> IntLayeredFrame:
-    """Frame on X with R(i,j,k) iff X[i] @ X[j] is defined and equals X[k]."""
-    n = len(scaffold.subgraphs)
-    rel = {(i, j, m) for (i, j), m in scaffold._comp.items()
-           if m is not None}
-    return IntLayeredFrame(n, scaffold.order, frozenset(rel))
+def _has_path(sg, sources: FrozenSet, targets: FrozenSet) -> bool:
+    """Non-empty directed path inside the subgraph from a source vertex to
+    a target vertex (at least one edge)."""
+    seen: Set = set()
+    frontier = {v for u, v in sg.edges if u in sources}
+    while frontier:
+        if frontier & targets:
+            return True
+        seen |= frontier
+        frontier = {v for u, v in sg.edges if u in frontier} - seen
+    return False
 
 
-class _RelEvaluator:
-    def __init__(self, model: RelationalModel):
-        self.model = model
-        self.frame = model.frame
-        self.memo: Dict[Tuple[int, Formula], bool] = {}
+class Evaluator:
+    """The satisfaction clauses of the relational, layered-graph and
+    predicate semantics, memoised per (world, formula, assignment).
 
-    def sat(self, w: int, f: Formula) -> bool:
-        key = (w, f)
-        if key not in self.memo:
-            self.memo[key] = self._sat(w, f)
-        return self.memo[key]
+    The propositional clauses read the frame (worlds, order, triples) and
+    the valuation of the atoms.  Layered-graph satisfaction is this run on
+    the scaffold's frame.  The predicate clauses also read ``subgraphs``
+    (the admissible subgraph each world names, for ``Contains`` and
+    ``~>``), ``upsets`` (the quantifier domain) and an assignment of
+    resource names to blocks, given as a frozenset of (name, block) pairs.
+    """
 
-    def _sat(self, w: int, f: Formula) -> bool:
-        fr = self.frame
+    def __init__(self, frame: IntLayeredFrame,
+                 valuation: Dict[str, FrozenSet[int]],
+                 subgraphs=(), upsets=()):
+        self.n = frame.worlds
+        self.order = frame.order
+        self.rel = frame.rel
+        self.valuation = valuation
+        self.subgraphs = subgraphs
+        self.upsets = upsets
+        self.memo: Dict[tuple, bool] = {}
+
+    def sat(self, w: int, f: Formula, s: FrozenSet = frozenset()) -> bool:
+        key = (w, f, s)
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = self._sat(w, f, s)
+        return value
+
+    def _sat(self, w: int, f: Formula, s: FrozenSet) -> bool:
+        sat, order = self.sat, self.order
         if isinstance(f, Atom):
-            return w in self.model.valuation.get(f.name, frozenset())
+            return w in self.valuation.get(f.name, frozenset())
         if isinstance(f, Top):
             return True
         if isinstance(f, Bot):
             return False
         if isinstance(f, And):
-            return self.sat(w, f.left) and self.sat(w, f.right)
+            return sat(w, f.left, s) and sat(w, f.right, s)
         if isinstance(f, Or):
-            return self.sat(w, f.left) or self.sat(w, f.right)
+            return sat(w, f.left, s) or sat(w, f.right, s)
         if isinstance(f, Imp):
-            return all(self.sat(v, f.right)
-                       for v in range(fr.worlds)
-                       if fr.leq(w, v) and self.sat(v, f.left))
+            return all(sat(v, f.right, s) for v in range(self.n)
+                       if (w, v) in order and sat(v, f.left, s))
         if isinstance(f, LayerConj):
-            return any(fr.leq(x, w)
-                       and self.sat(y, f.left) and self.sat(z, f.right)
-                       for y, z, x in fr.rel)
+            return any((x, w) in order
+                       and sat(y, f.left, s) and sat(z, f.right, s)
+                       for y, z, x in self.rel)
         if isinstance(f, ImpRight):
-            return all(self.sat(z, f.right)
-                       for y, k, z in fr.rel
-                       if fr.leq(w, y) and self.sat(k, f.left))
+            return all(sat(x, f.right, s) for y, z, x in self.rel
+                       if (w, y) in order and sat(z, f.left, s))
         if isinstance(f, ImpLeft):
-            return all(self.sat(z, f.right)
-                       for k, y, z in fr.rel
-                       if fr.leq(w, y) and self.sat(k, f.left))
+            return all(sat(x, f.right, s) for z, y, x in self.rel
+                       if (w, y) in order and sat(z, f.left, s))
+        if isinstance(f, Contains):
+            return bool(dict(s)[f.resource] & self.subgraphs[w].vertices)
+        if isinstance(f, PointsTo):
+            env = dict(s)
+            return _has_path(self.subgraphs[w], env[f.source],
+                             env[f.target])
+        if isinstance(f, (Exists, Forall)):
+            rest = frozenset((r, b) for r, b in s if r != f.var)
+            bound = [rest | {(f.var, block)} for block in self.upsets]
+            if isinstance(f, Exists):
+                return any(sat(w, f.body, t) for t in bound)
+            # World and domain quantification combined, as the semantics
+            # states it: every extension at every order-successor.
+            return all(sat(v, f.body, t) for t in bound
+                       for v in range(self.n) if (w, v) in order)
         raise TypeError(f"not a formula: {f!r}")
 
 
 def rel_satisfies(model: RelationalModel, world: int, f: Formula) -> bool:
-    return _RelEvaluator(model).sat(world, f)
-
-
-def rel_valid_in_model(model: RelationalModel, f: Formula) -> bool:
-    ev = _RelEvaluator(model)
-    return all(ev.sat(w, f) for w in range(model.frame.worlds))
+    return Evaluator(model.frame, model.valuation).sat(world, f)
 
 
 # -- frame enumeration ---------------------------------------------------
@@ -152,13 +220,9 @@ def enumerate_preorders(n: int) -> List[FrozenSet[Tuple[int, int]]]:
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def _triples(n: int) -> List[Triple]:
-    return [(y, z, x) for y in range(n) for z in range(n) for x in range(n)]
-
-
 def _rel_subsets(n: int, max_size: Optional[int]) -> Iterator[FrozenSet]:
     """Subsets of the triple space in (size, lex) order."""
-    triples = _triples(n)
+    triples = list(itertools.product(range(n), repeat=3))
     top = len(triples) if max_size is None else min(max_size, len(triples))
     for size in range(top + 1):
         for combo in itertools.combinations(triples, size):
@@ -184,50 +248,25 @@ def enumerate_frames(max_worlds: int,
 DEFAULT_REL_CAPS = {1: None, 2: None, 3: 2, 4: 2}
 
 
-def oracle_frames(max_worlds: int,
-                  rel_caps: Optional[Dict[int, Optional[int]]] = None
-                  ) -> Iterator[IntLayeredFrame]:
-    """The frame family the validity oracle sweeps (see module docstring)."""
-    caps = dict(DEFAULT_REL_CAPS)
-    if rel_caps:
-        caps.update(rel_caps)
-    for n in range(1, max_worlds + 1):
-        cap = caps.get(n, 2)
-        for order in enumerate_preorders(n):
-            for rel in _rel_subsets(n, cap):
-                yield IntLayeredFrame(n, order, rel)
-
-
 # Complex-algebra operation tables, used both by the algebra module and by
 # the oracle below (frames sharing tables are interchangeable for validity).
+
+# The operation each binary connective denotes in an algebra.
+OP_NAME = {And: "meet", Or: "join", Imp: "himp", LayerConj: "lconj",
+           ImpRight: "rres", ImpLeft: "lres"}
+
 
 def _order_tables(n: int, order) -> tuple:
     """Order-only part of the complex algebra: up-sets, principal up-set
     masks, and the meet/join/himp tables."""
-    leq = lambda i, j: (i, j) in order
-    up_of = [sum(1 << y for y in range(n) if leq(x, y)) for x in range(n)]
-    closed = {0}
-    frontier = set(up_of) - closed
-    while frontier:  # close the principal up-sets under union
-        closed |= frontier
-        frontier = {a | b for a in closed for b in closed} - closed
-    ups = sorted(closed)
+    up_of = principal_upsets(n, order)
+    ups = upset_masks(up_of)
     index = {m: i for i, m in enumerate(ups)}
-    u = len(ups)
-    meet = [[index[ups[a] & ups[b]] for b in range(u)] for a in range(u)]
-    join = [[index[ups[a] | ups[b]] for b in range(u)] for a in range(u)]
-    himp = []
-    for a in range(u):
-        ma = ups[a]
-        row = []
-        for b in range(u):
-            mb = ups[b]
-            h = 0
-            for x in range(n):
-                if up_of[x] & ma & ~mb == 0:
-                    h |= 1 << x
-            row.append(index[h])
-        himp.append(row)
+    meet = [[index[ma & mb] for mb in ups] for ma in ups]
+    join = [[index[ma | mb] for mb in ups] for ma in ups]
+    himp = [[index[sum(1 << x for x in range(n)
+                       if up_of[x] & ma & ~mb == 0)]
+             for mb in ups] for ma in ups]
     return ups, index, up_of, meet, join, himp
 
 
@@ -267,26 +306,42 @@ def frame_tables(frame: IntLayeredFrame) -> tuple:
     operation name to a square table over up-set indices."""
     ups, index, up_of, meet, join, himp = _order_tables(
         frame.worlds, frame.order)
-    lconj, rres, lres = _layer_tables(frame.worlds, frame.rel, ups, index,
-                                      up_of)
-    ops = {"meet": meet, "join": join, "himp": himp,
-           "lconj": lconj, "rres": rres, "lres": lres}
-    return ups, ops
+    layer = _layer_tables(frame.worlds, frame.rel, ups, index, up_of)
+    return ups, dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
 
 
-def _eval_in_tables(f: Formula, ups, ops, assignment: Dict[str, int],
-                    bot_i: int, top_i: int) -> int:
-    if isinstance(f, Atom):
-        return assignment.get(f.name, bot_i)
-    if isinstance(f, Top):
-        return top_i
-    if isinstance(f, Bot):
-        return bot_i
-    a = _eval_in_tables(f.left, ups, ops, assignment, bot_i, top_i)
-    b = _eval_in_tables(f.right, ups, ops, assignment, bot_i, top_i)
-    table = {And: "meet", Or: "join", Imp: "himp", LayerConj: "lconj",
-             ImpRight: "rres", ImpLeft: "lres"}[type(f)]
-    return ops[table][a][b]
+def postfix(f: Formula) -> list:
+    """Every node occurrence of ``f``, operands before their connective."""
+    out = []
+
+    def walk(g: Formula) -> None:
+        if isinstance(g, BINARY_NODES):
+            walk(g.left)
+            walk(g.right)
+        out.append(g)
+
+    walk(f)
+    return out
+
+
+def fold_tables(nodes: list, apply: Callable, valuation: dict, bot, top):
+    """The value in an algebra of the formula whose ``postfix`` is
+    ``nodes``: ``apply(name, a, b)`` applies the operation ``OP_NAME``
+    names, and atoms missing from ``valuation`` go to ``bot``.  Values are
+    element ids, or numpy arrays of them when the oracle evaluates many
+    algebras and assignments at once."""
+    stack = []
+    for g in nodes:
+        if isinstance(g, Atom):
+            stack.append(valuation.get(g.name, bot))
+        elif isinstance(g, Top):
+            stack.append(top)
+        elif isinstance(g, Bot):
+            stack.append(bot)
+        else:
+            b = stack.pop()
+            stack.append(apply(OP_NAME[type(g)], stack.pop(), b))
+    return stack.pop()
 
 
 @dataclass
@@ -303,6 +358,16 @@ def _mask_worlds(mask: int, n: int) -> FrozenSet[int]:
     return frozenset(w for w in range(n) if mask >> w & 1)
 
 
+def _counterexample(frame: IntLayeredFrame, ups: list, names: list,
+                    digits, value: int) -> Counterexample:
+    """The atoms take the up-sets ``digits`` index; the formula's value
+    ``ups[value]`` misses the reported world."""
+    n = frame.worlds
+    return Counterexample(
+        frame, {p: _mask_worlds(ups[d], n) for p, d in zip(names, digits)},
+        next(w for w in range(n) if not ups[value] >> w & 1))
+
+
 def _step_entries(n: int, cap: Optional[int]) -> Iterator[tuple]:
     """(frame, upsets, ops, fingerprint) for one world-count step.
 
@@ -313,12 +378,9 @@ def _step_entries(n: int, cap: Optional[int]) -> Iterator[tuple]:
         ups, index, up_of, meet, join, himp = _order_tables(n, order)
         base_fp = tuple(ups)
         for rel in _rel_subsets(n, cap):
-            lconj, rres, lres = _layer_tables(n, rel, ups, index, up_of)
-            ops = {"meet": meet, "join": join, "himp": himp,
-                   "lconj": lconj, "rres": rres, "lres": lres}
-            fp = (base_fp,
-                  tuple(map(tuple, lconj)), tuple(map(tuple, rres)),
-                  tuple(map(tuple, lres)))
+            layer = _layer_tables(n, rel, ups, index, up_of)
+            ops = dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
+            fp = (base_fp,) + tuple(tuple(map(tuple, t)) for t in layer)
             yield IntLayeredFrame(n, order, rel), ups, ops, fp
 
 
@@ -349,8 +411,7 @@ class _StackedStep:
             idxs = group["indices"]
             group["tables"] = {
                 name: np.array([raw[i][name] for i in idxs], dtype=np.int16)
-                for name in ("meet", "join", "himp", "lconj", "rres",
-                             "lres")}
+                for name in OP_NAME.values()}
 
 
 class _OracleCache:
@@ -379,29 +440,12 @@ class _OracleCache:
 _CACHE = _OracleCache()
 
 
-_OP_NAME = {And: "meet", Or: "join", Imp: "himp", LayerConj: "lconj",
-            ImpRight: "rres", ImpLeft: "lres"}
-
-
-def _postfix(f: Formula) -> list:
-    out = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, (And, Or, Imp, LayerConj, ImpRight, ImpLeft)):
-            walk(g.left)
-            walk(g.right)
-        out.append(g)
-
-    walk(f)
-    return out
-
-
-def _scan_stacked(f: Formula, names: list, step: _StackedStep, n: int
+def _scan_stacked(nodes: list, names: list, step: _StackedStep
                   ) -> Optional[Counterexample]:
-    """Evaluate ``f`` over every (algebra, assignment) of a stacked step at
-    once; returns the counterexample earliest in enumeration order."""
+    """Evaluate the formula whose ``postfix`` is ``nodes`` over every
+    (algebra, assignment) of a stacked step at once; returns the
+    counterexample earliest in enumeration order."""
     k = len(names)
-    postfix = _postfix(f)
     best = None  # (position, frame, ups, assignment index, value index)
     for u in sorted(step.groups):
         group = step.groups[u]
@@ -414,22 +458,12 @@ def _scan_stacked(f: Formula, names: list, step: _StackedStep, n: int
                 (np.arange(count) // u ** (k - 1 - m)) % u,
                 (a_count, count))
             for m, name in enumerate(names)}
-        stack = []
-        for g in postfix:
-            if isinstance(g, Atom):
-                stack.append(atom_vec.get(
-                    g.name, np.zeros((a_count, count), dtype=np.int64)))
-            elif isinstance(g, Top):
-                stack.append(np.full((a_count, count), u - 1,
-                                     dtype=np.int64))
-            elif isinstance(g, Bot):
-                stack.append(np.zeros((a_count, count), dtype=np.int64))
-            else:
-                vb = stack.pop()
-                va = stack.pop()
-                stack.append(tables[_OP_NAME[type(g)]][rows, va, vb]
-                             .astype(np.int64))
-        result = stack.pop()
+        result = fold_tables(
+            nodes,
+            lambda name, a, b: tables[name][rows, a, b].astype(np.int64),
+            atom_vec, 0, u - 1)
+        if np.shape(result) != (a_count, count):  # no atom occurs in f
+            result = np.broadcast_to(result, (a_count, count))
         failing = result != (u - 1)
         if failing.any():
             for row in np.flatnonzero(failing.any(axis=1)):
@@ -443,13 +477,9 @@ def _scan_stacked(f: Formula, names: list, step: _StackedStep, n: int
         return None
     position, frame, ups, t, value = best
     u = len(ups)
-    digits = []
-    for m in range(k):
-        digits.append((t // u ** (k - 1 - m)) % u)
-    valuation = {p: _mask_worlds(ups[d], n) for p, d in zip(names, digits)}
-    mask = ups[value]
-    world = next(w for w in range(n) if not mask >> w & 1)
-    return Counterexample(frame, valuation, world)
+    return _counterexample(frame, ups, names,
+                           [(t // u ** (k - 1 - m)) % u for m in range(k)],
+                           value)
 
 
 def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
@@ -463,13 +493,14 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
     names = atoms(f)
     if len(names) > max_atoms:
         raise ValueError(f"{len(names)} atoms exceed the limit {max_atoms}")
+    nodes = postfix(f)
     caps = dict(DEFAULT_REL_CAPS)
     if rel_caps:
         caps.update(rel_caps)
     for n in range(1, max_worlds + 1):
         cap = caps.get(n, 2)
         if _CACHE.stackable(n, cap):
-            hit = _scan_stacked(f, names, _CACHE.stacked_step(n, cap), n)
+            hit = _scan_stacked(nodes, names, _CACHE.stacked_step(n, cap))
             if hit is not None:
                 return hit
             continue
@@ -477,23 +508,13 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
         for frame, ups, ops, fp in _step_entries(n, cap):
             if fp in verified:
                 continue
-            u = len(ups)
-            bot_i, top_i = 0, u - 1
-            hit = None
-            for combo in itertools.product(range(u), repeat=len(names)):
-                assignment = dict(zip(names, combo))
-                val = _eval_in_tables(f, ups, ops, assignment, bot_i, top_i)
+            top_i = len(ups) - 1
+            for combo in itertools.product(range(len(ups)),
+                                           repeat=len(names)):
+                val = fold_tables(nodes, lambda name, a, b: ops[name][a][b],
+                                  dict(zip(names, combo)), 0, top_i)
                 if val != top_i:
-                    mask = ups[val]
-                    world = next(w for w in range(n) if not mask >> w & 1)
-                    hit = Counterexample(
-                        frame,
-                        {p: _mask_worlds(ups[assignment[p]], n)
-                         for p in names},
-                        world)
-                    break
-            if hit is not None:
-                return hit
+                    return _counterexample(frame, ups, names, combo, val)
             verified.add(fp)
     return None
 

@@ -113,9 +113,6 @@ class CSS:
         dup.branch_id = 0
         return dup
 
-    def labels_in_use(self) -> Set[Label]:
-        return {x for (_, _, x) in self.formulas}
-
 
 def css_check(css: CSS) -> List[dict]:
     """Violations of the Ref / Contra / Freshness branch invariants."""
@@ -516,11 +513,12 @@ def realize_check(css: CSS, model: LayeredGraphModel,
                 problems.append({"clause": "order",
                                  "constraint": f"{label_str(a)} <= "
                                                f"{label_str(b)}"})
+    ev = graphmod.model_evaluator(model)
     for slf in css.formula_order:
         sign, f, x = slf
         if x not in assignment:
             continue
-        holds = graphmod.satisfies(model, assignment[x], f)
+        holds = ev.sat(assignment[x], f)
         if holds != sign:
             problems.append({"clause": "satisfaction",
                              "formula": _format_slf(slf)})

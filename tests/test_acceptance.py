@@ -17,14 +17,14 @@ from ilgl import graph as graphmod
 from ilgl.algebra import (algebra_satisfaction_agrees, complex_algebra,
                           complex_algebra_with_elements, fep_complete,
                           representation_embed, validate_algebra)
-from ilgl.formula import Atom, parse
+from ilgl.formula import Atom, parse, parse_pred
 from ilgl.gen import (random_formula, random_frame, random_graph_model,
                       random_relational_model)
 from ilgl.hilbert import check_derivation
-from ilgl.predicate import enumerate_upsets, parse_pred, pred_satisfies
+from ilgl.graph import scaffold_to_frame
+from ilgl.predicate import enumerate_upsets, pred_satisfies
 from ilgl.relational import (DEFAULT_REL_CAPS, RelationalModel,
-                             _step_entries, rel_satisfies, rel_valid_upto,
-                             scaffold_to_frame)
+                             _step_entries, rel_satisfies, rel_valid_upto)
 from ilgl.tableaux import prove
 
 from test_algebra import diamond, two_chain

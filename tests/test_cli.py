@@ -119,6 +119,35 @@ class TestCheckCommand:
                               "forall s. Contains(s)", "--world", "0")
         assert code == 1 and body["status"] == "unsat"
 
+    def test_world_out_of_range_exit_two(self, capsys, tmp_path):
+        path = self.model_file(tmp_path)
+        capsys.readouterr()
+        for world in ("99", "-1"):
+            code, body = run_json(capsys, "check", path, REFUTABLE,
+                                  "--world", world)
+            assert code == 2 and body["status"] == "error", world
+
+    def test_mistyped_model_exit_two(self, capsys, tmp_path):
+        path = self.model_file(tmp_path)
+        capsys.readouterr()
+        for field, value in (("vertices", 5), ("valuation", [1])):
+            data = json.loads(open(path).read())
+            data[field] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(data))
+            code, body = run_json(capsys, "check", str(bad), "top")
+            assert code == 2 and body["status"] == "error", field
+
+    def test_bad_predicate_formula_exit_two(self, capsys, tmp_path):
+        from test_predicate import composed_bigraphs
+        path = tmp_path / "rm.json"
+        path.write_text(json.dumps(resource_model_to_dict(
+            composed_bigraphs())))
+        for text in ("exists s. Contains(s", "exists s. p",
+                     "forall s. Contains(s) & exists t. Contains(t)"):
+            code, body = run_json(capsys, "check", str(path), text)
+            assert code == 2 and body["status"] == "error", text
+
     def test_predicate_needs_resource_model(self, capsys, tmp_path):
         path = self.model_file(tmp_path)
         capsys.readouterr()
@@ -154,6 +183,18 @@ class TestValidateCommand:
         save_algebra(complex_algebra(frame), str(apath))
         code, body = run_json(capsys, "validate", str(apath))
         assert code == 0 and body["payload"]["kind"] == "algebra"
+
+    def test_mistyped_model_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        main(["prove", REFUTABLE, "--emit-countermodel", str(path)])
+        good = path.read_text()
+        capsys.readouterr()
+        for field, value in (("vertices", 5), ("valuation", [1])):
+            data = json.loads(good)
+            data[field] = value
+            path.write_text(json.dumps(data))
+            code, body = run_json(capsys, "validate", str(path))
+            assert code == 2 and body["status"] == "error", field
 
     def test_violations_exit_two(self, capsys, tmp_path):
         apath = tmp_path / "bad_alg.json"
@@ -220,3 +261,16 @@ class TestSubprocess:
         second = subprocess.run(cmd, capture_output=True, text=True)
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
+
+    def test_persistence_suite_ignores_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        cmd = [sys.executable, "-m", "ilgl.cli", "--json", "crosscheck",
+               "persistence", "--seed", "7", "--budget", "30"]
+        outs = {subprocess.run(cmd, capture_output=True,
+                               env=dict(os.environ, PYTHONHASHSEED=seed)
+                               ).stdout
+                for seed in ("1", "2", "3")}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["status"] == "ok"

@@ -68,7 +68,8 @@ class TestParse:
 
     def test_totality_on_junk(self):
         for text in ["", "(", ")", "p ->", "-> p", "p |>", "p &", "~",
-                     "p @ q", "p (q)", "top top", "(p))"]:
+                     "p @ q", "p (q)", "top top", "(p))", "Contains(r)",
+                     "p ~> q", "exists s. p"]:
             with pytest.raises(ParseError):
                 parse(text)
 
@@ -121,3 +122,4 @@ class TestSubformulas:
 
     def test_atoms(self):
         assert atoms(parse("p -> q | p")) == ["p", "q"]
+        assert atoms(parse("forall -> exists")) == ["exists", "forall"]

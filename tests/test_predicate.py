@@ -4,12 +4,14 @@ import pytest
 
 from ilgl.graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
                         Subgraph, validate_model)
-from ilgl.predicate import (Contains, Exists, Forall, Imp, LinkGraphSpec,
-                            PointsTo, PredParseError, ResourceModel,
+from ilgl.formula import (Bot, Contains, Exists, Forall, Imp, PointsTo,
+                          parse_pred)
+from ilgl.formula import ParseError as PredParseError
+from ilgl.formula import render as render_pred
+from ilgl.predicate import (LinkGraphSpec, ResourceModel,
                             build_bigraph_scaffold, check_assignment,
-                            enumerate_upsets, free_resources, parse_pred,
-                            pred_satisfies, render_pred,
-                            resource_model_from_dict,
+                            enumerate_upsets, free_resources,
+                            pred_satisfies, resource_model_from_dict,
                             resource_model_to_dict)
 
 
@@ -27,12 +29,13 @@ def tiny_model():
 class TestParser:
     def test_contains(self):
         assert parse_pred("Contains(r)") == Contains("r")
+        assert parse_pred("~ Contains(r)") == Imp(Contains("r"), Bot())
 
     def test_points_to(self):
         assert parse_pred("r ~> r2") == PointsTo("r", "r2")
 
     def test_quantifiers_scope_right(self):
-        from ilgl.predicate import And as PredAnd
+        from ilgl.formula import And as PredAnd
         f = parse_pred("exists r. Contains(r) & r ~> s")
         assert f == Exists("r", PredAnd(Contains("r"), PointsTo("r", "s")))
 
@@ -52,7 +55,10 @@ class TestParser:
         for text in ["Contains(r)", "r ~> r2",
                      "exists r. Contains(r)",
                      "forall r. (Contains(r) -> r ~> r2)",
-                     "Contains(r) |> Contains(r2)"]:
+                     "Contains(r) |> Contains(r2)",
+                     "(exists r. Contains(r)) -> (forall r. ~ Contains(r))",
+                     "forall r. (Contains(r) & (exists r. Contains(r)))"
+                     ] + [t for _, t, _ in TestBigraphTruthTable().cases()[2]]:
             f = parse_pred(text)
             assert parse_pred(render_pred(f)) == f
 
@@ -75,6 +81,22 @@ class TestUpsets:
     def test_antichain_powerset(self):
         placement = frozenset((f"x{i}", f"x{i}") for i in range(5))
         assert len(list(enumerate_upsets(placement))) == 2 ** 5
+
+    def test_matches_brute_force_on_random_preorders(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            k = rng.randrange(1, 7)
+            names = [f"x{i}" for i in range(k)]
+            pairs = {(v, v) for v in names} | {
+                (u, v) for u in names for v in names
+                if u != v and rng.random() < 0.2}
+            # Up-closed under the generating pairs, in ascending bitmask
+            # order over the sorted names.
+            want = [block for block in (
+                frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+                for mask in range(2 ** k))
+                if all(v in block for u, v in pairs if u in block)]
+            assert list(enumerate_upsets(frozenset(pairs))) == want
 
     def test_cap_enforced(self):
         placement = frozenset((f"x{i}", f"x{i}") for i in range(15))

@@ -1,0 +1,67 @@
+"""The satisfaction clauses against the benchmark's reference checker.
+
+``perfbench/refcheck.py`` is written from the paper's clauses and imports
+nothing from ``ilgl``, so agreement with it is evidence that one shared
+evaluator cannot give by comparing against itself.  Models, formulas and
+sentences come from the benchmark's own seeded generators in
+``perfbench/inputs.py``.
+"""
+
+import os
+import random
+import subprocess
+import sys
+
+from ilgl.formula import parse, parse_pred
+from ilgl.graph import model_evaluator, model_from_dict
+from ilgl.predicate import resource_evaluator, resource_model_from_dict
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import inputs  # noqa: E402
+import refcheck  # noqa: E402
+
+
+def test_graph_models_agree_at_every_world():
+    rng = random.Random(3)
+    worlds = 0
+    for i in range(12):
+        data = inputs.random_graph_model(rng, members=2 + i % 7)
+        ref = refcheck.GraphModel(data)
+        ev = model_evaluator(model_from_dict(data))
+        for _ in range(6):
+            f = inputs.random_formula(rng, 3)
+            mask = ref.sat_mask(f)
+            g = parse(inputs.render(f))
+            for w in range(ev.n):
+                assert ev.sat(w, g) == bool(mask >> w & 1), \
+                    (i, inputs.render(f), w)
+                worlds += 1
+    assert worlds > 300
+
+
+def test_predicate_sentences_agree_at_every_world():
+    rng = random.Random(4)
+    for places, links in ((2, 0), (3, 1), (4, 1), (6, 1)):
+        data = inputs.random_resource_model(rng, places, links)
+        ref = refcheck.ResourceModel(data)
+        ev = resource_evaluator(resource_model_from_dict(data))
+        for quant in ("exists", "forall") * 3:
+            f = inputs.random_sentence(rng, quant, places <= 4)
+            mask = ref.pred_mask(f)
+            g = parse_pred(inputs.render(f))
+            for w in range(ev.n):
+                assert ev.sat(w, g) == bool(mask >> w & 1), \
+                    (places, inputs.render(f), w)
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    # The benchmark's --trace 1 wraps public functions by module and
+    # name; a refactor that removes one breaks it.
+    code = ("import worker; "
+            "worker.install_tracer(worker.import_program()).unwrap()")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

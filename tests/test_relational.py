@@ -7,10 +7,11 @@ from ilgl import graph as graphmod
 from ilgl.formula import parse
 from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
+from ilgl.graph import scaffold_to_frame
 from ilgl.relational import (IntLayeredFrame, RelationalModel,
                              enumerate_frames, enumerate_preorders,
                              frame_from_dict, frame_to_dict, rel_satisfies,
-                             rel_valid_upto, scaffold_to_frame)
+                             rel_valid_upto)
 
 
 class TestScaffoldToFrame:
