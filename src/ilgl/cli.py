@@ -154,21 +154,24 @@ def cmd_check(args) -> int:
     propositional = None
     try:
         propositional = parse(args.formula)
-    except ParseError:
-        pass
+    except ParseError as exc:
+        propositional_error = exc
     if propositional is not None:
         if args.world is not None:
             ok = graphmod.satisfies(model, args.world, propositional)
         else:
             ok = graphmod.valid_in_model(model, propositional)
     else:
-        if rm is None:
-            return _fail("check", "predicate formulas need a resource "
-                         "model (placement/resources)", args.json)
         try:
             pf = parse_pred(args.formula)
         except ParseError as exc:
-            return _fail("check", str(exc), args.json)
+            # Without resources the formula was meant to be propositional.
+            return _fail("check", str(exc if rm is not None
+                                       else propositional_error),
+                         args.json)
+        if rm is None:
+            return _fail("check", "predicate formulas need a resource "
+                         "model (placement/resources)", args.json)
         free = predmod.free_resources(pf)
         if free:
             return _fail("check", f"formula has free resources "

@@ -10,7 +10,8 @@ for ``f -> bot``.
 Predicate formulas (``parse_pred``) use the same grammar without bare
 atoms, plus the units ``Contains(r)`` and ``r ~> s`` and a quantifier
 prefix ``exists r.`` / ``forall r.`` that scopes as far right as possible.
-Shadowed binders are renamed apart during parsing.
+Shadowed binders are renamed apart during parsing.  A formula nested
+deeper than ``MAX_DEPTH`` levels is a ParseError.
 """
 
 from __future__ import annotations
@@ -145,11 +146,6 @@ _PRED_FIXED = ("~>",) + _FIXED + (".",)
 _PRED_KEYWORDS = _KEYWORDS + ("exists", "forall", "Contains")
 
 
-def tokenize(text: str) -> list:
-    """Tokens of a propositional formula."""
-    return _tokenize(text, False)
-
-
 def _tokenize(text: str, pred: bool) -> list:
     fixed, keywords = ((_PRED_FIXED, _PRED_KEYWORDS) if pred
                        else (_FIXED, _KEYWORDS))
@@ -187,6 +183,11 @@ def _tokenize(text: str, pred: bool) -> list:
     return tokens
 
 
+# The deepest nesting a formula may have: of parentheses, ~ and quantifiers
+# while parsing, and of the tree parsed.  The parser, the printer, hashing
+# and the evaluators recurse once or more per level.
+MAX_DEPTH = 100
+
 _IMP_OPS = ("->", "-|>", "<|-")
 _IMP_CLASS = {"->": Imp, "-|>": ImpRight, "<|-": ImpLeft}
 _UNIT_EXPECTED = ("identifier", "top", "bot", "~", "(")
@@ -203,6 +204,7 @@ class _Parser:
         self.pred = pred
         self.scope: list = []  # (surface name, real name) of the binders
         self.renamed = 0
+        self.depth = 0  # open parentheses, ~ and quantifiers
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -217,6 +219,15 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2], (kind,))
         return self.take()
+
+    def nested(self, parse_inner, offset: int) -> Formula:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             offset)
+        f = parse_inner()
+        self.depth -= 1
+        return f
 
     def resolve(self, name: str) -> str:
         for surface, real in reversed(self.scope):
@@ -250,7 +261,7 @@ class _Parser:
     def quantifier(self) -> Formula:
         # The binder scopes as far right as possible; a name already bound
         # in an enclosing scope is renamed apart.
-        kind = self.take()[0]
+        kind, _, off = self.take()
         var = self.expect("ident")[1]
         self.expect(".")
         real = var
@@ -258,7 +269,7 @@ class _Parser:
             self.renamed += 1
             real = f"{var}_{self.renamed}"
         self.scope.append((var, real))
-        body = self.form()
+        body = self.nested(self.form, off)
         self.scope.pop()
         return (Exists if kind == "exists" else Forall)(real, body)
 
@@ -313,10 +324,10 @@ class _Parser:
             return BOT
         if kind == "~":
             self.take()
-            return Imp(self.unit(), BOT)
+            return Imp(self.nested(self.unit, off), BOT)
         if kind == "(":
             self.take()
-            f = self.form()
+            f = self.nested(self.form, off)
             self.expect(")")
             return f
         raise ParseError(f"unexpected {text or 'end of input'!r}", off,
@@ -329,6 +340,9 @@ def _parse(text: str, pred: bool) -> Formula:
     kind, tok, off = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input {tok!r}", off, ("end of input",))
+    # A tree is no higher than its number of tokens.
+    if len(parser.tokens) > MAX_DEPTH and _height(f) > MAX_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
     return f
 
 
@@ -399,6 +413,21 @@ def _wrap(f: Formula, min_level: int) -> str:
     if _LEVEL.get(type(f), _LEVEL_UNIT) < min_level:
         return "(" + text + ")"
     return text
+
+
+def _height(f: Formula) -> int:
+    """The number of nodes on the longest path from the root down."""
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        g, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(g, BINARY_NODES):
+            stack.append((g.left, level + 1))
+            stack.append((g.right, level + 1))
+        elif isinstance(g, QUANT_NODES):
+            stack.append((g.body, level + 1))
+    return deepest
 
 
 def subformulas(f: Formula) -> list:

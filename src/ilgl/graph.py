@@ -303,9 +303,3 @@ def model_from_dict(data: dict) -> LayeredGraphModel:
 def load_model(path: str) -> LayeredGraphModel:
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def save_model(model: LayeredGraphModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from . import graph as graphmod
 from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
@@ -77,11 +77,6 @@ class ConstraintSet:
         dup.domain = set(self.domain)
         dup.alphabet = set(self.alphabet)
         return dup
-
-
-def close_constraints(constraints: Iterable[Constraint]) -> Set[Constraint]:
-    """The least closure of a constraint set (a preorder on its domain)."""
-    return set(ConstraintSet(constraints).closure)
 
 
 class CSS:
@@ -155,6 +150,104 @@ def is_closed(css: CSS) -> bool:
     return False
 
 
+# -- the rule table -------------------------------------------------------
+#
+# One entry per (connective, sign): the twelve expansion rules, each with
+# its Hintikka condition (4-15).  The two rules of each of ->, |>, -|> and
+# <|- share a range of existing labels, listed as fact tuples whose last
+# label is the witness w that the conclusions sit on.  The rule without
+# fresh labels has one instance per fact tuple in range, and its condition
+# asks that each one is met.  The rule with fresh labels has one instance;
+# ``create`` makes its witness from the first unused letter n, with the
+# constraints that put the witness in range, and its condition asks for
+# some met witness in range.  Condition 9 therefore takes its witness from
+# the whole label domain although F-> creates an atomic label.  & and |
+# range over nothing and conclude at the premise's label x.
+
+def _above(cs: ConstraintSet, x: Label) -> list:
+    """Labels y with x <= y."""
+    return [(y,) for y in sorted(cs.domain) if cs.holds(x, y)]
+
+
+def _layered_below(cs: ConstraintSet, x: Label) -> list:
+    """Two-letter labels yz with yz <= x."""
+    return [(yz,) for yz in cs.two_letter() if cs.holds(yz, x)]
+
+
+def _first_above(cs: ConstraintSet, x: Label) -> list:
+    """Facts (y, yz) for the two-letter labels yz with x <= y."""
+    return [(yz[:1], yz) for yz in cs.two_letter() if cs.holds(x, yz[:1])]
+
+
+def _second_above(cs: ConstraintSet, x: Label) -> list:
+    """Facts (y, zy) for the two-letter labels zy with x <= y."""
+    return [(zy[1:], zy) for zy in cs.two_letter() if cs.holds(x, zy[1:])]
+
+
+def _witness(x: Label, facts: Tuple[Label, ...]) -> Label:
+    return facts[-1] if facts else x
+
+
+@dataclass(frozen=True)
+class Rule:
+    name: str       # as it appears in traces
+    condition: int  # its Hintikka condition
+    # (formula, x, w) -> the signed formulas added to each child branch
+    children: Callable[[Formula, Label, Label], List[List[SignedFormula]]]
+    over: Optional[Callable[[ConstraintSet, Label], list]] = None
+    fresh: int = 0  # atomic labels the rule creates
+    create: Optional[Callable[[int, Label],
+                              Tuple[Label, List[Constraint]]]] = None
+
+    def instances(self, cset: ConstraintSet, x: Label) -> list:
+        """The fact tuples of the rule's instances at ``x``."""
+        if self.over is None or self.fresh:
+            return [()]
+        return self.over(cset, x)
+
+    def met(self, present: Set[SignedFormula], f: Formula, x: Label,
+            facts: Tuple[Label, ...]) -> bool:
+        """Some child's conclusions are all present."""
+        return any(all(slf in present for slf in child)
+                   for child in self.children(f, x, _witness(x, facts)))
+
+
+RULES: Dict[Tuple[type, bool], Rule] = {
+    (And, True): Rule("T&", 4, lambda f, x, w: [
+        [(True, f.left, x), (True, f.right, x)]]),
+    (And, False): Rule("F&", 5, lambda f, x, w: [
+        [(False, f.left, x)], [(False, f.right, x)]]),
+    (Or, True): Rule("T|", 6, lambda f, x, w: [
+        [(True, f.left, x)], [(True, f.right, x)]]),
+    (Or, False): Rule("F|", 7, lambda f, x, w: [
+        [(False, f.left, x), (False, f.right, x)]]),
+    (Imp, True): Rule("T->", 8, lambda f, x, w: [
+        [(False, f.left, w)], [(True, f.right, w)]], over=_above),
+    (Imp, False): Rule("F->", 9, lambda f, x, w: [
+        [(True, f.left, w), (False, f.right, w)]], over=_above,
+        fresh=1, create=lambda n, x: ((n,), [(x, (n,))])),
+    (LayerConj, True): Rule("T|>", 10, lambda f, x, w: [
+        [(True, f.left, w[:1]), (True, f.right, w[1:])]],
+        over=_layered_below,
+        fresh=2, create=lambda n, x: ((n, n + 1), [((n, n + 1), x)])),
+    (LayerConj, False): Rule("F|>", 11, lambda f, x, w: [
+        [(False, f.left, w[:1])], [(False, f.right, w[1:])]],
+        over=_layered_below),
+    (ImpRight, True): Rule("T-|>", 12, lambda f, x, w: [
+        [(False, f.left, w[1:])], [(True, f.right, w)]], over=_first_above),
+    (ImpRight, False): Rule("F-|>", 13, lambda f, x, w: [
+        [(True, f.left, w[1:]), (False, f.right, w)]], over=_first_above,
+        fresh=2, create=lambda n, x: (
+            (n, n + 1), [(x, (n,)), ((n, n + 1), (n, n + 1))])),
+    (ImpLeft, True): Rule("T<|-", 14, lambda f, x, w: [
+        [(False, f.left, w[:1])], [(True, f.right, w)]], over=_second_above),
+    (ImpLeft, False): Rule("F<|-", 15, lambda f, x, w: [
+        [(True, f.left, w[:1]), (False, f.right, w)]], over=_second_above,
+        fresh=2, create=lambda n, x: (
+            (n + 1, n), [(x, (n,)), ((n + 1, n), (n + 1, n))])),
+}
+
+
 @dataclass(frozen=True)
 class RuleInstance:
     rule: str
@@ -164,136 +257,42 @@ class RuleInstance:
     def key(self) -> tuple:
         return (self.rule, self.premise, self.facts)
 
-    def fresh_needed(self) -> int:
-        return {"F->": 1, "T|>": 2, "F-|>": 2, "F<|-": 2}.get(self.rule, 0)
+
+def _rule(inst: RuleInstance) -> Rule:
+    sign, f, _ = inst.premise
+    return RULES[type(f), sign]
 
 
-def _conclusions(inst: RuleInstance,
-                 fresh: int) -> List[Tuple[list, list]]:
-    """Per produced branch: (formulas to add, constraints to add).
+def _live(css: CSS, inst: RuleInstance) -> bool:
+    """The instance would still add something to the branch: its premise
+    is present and it is unspent."""
+    sign, f, _ = inst.premise
+    rule = RULES.get((type(f), sign))
+    return (rule is not None and rule.name == inst.rule
+            and inst.premise in css.formulas and _unspent(css, rule, inst))
 
-    ``fresh`` is the first unused atomic-label index for rules that
-    introduce labels.
-    """
-    sign, f, x = inst.premise
-    rule = inst.rule
-    if rule == "T&":
-        return [([(True, f.left, x), (True, f.right, x)], [])]
-    if rule == "F&":
-        return [([(False, f.left, x)], []), ([(False, f.right, x)], [])]
-    if rule == "T|":
-        return [([(True, f.left, x)], []), ([(True, f.right, x)], [])]
-    if rule == "F|":
-        return [([(False, f.left, x), (False, f.right, x)], [])]
-    if rule == "T->":
-        (y,) = inst.facts
-        return [([(False, f.left, y)], []), ([(True, f.right, y)], [])]
-    if rule == "F->":
-        c = (fresh,)
-        return [([(True, f.left, c), (False, f.right, c)], [(x, c)])]
-    if rule == "T|>":
-        ci, cj = (fresh,), (fresh + 1,)
-        return [([(True, f.left, ci), (True, f.right, cj)],
-                 [((fresh, fresh + 1), x)])]
-    if rule == "F|>":
-        (yz,) = inst.facts
-        return [([(False, f.left, (yz[0],))], []),
-                ([(False, f.right, (yz[1],))], [])]
-    if rule == "T-|>":
-        _, yz = inst.facts
-        return [([(False, f.left, (yz[1],))], []),
-                ([(True, f.right, yz)], [])]
-    if rule == "F-|>":
-        ci, cj = fresh, fresh + 1
-        return [([(True, f.left, (cj,)), (False, f.right, (ci, cj))],
-                 [(x, (ci,)), ((ci, cj), (ci, cj))])]
-    if rule == "T<|-":
-        _, zy = inst.facts
-        return [([(False, f.left, (zy[0],))], []),
-                ([(True, f.right, zy)], [])]
-    if rule == "F<|-":
-        ci, cj = fresh, fresh + 1
-        return [([(True, f.left, (cj,)), (False, f.right, (cj, ci))],
-                 [(x, (ci,)), ((cj, ci), (cj, ci))])]
-    raise ValueError(f"unknown rule {rule}")
+
+def _unspent(css: CSS, rule: Rule, inst: RuleInstance) -> bool:
+    """No child's conclusions are present already (those on fresh labels
+    never are), and the instance has not been applied here."""
+    _, f, x = inst.premise
+    return ((rule.fresh > 0 or not rule.met(css.formulas, f, x, inst.facts))
+            and inst.key() not in css.applied)
 
 
 def applicable_rules(css: CSS) -> List[RuleInstance]:
-    """Every rule instance whose side condition holds and whose conclusion
-    would still add something to the branch, minus instances already
-    applied here."""
+    """Every unspent rule instance of the branch, in formula order."""
     out = []
-    cset = css.cset
-    twos = cset.two_letter()
-    present = css.formulas
-
-    def emit(rule: str, premise: SignedFormula, facts=(),
-             alternatives: Optional[list] = None) -> None:
-        inst = RuleInstance(rule, premise, tuple(facts))
-        if inst.key() in css.applied:
-            return
-        if alternatives is not None and any(
-                alt in present for alt in alternatives):
-            return
-        out.append(inst)
-
     for slf in css.formula_order:
         sign, f, x = slf
-        if isinstance(f, And):
-            if sign:
-                if not {(True, f.left, x), (True, f.right, x)} <= present:
-                    emit("T&", slf)
-            else:
-                emit("F&", slf,
-                     alternatives=[(False, f.left, x), (False, f.right, x)])
-        elif isinstance(f, Or):
-            if sign:
-                emit("T|", slf,
-                     alternatives=[(True, f.left, x), (True, f.right, x)])
-            else:
-                if not {(False, f.left, x), (False, f.right, x)} <= present:
-                    emit("F|", slf)
-        elif isinstance(f, Imp):
-            if sign:
-                for y in sorted(cset.domain):
-                    if cset.holds(x, y):
-                        emit("T->", slf, facts=(y,),
-                             alternatives=[(False, f.left, y),
-                                           (True, f.right, y)])
-            else:
-                emit("F->", slf)
-        elif isinstance(f, LayerConj):
-            if sign:
-                emit("T|>", slf)
-            else:
-                for yz in twos:
-                    if cset.holds(yz, x):
-                        emit("F|>", slf, facts=(yz,),
-                             alternatives=[(False, f.left, (yz[0],)),
-                                           (False, f.right, (yz[1],))])
-        elif isinstance(f, ImpRight):
-            if sign:
-                for yz in twos:
-                    if cset.holds(x, (yz[0],)):
-                        emit("T-|>", slf, facts=((yz[0],), yz),
-                             alternatives=[(False, f.left, (yz[1],)),
-                                           (True, f.right, yz)])
-            else:
-                emit("F-|>", slf)
-        elif isinstance(f, ImpLeft):
-            if sign:
-                for zy in twos:
-                    if cset.holds(x, (zy[1],)):
-                        emit("T<|-", slf, facts=((zy[1],), zy),
-                             alternatives=[(False, f.left, (zy[0],)),
-                                           (True, f.right, zy)])
-            else:
-                emit("F<|-", slf)
+        rule = RULES.get((type(f), sign))
+        if rule is None:
+            continue
+        for facts in rule.instances(css.cset, x):
+            inst = RuleInstance(rule.name, slf, facts)
+            if _unspent(css, rule, inst):
+                out.append(inst)
     return out
-
-
-def saturated(css: CSS) -> bool:
-    return not applicable_rules(css)
 
 
 @dataclass
@@ -320,16 +319,20 @@ def expand(tableau: Tableau, branch_index: int,
            inst: RuleInstance) -> Tableau:
     """Apply one rule instance, replacing the branch by its children."""
     branch = tableau.branches[branch_index]
-    if inst not in applicable_rules(branch):
+    if not _live(branch, inst):
         raise ValueError(f"instance {inst} is stale")
-    needed = inst.fresh_needed()
-    conclusions = _conclusions(inst, tableau.next_fresh)
-    tableau.next_fresh += needed
+    _, f, x = inst.premise
+    rule = _rule(inst)
+    if rule.fresh:
+        w, new_constraints = rule.create(tableau.next_fresh, x)
+        tableau.next_fresh += rule.fresh
+    else:
+        w, new_constraints = _witness(x, inst.facts), []
     children = []
     record = {"step": tableau.steps, "branch": branch.branch_id,
               "rule": inst.rule, "premise": _format_slf(inst.premise),
               "facts": [label_str(x) for x in inst.facts], "children": []}
-    for new_formulas, new_constraints in conclusions:
+    for new_formulas in rule.children(f, x, w):
         child = branch.copy()
         child.branch_id = tableau.next_branch
         tableau.next_branch += 1
@@ -357,11 +360,11 @@ def expand(tableau: Tableau, branch_index: int,
 # -- Hintikka conditions and countermodel extraction ----------------------
 
 def check_hintikka(css: CSS) -> List[dict]:
-    """The fifteen saturation conditions, checked literally."""
+    """The fifteen saturation conditions: 1-3 are closure, 4-15 are the
+    rule table's."""
     fails = []
     cset = css.cset
     present = css.formulas
-    twos = cset.two_letter()
 
     def fail(cond: int, slf: SignedFormula, **extra) -> None:
         fails.append({"condition": cond, "formula": _format_slf(slf),
@@ -378,72 +381,18 @@ def check_hintikka(css: CSS) -> List[dict]:
                 if (not other[0] and other[1] == f
                         and cset.holds(x, other[2])):
                     fail(1, slf, other=_format_slf(other))
-        if isinstance(f, And):
-            if sign:
-                if not {(True, f.left, x), (True, f.right, x)} <= present:
-                    fail(4, slf)
-            elif not ((False, f.left, x) in present
-                      or (False, f.right, x) in present):
-                fail(5, slf)
-        elif isinstance(f, Or):
-            if sign:
-                if not ((True, f.left, x) in present
-                        or (True, f.right, x) in present):
-                    fail(6, slf)
-            elif not {(False, f.left, x), (False, f.right, x)} <= present:
-                fail(7, slf)
-        elif isinstance(f, Imp):
-            if sign:
-                for y in sorted(cset.domain):
-                    if cset.holds(x, y) and not (
-                            (False, f.left, y) in present
-                            or (True, f.right, y) in present):
-                        fail(8, slf, label=label_str(y))
-            else:
-                if not any(cset.holds(x, y)
-                           and (True, f.left, y) in present
-                           and (False, f.right, y) in present
-                           for y in cset.domain):
-                    fail(9, slf)
-        elif isinstance(f, LayerConj):
-            if sign:
-                if not any(cset.holds(yz, x)
-                           and (True, f.left, (yz[0],)) in present
-                           and (True, f.right, (yz[1],)) in present
-                           for yz in twos):
-                    fail(10, slf)
-            else:
-                for yz in twos:
-                    if cset.holds(yz, x) and not (
-                            (False, f.left, (yz[0],)) in present
-                            or (False, f.right, (yz[1],)) in present):
-                        fail(11, slf, label=label_str(yz))
-        elif isinstance(f, ImpRight):
-            if sign:
-                for yz in twos:
-                    if cset.holds(x, (yz[0],)) and not (
-                            (False, f.left, (yz[1],)) in present
-                            or (True, f.right, yz) in present):
-                        fail(12, slf, label=label_str(yz))
-            else:
-                if not any(cset.holds(x, (yz[0],))
-                           and (True, f.left, (yz[1],)) in present
-                           and (False, f.right, yz) in present
-                           for yz in twos):
-                    fail(13, slf)
-        elif isinstance(f, ImpLeft):
-            if sign:
-                for zy in twos:
-                    if cset.holds(x, (zy[1],)) and not (
-                            (False, f.left, (zy[0],)) in present
-                            or (True, f.right, zy) in present):
-                        fail(14, slf, label=label_str(zy))
-            else:
-                if not any(cset.holds(x, (zy[1],))
-                           and (True, f.left, (zy[0],)) in present
-                           and (False, f.right, zy) in present
-                           for zy in twos):
-                    fail(15, slf)
+        rule = RULES.get((type(f), sign))
+        if rule is None:
+            continue
+        if rule.fresh:
+            if not any(rule.met(present, f, x, facts)
+                       for facts in rule.over(cset, x)):
+                fail(rule.condition, slf)
+            continue
+        for facts in rule.instances(cset, x):
+            if not rule.met(present, f, x, facts):
+                where = {"label": label_str(facts[-1])} if facts else {}
+                fail(rule.condition, slf, **where)
     return fails
 
 
@@ -591,6 +540,9 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
     live: Dict[int, CSS] = {}
     queue: deque = deque()
 
+    def over_budget(inst: RuleInstance) -> bool:
+        return tableau.next_fresh + _rule(inst).fresh > limits.max_labels
+
     def admit(branch: CSS) -> Optional[CSS]:
         """Register an open branch; returns it when saturated."""
         if is_closed(branch):
@@ -600,8 +552,7 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
         if not insts:
             return branch
         for inst in insts:
-            if (tableau.next_fresh + inst.fresh_needed()
-                    > limits.max_labels):
+            if over_budget(inst):
                 branch.starved = True
             else:
                 queue.append((branch.branch_id, inst))
@@ -622,11 +573,10 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
         branch = live.get(branch_id)
         if branch is None:
             continue
-        if inst.fresh_needed() and (tableau.next_fresh + inst.fresh_needed()
-                                    > limits.max_labels):
+        if over_budget(inst):
             branch.starved = True
             continue
-        if inst not in applicable_rules(branch):
+        if not _live(branch, inst):
             continue
         index = tableau.branches.index(branch)
         del live[branch_id]

@@ -3,7 +3,7 @@ import json
 from ilgl.algebra import algebra_to_dict, complex_algebra, save_algebra
 from ilgl.cli import main
 from ilgl.graph import load_model, satisfies
-from ilgl.formula import parse
+from ilgl.formula import MAX_DEPTH, parse
 from ilgl.predicate import resource_model_to_dict
 from ilgl.relational import IntLayeredFrame, RelationalModel, frame_to_dict
 
@@ -161,6 +161,68 @@ class TestCheckCommand:
             composed_bigraphs())))
         code, _ = run(capsys, "check", str(path), "Contains(r1)")
         assert code == 2
+
+
+def nested_conjunction(depth):
+    """``p & (p & (... (p)))``: ``depth`` levels of tree and, with one
+    outer pair, ``depth`` levels of parentheses."""
+    inner = "p"
+    for _ in range(depth - 1):
+        inner = f"p & ({inner})"
+    return "(" + inner + ")"
+
+
+TOO_DEEP = ["(" * 300 + "p" + ")" * 300, "~" * 1000 + "p",
+            " -> ".join(["p"] * 1000), nested_conjunction(MAX_DEPTH + 1),
+            "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1)]
+
+
+class TestDeepFormulas:
+    def test_prove_rejects_too_deep(self, capsys):
+        for text in TOO_DEEP:
+            code, body = run_json(capsys, "prove", text)
+            assert code == 2 and body["status"] == "error", text[:20]
+            assert "nested deeper" in body["payload"]["message"]
+
+    def test_check_rejects_too_deep(self, capsys, tmp_path):
+        path = TestCheckCommand().model_file(tmp_path)
+        capsys.readouterr()
+        for text in TOO_DEEP:
+            code, body = run_json(capsys, "check", path, text)
+            assert code == 2 and body["status"] == "error", text[:20]
+            assert "nested deeper" in body["payload"]["message"]
+
+    def test_predicate_check_rejects_too_deep(self, capsys, tmp_path):
+        from test_predicate import composed_bigraphs
+        path = tmp_path / "rm.json"
+        path.write_text(json.dumps(resource_model_to_dict(
+            composed_bigraphs())))
+        for text in ("exists s. " * 300 + "Contains(s)",
+                     "(" * 300 + "exists s. Contains(s)" + ")" * 300):
+            code, body = run_json(capsys, "check", str(path), text)
+            assert code == 2 and body["status"] == "error", text[:20]
+            assert "nested deeper" in body["payload"]["message"]
+
+    def test_at_the_limit_runs(self, capsys, tmp_path):
+        path = TestCheckCommand().model_file(tmp_path)
+        capsys.readouterr()
+        text = nested_conjunction(MAX_DEPTH)
+        code, body = run_json(capsys, "prove", text, "--trace")
+        assert code == 1 and body["status"] == "countermodel"
+        for text in (nested_conjunction(MAX_DEPTH),
+                     "~" * (MAX_DEPTH - 1) + "p",
+                     " -> ".join(["p"] * MAX_DEPTH)):
+            code, body = run_json(capsys, "check", path, text)
+            assert code in (0, 1) and body["status"] in ("valid", "invalid")
+
+    def test_no_traceback(self):
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-m", "ilgl.cli", "prove", TOO_DEEP[0]],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr + proc.stdout
 
 
 class TestValidateCommand:

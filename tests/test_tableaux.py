@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,28 +9,27 @@ from ilgl import relational as relmod
 from ilgl.formula import Atom, parse, render
 from ilgl.gen import random_formula
 from ilgl.tableaux import (CSS, ConstraintSet, Limits,
-                           applicable_rules, check_hintikka,
-                           close_constraints, css_check, expand,
-                           extract_model, initial_tableau, is_closed,
-                           label_str, prove, realize_check, saturated)
+                           applicable_rules, check_hintikka, css_check,
+                           expand, extract_model, initial_tableau,
+                           is_closed, label_str, prove, realize_check)
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
 
 
 class TestClosure:
     def test_transitivity(self):
-        closure = close_constraints([(c0, c1), (c1, c2)])
+        closure = ConstraintSet([(c0, c1), (c1, c2)]).closure
         assert (c0, c2) in closure
 
     def test_two_letter_fixpoint(self):
         # Hand fixpoint of the reflexivity rules plus transitivity over
         # the single constraint c0c1 <= c2.
-        closure = close_constraints([((0, 1), c2)])
+        closure = ConstraintSet([((0, 1), c2)]).closure
         assert closure == {(c0, c0), (c1, c1), (c2, c2),
                            ((0, 1), (0, 1)), ((0, 1), c2)}
 
     def test_empty(self):
-        assert close_constraints([]) == set()
+        assert ConstraintSet([]).closure == set()
 
     def test_idempotent(self):
         rng = random.Random(8)
@@ -37,8 +38,8 @@ class TestClosure:
             labels.append((4, 5))
             constraints = {(rng.choice(labels), rng.choice(labels))
                            for _ in range(4)}
-            once = close_constraints(constraints)
-            assert close_constraints(once) == once
+            once = ConstraintSet(constraints).closure
+            assert ConstraintSet(once).closure == once
 
     def test_domain_preserved(self):
         cs = ConstraintSet([((0, 1), c2)])
@@ -56,7 +57,7 @@ class TestClosure:
             inc = ConstraintSet()
             for con in constraints:
                 inc.add(con)
-            assert inc.closure == close_constraints(constraints)
+            assert inc.closure == ConstraintSet(constraints).closure
 
 
 class TestCssCheck:
@@ -99,11 +100,10 @@ class TestApplicableRules:
     def test_saturation_empty(self):
         css = CSS([(True, Atom("p"), c0)], [(c0, c0)])
         assert applicable_rules(css) == []
-        assert saturated(css)
 
     def test_not_saturated_before_expansion(self):
         css = CSS([(True, parse("p & q"), c0)], [(c0, c0)])
-        assert not saturated(css)
+        assert applicable_rules(css) != []
 
     def test_gamma_rule_instances_per_fact(self):
         css = CSS([(True, parse("p -> q"), c0)],
@@ -246,6 +246,27 @@ class TestProve:
                      "(p -> q) -> (q -> p)"]:
             assert prove(parse(text)).status == "countermodel", text
 
+    def test_one_agenda_scan_per_admitted_branch(self, monkeypatch):
+        from ilgl import tableaux
+        counts = {"scans": 0, "open": 0}
+        scan, closed = tableaux.applicable_rules, tableaux.is_closed
+
+        def counting_scan(css):
+            counts["scans"] += 1
+            return scan(css)
+
+        def counting_closed(css):
+            result = closed(css)
+            counts["open"] += not result
+            return result
+
+        monkeypatch.setattr(tableaux, "applicable_rules", counting_scan)
+        monkeypatch.setattr(tableaux, "is_closed", counting_closed)
+        rng = random.Random(20240)
+        for _ in range(60):
+            prove(random_formula(rng, 4))
+        assert counts["scans"] == counts["open"] > 0
+
     def test_divergent_saturation_reports_unknown(self):
         # Double negation elimination never saturates: the T-> premise
         # keeps demanding new labels.  Bounded search answers honestly and
@@ -271,6 +292,46 @@ class TestHintikka:
     def test_missing_layer_witness_fails_10(self):
         css = CSS([(True, parse("p |> q"), c0)], [(c0, c0)])
         assert any(f["condition"] == 10 for f in check_hintikka(css))
+
+
+# Condition, premise sign and formula at c0, the constraints that put the
+# labels in place, the failing labels, and the formulas that witness it.
+C12 = (1, 2)
+HINTIKKA_CASES = [
+    (4, True, "p & q", [], [], [(True, "p", c0), (True, "q", c0)]),
+    (5, False, "p & q", [], [], [(False, "q", c0)]),
+    (6, True, "p | q", [], [], [(True, "p", c0)]),
+    (7, False, "p | q", [], [], [(False, "p", c0), (False, "q", c0)]),
+    (8, True, "p -> q", [(c0, c1)], ["c0", "c1"],
+     [(False, "p", c0), (True, "q", c1)]),
+    # The witness of condition 9 may be a two-letter label.
+    (9, False, "p -> q", [(c0, C12)], [],
+     [(True, "p", C12), (False, "q", C12)]),
+    (10, True, "p |> q", [(C12, c0)], [], [(True, "p", c1), (True, "q", c2)]),
+    (11, False, "p |> q", [(C12, c0)], ["c1c2"], [(False, "q", c2)]),
+    (12, True, "p -|> q", [(c0, c1), (C12, C12)], ["c1c2"],
+     [(True, "q", C12)]),
+    (13, False, "p -|> q", [(c0, c1), (C12, C12)], [],
+     [(True, "p", c2), (False, "q", C12)]),
+    (14, True, "p <|- q", [(c0, c2), (C12, C12)], ["c1c2"],
+     [(False, "p", c1)]),
+    (15, False, "p <|- q", [(c0, c2), (C12, C12)], [],
+     [(True, "p", c1), (False, "q", C12)]),
+]
+
+
+@pytest.mark.parametrize("condition, sign, text, constraints, labels, "
+                         "witness", HINTIKKA_CASES,
+                         ids=[str(case[0]) for case in HINTIKKA_CASES])
+def test_hintikka_condition(condition, sign, text, constraints, labels,
+                            witness):
+    css = CSS([(sign, parse(text), c0)], [(c0, c0)] + constraints)
+    fails = check_hintikka(css)
+    assert {f["condition"] for f in fails} == {condition}
+    assert [f["label"] for f in fails if "label" in f] == labels
+    for s, atom, x in witness:
+        css.add_formula((s, Atom(atom), x))
+    assert check_hintikka(css) == []
 
 
 class TestExtractModel:
@@ -367,3 +428,32 @@ class TestSoundnessSample:
             proved += 1
             for model in models:
                 assert graphmod.valid_in_model(model, f), render(f)
+
+
+# Digests of the 1,000-formula sweep (a fresh random.Random(20240) per
+# depth, 500 formulas at each of depths 4 and 5), recorded before the
+# rule table replaced the per-rule code paths.
+SWEEP_TRACE_SHA256 = \
+    "c713a4065809221b2ef3879a1c270547acd0eb04e391a9006f66f1c67abc2bbc"
+SWEEP_HINTIKKA_SHA256 = \
+    "ca78b6179042dc1939aca9139cef495d2eeae98b58b951b10a6b4fed363b6155"
+
+
+def test_traces_byte_identical():
+    traces, hintikka = hashlib.sha256(), hashlib.sha256()
+    counts = {}
+    for depth in (4, 5):
+        rng = random.Random(20240)
+        for _ in range(500):
+            f = random_formula(rng, depth)
+            result = prove(f)
+            t = result.tableau
+            counts[result.status] = counts.get(result.status, 0) + 1
+            traces.update(json.dumps([render(f), result.status, t.steps,
+                                      t.trace], sort_keys=True).encode())
+            for branch in t.branches:
+                hintikka.update(json.dumps(check_hintikka(branch),
+                                           sort_keys=True).encode())
+    assert counts == {"countermodel": 875, "proved": 118, "unknown": 7}
+    assert traces.hexdigest() == SWEEP_TRACE_SHA256
+    assert hintikka.hexdigest() == SWEEP_HINTIKKA_SHA256
