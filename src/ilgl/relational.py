@@ -8,6 +8,8 @@ enumerated in (size, lex)-ascending order up to a size cap (default 2),
 because the full space (2^27 and 2^64 relations per preorder) is out of
 reach.  Counterexamples are therefore world-minimal, and "no
 counterexample" always means none within the declared family.
+The oracle builds a step one preorder at a time, each relation's tables
+from per-triple tables, and caches the steps small enough to keep.
 """
 
 from __future__ import annotations
@@ -220,15 +222,6 @@ def enumerate_preorders(n: int) -> List[FrozenSet[Tuple[int, int]]]:
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def _rel_subsets(n: int, max_size: Optional[int]) -> Iterator[FrozenSet]:
-    """Subsets of the triple space in (size, lex) order."""
-    triples = list(itertools.product(range(n), repeat=3))
-    top = len(triples) if max_size is None else min(max_size, len(triples))
-    for size in range(top + 1):
-        for combo in itertools.combinations(triples, size):
-            yield frozenset(combo)
-
-
 def enumerate_frames(max_worlds: int,
                      max_rel_size: Optional[int] = None
                      ) -> Iterator[IntLayeredFrame]:
@@ -240,9 +233,13 @@ def enumerate_frames(max_worlds: int,
     if max_worlds < 1:
         raise ValueError("need at least one world")
     for n in range(1, max_worlds + 1):
+        triples = list(itertools.product(range(n), repeat=3))
+        top = len(triples) if max_rel_size is None else min(max_rel_size,
+                                                            len(triples))
         for order in enumerate_preorders(n):
-            for rel in _rel_subsets(n, max_rel_size):
-                yield IntLayeredFrame(n, order, rel)
+            for size in range(top + 1):  # (size, lex) order
+                for rel in itertools.combinations(triples, size):
+                    yield IntLayeredFrame(n, order, frozenset(rel))
 
 
 DEFAULT_REL_CAPS = {1: None, 2: None, 3: 2, 4: 2}
@@ -270,43 +267,42 @@ def _order_tables(n: int, order) -> tuple:
     return ups, index, up_of, meet, join, himp
 
 
-def _layer_tables(n: int, rel, ups, index, up_of) -> tuple:
-    """Relation-dependent part: the lconj/rres/lres tables."""
-    u = len(ups)
-    rel = sorted(rel)
-    lconj = [[0] * u for _ in range(u)]
-    rres = [[0] * u for _ in range(u)]
-    lres = [[0] * u for _ in range(u)]
-    for a in range(u):
-        ma = ups[a]
-        for b in range(u):
-            mb = ups[b]
-            lc = 0
-            for (y, z, x) in rel:
-                if ma >> y & 1 and mb >> z & 1:
-                    lc |= up_of[x]
-            lconj[a][b] = index[lc]
-            rr = 0
-            lr = 0
-            for x in range(n):
-                ux = up_of[x]
-                if all(not (ux >> w & 1 and ma >> y & 1) or mb >> z & 1
-                       for (w, y, z) in rel):
-                    rr |= 1 << x
-                if all(not (ux >> w & 1 and ma >> y & 1) or mb >> z & 1
-                       for (y, w, z) in rel):
-                    lr |= 1 << x
-            rres[a][b] = index[rr]
-            lres[a][b] = index[lr]
-    return lconj, rres, lres
+def _triple_tables(n: int, ups: list, up_of: list, triples) -> tuple:
+    """The lconj, rres and lres world masks of each single triple, as
+    arrays of shape (T, u, u); a relation's tables are their OR (lconj)
+    and AND (rres, lres).  For (t0, t1, t2): lconj[a][b] is up_of[t2]
+    when a holds t0 and b holds t1; rres[a][b] drops the worlds below t0
+    when a holds t1 and b misses t2, lres those below t1 when a holds t0
+    and b misses t2."""
+    full = (1 << n) - 1
+    dtype = np.min_scalar_type(full)
+    t = np.array(triples, dtype=np.intp)
+    # has[k, i, a]: up-set a contains world t_i of triple k.
+    has = np.array([[m >> w & 1 for m in ups] for w in range(n)],
+                   dtype=bool)[t]
+    not_down = np.array([full & ~sum(1 << x for x in range(n)
+                                     if up_of[x] >> w & 1)
+                         for w in range(n)], dtype=dtype)
+    a0, a1 = has[:, 0, :, None], has[:, 1, :, None]
+    b1, b2 = has[:, 1, None, :], has[:, 2, None, :]
+    return (np.where(a0 & b1, np.array(up_of, dtype)[t[:, 2], None, None], 0),
+            np.where(a1 & ~b2, not_down[t[:, 0], None, None], full),
+            np.where(a0 & ~b2, not_down[t[:, 1], None, None], full))
 
 
 def frame_tables(frame: IntLayeredFrame) -> tuple:
     """(upsets, ops) where upsets are bitmasks and ops maps each binary
     operation name to a square table over up-set indices."""
-    ups, index, up_of, meet, join, himp = _order_tables(
-        frame.worlds, frame.order)
-    layer = _layer_tables(frame.worlds, frame.rel, ups, index, up_of)
+    n = frame.worlds
+    full = (1 << n) - 1
+    ups, index, up_of, meet, join, himp = _order_tables(n, frame.order)
+    lconj, rres, lres = (np.full((len(ups),) * 2, v, np.min_scalar_type(full))
+                         for v in (0, full, full))
+    for triple in frame.rel:  # one at a time: memory stays O(u^2)
+        lc, rr, lr = _triple_tables(n, ups, up_of, [triple])
+        lconj, rres, lres = lconj | lc[0], rres & rr[0], lres & lr[0]
+    layer = tuple([[index[m] for m in row] for row in t.tolist()]
+                  for t in (lconj, rres, lres))
     return ups, dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
 
 
@@ -354,38 +350,47 @@ class Counterexample:
         return RelationalModel(self.frame, self.valuation)
 
 
-def _mask_worlds(mask: int, n: int) -> FrozenSet[int]:
-    return frozenset(w for w in range(n) if mask >> w & 1)
+def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
+    """(entries, tables) per preorder of one world-count step, in
+    enumeration order; entries are (position, frame, ups).
 
-
-def _counterexample(frame: IntLayeredFrame, ups: list, names: list,
-                    digits, value: int) -> Counterexample:
-    """The atoms take the up-sets ``digits`` index; the formula's value
-    ``ups[value]`` misses the reported world."""
-    n = frame.worlds
-    return Counterexample(
-        frame, {p: _mask_worlds(ups[d], n) for p, d in zip(names, digits)},
-        next(w for w in range(n) if not ups[value] >> w & 1))
-
-
-def _step_entries(n: int, cap: Optional[int]) -> Iterator[tuple]:
-    """(frame, upsets, ops, fingerprint) for one world-count step.
-
-    The order-only tables are computed once per preorder; each relation
-    only pays for the three layering tables.
+    The tables of every relation of size at most ``cap`` are folded from
+    the per-triple tables at once.  Of the relations sharing tables only
+    the first is kept; distinct preorders have distinct up-sets, so it is
+    also the first in the step.
     """
-    for order in enumerate_preorders(n):
+    triples = list(itertools.product(range(n), repeat=3))
+    top = len(triples) if cap is None else min(cap, len(triples))
+    combos = [np.array(list(itertools.combinations(range(len(triples)), k)),
+                       dtype=np.intp) for k in range(top + 1)]
+    rels = [frozenset(triples[i] for i in c)
+            for block in combos for c in block.tolist()]
+    full = (1 << n) - 1
+    for p, order in enumerate(enumerate_preorders(n)):
         ups, index, up_of, meet, join, himp = _order_tables(n, order)
-        base_fp = tuple(ups)
-        for rel in _rel_subsets(n, cap):
-            layer = _layer_tables(n, rel, ups, index, up_of)
-            ops = dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
-            fp = (base_fp,) + tuple(tuple(map(tuple, t)) for t in layer)
-            yield IntLayeredFrame(n, order, rel), ups, ops, fp
+        lc, rr, lr = _triple_tables(n, ups, up_of, triples)
+        lut = np.zeros(1 << n, dtype=np.int16)
+        lut[ups] = np.arange(len(ups))
+        layer = lut[np.concatenate([np.stack(
+            [np.bitwise_or.reduce(lc[c], axis=1),
+             np.bitwise_and.reduce(rr[c], axis=1, initial=full),
+             np.bitwise_and.reduce(lr[c], axis=1, initial=full)], axis=1)
+            for c in combos])]
+        first: Dict[bytes, int] = {}
+        for r, row in enumerate(map(bytes, layer.reshape(len(rels), -1))):
+            first.setdefault(row, r)
+        keep = list(first.values())
+        ops = np.array([meet, join, himp], dtype=np.int16)
+        ops = np.concatenate([np.broadcast_to(ops, (len(keep),) + ops.shape),
+                              layer[keep]], axis=1)
+        yield ([(p * len(rels) + r, IntLayeredFrame(n, order, rels[r]), ups)
+                for r in keep],
+               dict(zip(OP_NAME.values(), ops.transpose(1, 0, 2, 3))))
 
 
 class _StackedStep:
-    """Distinct algebras of one step, stacked for vectorized evaluation.
+    """Distinct algebras of a run of preorder chunks, stacked for
+    vectorized evaluation.
 
     Frames sharing operation tables are interchangeable for validity, so
     only the first frame per distinct table set is kept; ``position``
@@ -393,24 +398,19 @@ class _StackedStep:
     reported is still the overall first.
     """
 
-    def __init__(self, n: int, cap: Optional[int]):
+    def __init__(self, chunks):
         self.entries = []  # (position, frame, ups)
-        seen: Dict[tuple, int] = {}
-        raw = []
-        for pos, (frame, ups, ops, fp) in enumerate(_step_entries(n, cap)):
-            if fp in seen:
-                continue
-            seen[fp] = pos
-            self.entries.append((pos, frame, ups))
-            raw.append(ops)
         self.groups: Dict[int, dict] = {}
-        for idx, (pos, frame, ups) in enumerate(self.entries):
-            self.groups.setdefault(len(ups), {"indices": []})
-            self.groups[len(ups)]["indices"].append(idx)
-        for u, group in self.groups.items():
-            idxs = group["indices"]
+        for entries, tables in chunks:
+            group = self.groups.setdefault(len(entries[0][2]),
+                                           {"indices": [], "tables": []})
+            group["indices"] += range(len(self.entries),
+                                      len(self.entries) + len(entries))
+            self.entries += entries
+            group["tables"].append(tables)
+        for group in self.groups.values():
             group["tables"] = {
-                name: np.array([raw[i][name] for i in idxs], dtype=np.int16)
+                name: np.concatenate([t[name] for t in group["tables"]])
                 for name in OP_NAME.values()}
 
 
@@ -419,8 +419,8 @@ class _OracleCache:
 
     Small steps (up to 3 worlds, or 4 worlds with a thin relation cap)
     are deduplicated, stacked, and cached for the life of the process
-    because validity sweeps exhaust them repeatedly; anything larger is
-    streamed fresh each time to keep memory flat.
+    because validity sweeps exhaust them repeatedly.  Larger steps are
+    built and scanned one preorder chunk at a time and not cached.
     """
 
     def __init__(self):
@@ -433,7 +433,7 @@ class _OracleCache:
     def stacked_step(self, n: int, cap: Optional[int]) -> _StackedStep:
         key = (n, cap)
         if key not in self.stacked:
-            self.stacked[key] = _StackedStep(n, cap)
+            self.stacked[key] = _StackedStep(_preorder_chunks(n, cap))
         return self.stacked[key]
 
 
@@ -475,11 +475,15 @@ def _scan_stacked(nodes: list, names: list, step: _StackedStep
                     best = (position, frame, ups, t, value)
     if best is None:
         return None
+    # The atoms take the up-sets the digits of t index; the formula's
+    # value misses the reported world.
     position, frame, ups, t, value = best
-    u = len(ups)
-    return _counterexample(frame, ups, names,
-                           [(t // u ** (k - 1 - m)) % u for m in range(k)],
-                           value)
+    u, n = len(ups), frame.worlds
+    return Counterexample(
+        frame, {p: frozenset(w for w in range(n)
+                             if ups[t // u ** (k - 1 - m) % u] >> w & 1)
+                for m, p in enumerate(names)},
+        next(w for w in range(n) if not ups[value] >> w & 1))
 
 
 def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
@@ -500,22 +504,14 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
     for n in range(1, max_worlds + 1):
         cap = caps.get(n, 2)
         if _CACHE.stackable(n, cap):
-            hit = _scan_stacked(nodes, names, _CACHE.stacked_step(n, cap))
+            steps = [_CACHE.stacked_step(n, cap)]
+        else:
+            steps = (_StackedStep([chunk])
+                     for chunk in _preorder_chunks(n, cap))
+        for step in steps:
+            hit = _scan_stacked(nodes, names, step)
             if hit is not None:
                 return hit
-            continue
-        verified: set = set()
-        for frame, ups, ops, fp in _step_entries(n, cap):
-            if fp in verified:
-                continue
-            top_i = len(ups) - 1
-            for combo in itertools.product(range(len(ups)),
-                                           repeat=len(names)):
-                val = fold_tables(nodes, lambda name, a, b: ops[name][a][b],
-                                  dict(zip(names, combo)), 0, top_i)
-                if val != top_i:
-                    return _counterexample(frame, ups, names, combo, val)
-            verified.add(fp)
     return None
 
 

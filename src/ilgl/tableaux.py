@@ -570,13 +570,13 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
         if time.monotonic() - start > limits.timeout:
             return UnknownResult("time budget exhausted", tableau)
         branch_id, inst = queue.popleft()
+        # A live branch has not changed since admit scanned its agenda,
+        # so each of its queued instances is still live.
         branch = live.get(branch_id)
         if branch is None:
             continue
         if over_budget(inst):
             branch.starved = True
-            continue
-        if not _live(branch, inst):
             continue
         index = tableau.branches.index(branch)
         del live[branch_id]

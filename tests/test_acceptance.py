@@ -23,8 +23,8 @@ from ilgl.gen import (random_formula, random_frame, random_graph_model,
 from ilgl.hilbert import check_derivation
 from ilgl.graph import scaffold_to_frame
 from ilgl.predicate import enumerate_upsets, pred_satisfies
-from ilgl.relational import (DEFAULT_REL_CAPS, RelationalModel,
-                             _step_entries, rel_satisfies, rel_valid_upto)
+from ilgl.relational import (_CACHE, DEFAULT_REL_CAPS, RelationalModel,
+                             rel_satisfies, rel_valid_upto)
 from ilgl.tableaux import prove
 
 from test_algebra import diamond, two_chain
@@ -41,15 +41,10 @@ def report(number, passed, detail=""):
 def small_algebra_family():
     """Distinct complex algebras of the declared oracle frame family with
     at most 3 worlds, with a representative frame each."""
-    algebras = []
-    seen = set()
-    for n in (1, 2, 3):
-        for frame, ups, ops, fp in _step_entries(n, DEFAULT_REL_CAPS[n]):
-            if fp in seen:
-                continue
-            seen.add(fp)
-            algebras.append((frame, complex_algebra(frame)))
-    return algebras
+    return [(frame, complex_algebra(frame))
+            for n in (1, 2, 3)
+            for pos, frame, ups in _CACHE.stacked_step(
+                n, DEFAULT_REL_CAPS[n]).entries]
 
 
 def test_criterion_01_figure_reproduction():

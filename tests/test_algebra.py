@@ -273,18 +273,13 @@ class TestDecisionProcedureAgreement:
         # with "interpreted as top in every complex algebra of that same
         # frame family, under every valuation"; the satisfaction bridge
         # makes them the same search, asserted here on both code paths.
-        from ilgl.relational import (DEFAULT_REL_CAPS, _step_entries,
-                                     rel_valid_upto)
+        from ilgl.relational import _CACHE, DEFAULT_REL_CAPS, rel_valid_upto
         from ilgl.formula import atoms as formula_atoms
 
-        family = []
-        seen = set()
-        for n in (1, 2, 3):
-            for frame, ups, ops, fp in _step_entries(
-                    n, DEFAULT_REL_CAPS[n]):
-                if fp not in seen:
-                    seen.add(fp)
-                    family.append(complex_algebra(frame))
+        family = [complex_algebra(frame)
+                  for n in (1, 2, 3)
+                  for pos, frame, ups in _CACHE.stacked_step(
+                      n, DEFAULT_REL_CAPS[n]).entries]
 
         def algebra_side_valid(f):
             names = formula_atoms(f)

@@ -12,9 +12,12 @@ import random
 import subprocess
 import sys
 
+from ilgl.algebra import complex_algebra
 from ilgl.formula import parse, parse_pred
 from ilgl.graph import model_evaluator, model_from_dict
 from ilgl.predicate import resource_evaluator, resource_model_from_dict
+from ilgl.relational import (_CACHE, DEFAULT_REL_CAPS, _preorder_chunks,
+                             _StackedStep)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -55,6 +58,54 @@ def test_predicate_sentences_agree_at_every_world():
             for w in range(ev.n):
                 assert ev.sat(w, g) == bool(mask >> w & 1), \
                     (places, inputs.render(f), w)
+
+
+LAYER_TAGS = {"lconj": "lc", "rres": "rimp", "lres": "limp"}
+
+
+def _algebras(step):
+    """(frame, ups, layer tables) of every algebra of a stacked step."""
+    for group in step.groups.values():
+        for row, idx in enumerate(group["indices"]):
+            pos, frame, ups = step.entries[idx]
+            yield frame, ups, {name: group["tables"][name][row].tolist()
+                               for name in LAYER_TAGS}
+
+
+def _check_layer_tables(frame, ups, tables):
+    ref = refcheck.Frame(frame.worlds, frame.order, frame.rel)
+    for name, tag in LAYER_TAGS.items():
+        for a, ma in enumerate(ups):
+            for b, mb in enumerate(ups):
+                assert ups[tables[name][a][b]] == refcheck._connective(
+                    ref, tag, ma, mb), (frame, name, a, b)
+
+
+def test_oracle_layer_tables_agree_with_the_clauses():
+    # The oracle and the complex algebra build their lconj/rres/lres
+    # tables with one builder, so each is checked against the reference
+    # clauses here: every distinct algebra up to 3 worlds, and a seeded
+    # sample of the 4-world cap-1 and cap-2 steps.
+    checked = 0
+    for n in (1, 2, 3):
+        for frame, ups, tables in _algebras(
+                _CACHE.stacked_step(n, DEFAULT_REL_CAPS[n])):
+            _check_layer_tables(frame, ups, tables)
+            checked += 1
+    assert checked == 2 + 298 + 5478
+    rng = random.Random(5)
+    four = [_CACHE.stacked_step(4, 1)]
+    four += [_StackedStep([chunk]) for chunk in _preorder_chunks(4, 2)
+             if rng.random() < 0.1]
+    for step in four:
+        algebras = list(_algebras(step))
+        for frame, ups, tables in rng.sample(algebras,
+                                             min(40, len(algebras))):
+            _check_layer_tables(frame, ups, tables)
+            alg = complex_algebra(frame)
+            assert {name: alg.op(name) for name in LAYER_TAGS} == tables
+            checked += 1
+    assert len(four) > 30 and checked > 5778 + 1000
 
 
 def test_benchmark_tracer_finds_every_traced_function():

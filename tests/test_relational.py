@@ -1,17 +1,20 @@
+import hashlib
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
 
 from ilgl import graph as graphmod
-from ilgl.formula import parse
+from ilgl.formula import atoms, parse
 from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
 from ilgl.graph import scaffold_to_frame
-from ilgl.relational import (IntLayeredFrame, RelationalModel,
-                             enumerate_frames, enumerate_preorders,
-                             frame_from_dict, frame_to_dict, rel_satisfies,
-                             rel_valid_upto)
+from ilgl.relational import (_CACHE, OP_NAME, IntLayeredFrame,
+                             RelationalModel, enumerate_frames,
+                             enumerate_preorders, frame_from_dict,
+                             frame_to_dict, rel_satisfies, rel_valid_upto)
 
 
 class TestScaffoldToFrame:
@@ -202,6 +205,69 @@ class TestValidityOracle:
                     RelationalModel(slow[0], slow[1]))
                 assert fast.world == slow[2]
         assert outcomes == {True, False}
+
+    def test_streamed_path_runs_to_completion(self):
+        # The 4-world default-cap step is not cached; a valid formula
+        # scans all of its 738,755 frames.
+        assert rel_valid_upto(parse("p -> p"), 4, 1) is None
+
+
+def _sha(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _counterexample_line(cex) -> str:
+    if cex is None:
+        return "None"
+    return json.dumps([frame_to_dict(cex.model()), cex.world],
+                      sort_keys=True)
+
+
+def test_oracle_byte_identical():
+    # Both digests come from the scalar table builder this one replaced:
+    # the cached steps' entries and stacked tables, and the
+    # counterexamples of the stacked and streamed scans.
+    lines = []
+    for n, cap in ((1, None), (2, None), (3, 2), (4, 1)):
+        step = _CACHE.stacked_step(n, cap)
+        for pos, frame, ups in step.entries:
+            lines.append(repr((pos, frame.worlds, sorted(frame.order),
+                               sorted(frame.rel), list(ups))))
+        for u in sorted(step.groups):
+            group = step.groups[u]
+            lines.append(repr((u, group["indices"])))
+            for name in OP_NAME.values():
+                table = group["tables"][name]
+                assert table.dtype == np.int16
+                lines.append(table.tobytes().hex())
+    assert _sha(lines) == STEPS_DIGEST
+
+    formulas = []
+    for depth in (3, 4):
+        rng = random.Random(20240)
+        formulas += [random_formula(rng, depth) for _ in range(75)]
+    results = [rel_valid_upto(f, 3, 3) for f in formulas]
+    # Refutable with at most two atoms, but only on a non-empty relation:
+    # with every smaller step capped to the empty relation the search
+    # reaches the streamed 4-world step.
+    empty = {1: 0, 2: 0, 3: 0}
+    streamed = [f for f, cex in zip(formulas, results)
+                if cex is not None and len(atoms(f)) <= 2
+                and rel_valid_upto(f, 3, 3, rel_caps=empty) is None][:11]
+    assert len(streamed) == 11
+    lines = [_counterexample_line(cex) for cex in results]
+    lines += [_counterexample_line(rel_valid_upto(
+        f, 4, 2, rel_caps={**empty, 4: 2})) for f in streamed]
+    assert _sha(lines) == COUNTEREXAMPLES_DIGEST
+
+
+STEPS_DIGEST = (
+    "da45fdd9aeff34739b8bc2794ef20a8713300beeefdd1921070e47f7a70f14b9")
+COUNTEREXAMPLES_DIGEST = (
+    "bc89d3485bda0a4a4e1ce3f228e09ad98ded67af62d18e3bfcccd982e918d4cc")
 
 
 class TestFrameJson:
