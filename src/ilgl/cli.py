@@ -83,6 +83,12 @@ def _scaffold_dot(model: graphmod.LayeredGraphModel) -> str:
 
 def cmd_prove(args) -> int:
     started = time.monotonic()
+    for flag, value in (("--max-steps", args.max_steps),
+                        ("--max-labels", args.max_labels),
+                        ("--timeout", args.timeout)):
+        if not value >= 0:  # NaN too
+            return _fail("prove", f"{flag} must be zero or more, got "
+                         f"{value}", args.json)
     try:
         f = parse(args.formula)
     except ParseError as exc:
@@ -329,6 +335,9 @@ def cmd_crosscheck(args) -> int:
         return _fail("crosscheck", f"unknown suite {args.suite!r} "
                      f"(choose from {', '.join(crosscheck.SUITES)})",
                      args.json)
+    if args.budget is not None and args.budget < 0:
+        return _fail("crosscheck", f"--budget must be zero or more, got "
+                     f"{args.budget}", args.json)
     ok, summary, repro = crosscheck.run_suite(args.suite, args.seed,
                                               args.budget)
     payload = {"suite": args.suite, "seed": args.seed, **summary}

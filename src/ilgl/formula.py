@@ -23,76 +23,99 @@ from typing import Union
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """Base of the formula nodes.  A node is immutable, so it hashes once,
+    when it is built, from its kind and its fields (whose hashes are cached
+    in turn); equality compares the cached hashes before the fields."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        fields = self.__dict__  # written directly: the node is frozen
+        fields["_hash"] = hash((type(self).__name__, *fields.values()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and vars(self) == vars(other)
+
+
+@dataclass(frozen=True, eq=False)
+class Atom(_Node):
     name: str
 
     def __post_init__(self) -> None:
         if not ATOM_RE.match(self.name):
             raise ValueError(f"bad atom name: {self.name!r}")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
-class Top:
+@dataclass(frozen=True, eq=False)
+class Top(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Bot:
+@dataclass(frozen=True, eq=False)
+class Bot(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Imp:
+@dataclass(frozen=True, eq=False)
+class Imp(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class LayerConj:
+@dataclass(frozen=True, eq=False)
+class LayerConj(_Node):
     """The layering conjunction: non-commutative, non-associative."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class ImpRight:
+@dataclass(frozen=True, eq=False)
+class ImpRight(_Node):
     """Right residual of layering: receiver composes on the left."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class ImpLeft:
+@dataclass(frozen=True, eq=False)
+class ImpLeft(_Node):
     """Left residual of layering: receiver composes on the right."""
 
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Contains:
+@dataclass(frozen=True, eq=False)
+class Contains(_Node):
     """Predicate atom: the world has a vertex of the resource's block."""
 
     resource: str
 
 
-@dataclass(frozen=True)
-class PointsTo:
+@dataclass(frozen=True, eq=False)
+class PointsTo(_Node):
     """Predicate atom: a non-empty path inside the world runs from the
     source's block to the target's."""
 
@@ -100,14 +123,14 @@ class PointsTo:
     target: str
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False)
+class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, eq=False)
+class Forall(_Node):
     var: str
     body: "Formula"
 
@@ -184,7 +207,7 @@ def _tokenize(text: str, pred: bool) -> list:
 
 
 # The deepest nesting a formula may have: of parentheses, ~ and quantifiers
-# while parsing, and of the tree parsed.  The parser, the printer, hashing
+# while parsing, and of the tree parsed.  The parser, the printer, equality
 # and the evaluators recurse once or more per level.
 MAX_DEPTH = 100
 

@@ -56,12 +56,20 @@ def principal_upsets(n: int, order) -> List[int]:
             for x in range(n)]
 
 
+# The most up-sets ``upset_masks`` builds; above the 16,384 of the
+# predicate layer's largest placement graph.
+MAX_UPSETS = 1 << 16
+
+
 def upset_masks(principals) -> List[int]:
     """Every up-set, ascending: the unions of the principal up-set masks,
-    built by adding one principal up-set at a time."""
+    built by adding one principal up-set at a time.  Raises ValueError as
+    soon as there are more than MAX_UPSETS."""
     masks = {0}
     for p in principals:
         masks |= {m | p for m in masks}
+        if len(masks) > MAX_UPSETS:
+            raise ValueError(f"more than {MAX_UPSETS} up-sets")
     return sorted(masks)
 
 

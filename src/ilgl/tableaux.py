@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Set, Tuple, Union)
 
 from . import graph as graphmod
 from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
@@ -50,19 +51,24 @@ class ConstraintSet:
         for c in constraints:
             self.add(c)
 
-    def add(self, constraint: Constraint) -> None:
+    def add(self, constraint: Constraint) -> Set[Constraint]:
+        """Add a constraint; returns the pairs it added to the closure."""
         a, b = constraint
         if constraint in self.constraints:
-            return
+            return set()
         self.constraints.add(constraint)
+        new = set()
         for lab in sublabels(a) + sublabels(b):
             if lab not in self.domain:
                 self.domain.add(lab)
-                self.closure.add((lab, lab))
+                new.add((lab, lab))
                 self.alphabet.update(lab)
         pre = {x for (x, y) in self.closure if y == a} | {a}
         post = {y for (x, y) in self.closure if x == b} | {b}
-        self.closure.update((x, y) for x in pre for y in post)
+        new.update((x, y) for x in pre for y in post)
+        new -= self.closure
+        self.closure |= new
+        return new
 
     def holds(self, a: Label, b: Label) -> bool:
         return (a, b) in self.closure
@@ -80,7 +86,15 @@ class ConstraintSet:
 
 
 class CSS:
-    """One branch: signed labelled formulas plus a constraint set."""
+    """One branch: signed labelled formulas plus a constraint set.
+
+    The closure test is kept up to date as the branch grows: ``signed``
+    maps each formula to the labels it is asserted (T) and denied (F) at,
+    and ``clash`` is set as soon as a new formula or a new closure pair
+    makes a T-label lie below an F-label of the same formula, or when
+    ``T bot`` or ``F top`` is added.  Add constraints through
+    ``add_constraint`` so that this test and the agenda see them.
+    """
 
     def __init__(self, formulas: Iterable[SignedFormula] = (),
                  constraints: Iterable[Constraint] = ()):
@@ -90,13 +104,48 @@ class CSS:
         self.applied: Set[tuple] = set()
         self.starved = False
         self.branch_id = 0  # assigned by the owning tableau
+        self.signed: Dict[Formula, Tuple[Tuple[Label, ...],
+                                         Tuple[Label, ...]]] = {}
+        self.clash = False
+        # What applicable_rules found at its last scan, which covered the
+        # first ``scanned`` formulas: the unspent instances of each formula
+        # that can still have some, and the labels added to the domain
+        # since.
+        self.agenda: Dict[SignedFormula, List[RuleInstance]] = {}
+        self.scanned = 0
+        self.new_labels: Set[Label] = set()
         for slf in formulas:
             self.add_formula(slf)
 
     def add_formula(self, slf: SignedFormula) -> None:
-        if slf not in self.formulas:
-            self.formulas.add(slf)
-            self.formula_order.append(slf)
+        if slf in self.formulas:
+            return
+        self.formulas.add(slf)
+        self.formula_order.append(slf)
+        sign, f, x = slf
+        ts, fs = self.signed.get(f, ((), ()))
+        holds = self.cset.holds
+        if sign:
+            self.clash = (self.clash or isinstance(f, Bot)
+                          or any(holds(x, y) for y in fs))
+            self.signed[f] = (ts + (x,), fs)
+        else:
+            self.clash = (self.clash or isinstance(f, Top)
+                          or any(holds(y, x) for y in ts))
+            self.signed[f] = (ts, fs + (x,))
+
+    def add_constraint(self, constraint: Constraint) -> None:
+        new = self.cset.add(constraint)
+        # A label enters the domain with its reflexive pair.
+        self.new_labels.update(x for x, y in new if x == y)
+        if any(x not in self.new_labels and y not in self.new_labels
+               for x, y in new):
+            # Old ranges changed: the next scan starts from scratch.
+            self.agenda, self.scanned = {}, 0
+        if new and not self.clash:
+            self.clash = any((x, y) in new
+                             for ts, fs in self.signed.values()
+                             for x in ts for y in fs)
 
     def copy(self) -> "CSS":
         dup = CSS.__new__(CSS)
@@ -106,6 +155,11 @@ class CSS:
         dup.applied = set(self.applied)
         dup.starved = self.starved
         dup.branch_id = 0
+        dup.signed = dict(self.signed)
+        dup.clash = self.clash
+        dup.agenda = self.agenda
+        dup.scanned = self.scanned
+        dup.new_labels = set(self.new_labels)
         return dup
 
 
@@ -133,21 +187,8 @@ def css_check(css: CSS) -> List[dict]:
 
 def is_closed(css: CSS) -> bool:
     """Closed iff T/F meet across the order, or top is denied, or bot
-    asserted."""
-    by_formula: Dict[Formula, Tuple[list, list]] = {}
-    for (sign, f, x) in css.formula_order:
-        if isinstance(f, Top) and not sign:
-            return True
-        if isinstance(f, Bot) and sign:
-            return True
-        slot = by_formula.setdefault(f, ([], []))
-        slot[0 if sign else 1].append(x)
-    for f, (ts, fs) in by_formula.items():
-        for x in ts:
-            for y in fs:
-                if css.cset.holds(x, y):
-                    return True
-    return False
+    asserted.  The branch keeps this test up to date as it grows."""
+    return css.clash
 
 
 # -- the rule table -------------------------------------------------------
@@ -164,24 +205,29 @@ def is_closed(css: CSS) -> bool:
 # the whole label domain although F-> creates an atomic label.  & and |
 # range over nothing and conclude at the premise's label x.
 
-def _above(cs: ConstraintSet, x: Label) -> list:
+# A range is listed in the order of ``labels``, a sorted list of the labels
+# to look at: the whole domain, or the labels that are new since a scan.
+
+def _above(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
     """Labels y with x <= y."""
-    return [(y,) for y in sorted(cs.domain) if cs.holds(x, y)]
+    return [(y,) for y in labels if cs.holds(x, y)]
 
 
-def _layered_below(cs: ConstraintSet, x: Label) -> list:
+def _layered_below(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
     """Two-letter labels yz with yz <= x."""
-    return [(yz,) for yz in cs.two_letter() if cs.holds(yz, x)]
+    return [(yz,) for yz in labels if len(yz) == 2 and cs.holds(yz, x)]
 
 
-def _first_above(cs: ConstraintSet, x: Label) -> list:
+def _first_above(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
     """Facts (y, yz) for the two-letter labels yz with x <= y."""
-    return [(yz[:1], yz) for yz in cs.two_letter() if cs.holds(x, yz[:1])]
+    return [(yz[:1], yz) for yz in labels
+            if len(yz) == 2 and cs.holds(x, yz[:1])]
 
 
-def _second_above(cs: ConstraintSet, x: Label) -> list:
+def _second_above(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
     """Facts (y, zy) for the two-letter labels zy with x <= y."""
-    return [(zy[1:], zy) for zy in cs.two_letter() if cs.holds(x, zy[1:])]
+    return [(zy[1:], zy) for zy in labels
+            if len(zy) == 2 and cs.holds(x, zy[1:])]
 
 
 def _witness(x: Label, facts: Tuple[Label, ...]) -> Label:
@@ -194,16 +240,21 @@ class Rule:
     condition: int  # its Hintikka condition
     # (formula, x, w) -> the signed formulas added to each child branch
     children: Callable[[Formula, Label, Label], List[List[SignedFormula]]]
-    over: Optional[Callable[[ConstraintSet, Label], list]] = None
+    over: Optional[Callable[[ConstraintSet, Label, List[Label]],
+                            list]] = None
     fresh: int = 0  # atomic labels the rule creates
     create: Optional[Callable[[int, Label],
                               Tuple[Label, List[Constraint]]]] = None
 
-    def instances(self, cset: ConstraintSet, x: Label) -> list:
+    @property
+    def ranged(self) -> bool:
+        """One instance per fact tuple in range."""
+        return self.over is not None and not self.fresh
+
+    def instances(self, cset: ConstraintSet, x: Label,
+                  labels: List[Label]) -> list:
         """The fact tuples of the rule's instances at ``x``."""
-        if self.over is None or self.fresh:
-            return [()]
-        return self.over(cset, x)
+        return self.over(cset, x, labels) if self.ranged else [()]
 
     def met(self, present: Set[SignedFormula], f: Formula, x: Label,
             facts: Tuple[Label, ...]) -> bool:
@@ -281,27 +332,81 @@ def _unspent(css: CSS, rule: Rule, inst: RuleInstance) -> bool:
 
 
 def applicable_rules(css: CSS) -> List[RuleInstance]:
-    """Every unspent rule instance of the branch, in formula order."""
-    out = []
-    for slf in css.formula_order:
+    """Every unspent rule instance of the branch, in formula order.
+
+    The scan starts from the branch's previous one, which a child inherits
+    from its parent.  A formula scanned then keeps its instances that are
+    still unspent (a spent one stays spent) and gains those on the labels
+    new since then; a new formula is scanned over the whole domain.  New
+    labels carry the largest letters, so they sort after the others and
+    the order is that of a scan from scratch.  The conclusions of a rule
+    are its premise's two operands, so an instance can only have been met
+    since if one of them is among the new formulas.
+    """
+    cset = css.cset
+    added = css.formula_order[css.scanned:]
+    operands = {f for (_, f, _) in added}
+    new = sorted(css.new_labels)
+    agenda: Dict[SignedFormula, List[RuleInstance]] = {}
+    for slf, insts in css.agenda.items():
         sign, f, x = slf
+        rule = RULES[type(f), sign]
+        if f.left in operands or f.right in operands:
+            insts = [inst for inst in insts if _unspent(css, rule, inst)]
+        else:
+            insts = [inst for inst in insts
+                     if inst.key() not in css.applied]
+        if rule.ranged:
+            insts += _instances(css, rule, slf, new)
+        if insts or rule.ranged:
+            agenda[slf] = insts
+    every = sorted(cset.domain)
+    for slf in added:
+        sign, f, _ = slf
         rule = RULES.get((type(f), sign))
-        if rule is None:
-            continue
-        for facts in rule.instances(css.cset, x):
-            inst = RuleInstance(rule.name, slf, facts)
-            if _unspent(css, rule, inst):
-                out.append(inst)
+        if rule is not None:
+            agenda[slf] = _instances(css, rule, slf, every)
+    css.agenda, css.scanned, css.new_labels = (
+        agenda, len(css.formula_order), set())
+    return [inst for insts in agenda.values() for inst in insts]
+
+
+def _instances(css: CSS, rule: Rule, slf: SignedFormula,
+               labels: List[Label]) -> List[RuleInstance]:
+    """The unspent instances of ``rule`` on ``slf`` over ``labels``."""
+    out = []
+    for facts in rule.instances(css.cset, slf[2], labels):
+        inst = RuleInstance(rule.name, slf, facts)
+        if _unspent(css, rule, inst):
+            out.append(inst)
     return out
+
+
+class Step(NamedTuple):
+    """One expansion as raw values; ``Tableau.trace`` renders it."""
+
+    step: int
+    branch: int
+    rule: str
+    premise: SignedFormula
+    facts: Tuple[Label, ...]
+    children: List[int]  # the child branch ids
+    conclusions: List[List[SignedFormula]]  # added to each child
+    constraints: List[Constraint]  # added to every child
 
 
 @dataclass
 class Tableau:
     branches: List[CSS]
-    trace: List[dict] = field(default_factory=list)
+    steps_taken: List[Step] = field(default_factory=list)
     next_fresh: int = 1
     steps: int = 0
     next_branch: int = 2
+
+    @property
+    def trace(self) -> List[dict]:
+        """The expansions as printable records, rendered when read."""
+        return [_render_step(rec) for rec in self.steps_taken]
 
 
 def initial_tableau(f: Formula) -> Tableau:
@@ -313,6 +418,17 @@ def initial_tableau(f: Formula) -> Tableau:
 def _format_slf(slf: SignedFormula) -> str:
     sign, f, x = slf
     return f"{'T' if sign else 'F'} {render(f)} : {label_str(x)}"
+
+
+def _render_step(rec: Step) -> dict:
+    return {"step": rec.step, "branch": rec.branch, "rule": rec.rule,
+            "premise": _format_slf(rec.premise),
+            "facts": [label_str(x) for x in rec.facts],
+            "children": list(rec.children),
+            "added": [{"formulas": [_format_slf(s) for s in formulas],
+                       "constraints": [f"{label_str(a)} <= {label_str(b)}"
+                                       for a, b in rec.constraints]}
+                      for formulas in rec.conclusions]}
 
 
 def expand(tableau: Tableau, branch_index: int,
@@ -329,16 +445,14 @@ def expand(tableau: Tableau, branch_index: int,
     else:
         w, new_constraints = _witness(x, inst.facts), []
     children = []
-    record = {"step": tableau.steps, "branch": branch.branch_id,
-              "rule": inst.rule, "premise": _format_slf(inst.premise),
-              "facts": [label_str(x) for x in inst.facts], "children": []}
-    for new_formulas in rule.children(f, x, w):
+    conclusions = rule.children(f, x, w)
+    for new_formulas in conclusions:
         child = branch.copy()
         child.branch_id = tableau.next_branch
         tableau.next_branch += 1
         child.applied.add(inst.key())
         for c in new_constraints:
-            child.cset.add(c)
+            child.add_constraint(c)
         for slf in new_formulas:
             child.add_formula(slf)
         bad = css_check(child)
@@ -346,13 +460,11 @@ def expand(tableau: Tableau, branch_index: int,
             raise RuntimeError(f"rule {inst.rule} broke CSS invariants: "
                                f"{bad}")
         children.append(child)
-        record["children"].append(child.branch_id)
-        record.setdefault("added", []).append({
-            "formulas": [_format_slf(s) for s in new_formulas],
-            "constraints": [f"{label_str(a)} <= {label_str(b)}"
-                            for a, b in new_constraints]})
     tableau.branches[branch_index:branch_index + 1] = children
-    tableau.trace.append(record)
+    tableau.steps_taken.append(Step(
+        tableau.steps, branch.branch_id, inst.rule, inst.premise,
+        inst.facts, [child.branch_id for child in children], conclusions,
+        new_constraints))
     tableau.steps += 1
     return tableau
 
@@ -365,6 +477,7 @@ def check_hintikka(css: CSS) -> List[dict]:
     fails = []
     cset = css.cset
     present = css.formulas
+    labels = sorted(cset.domain)
 
     def fail(cond: int, slf: SignedFormula, **extra) -> None:
         fails.append({"condition": cond, "formula": _format_slf(slf),
@@ -386,10 +499,10 @@ def check_hintikka(css: CSS) -> List[dict]:
             continue
         if rule.fresh:
             if not any(rule.met(present, f, x, facts)
-                       for facts in rule.over(cset, x)):
+                       for facts in rule.over(cset, x, labels)):
                 fail(rule.condition, slf)
             continue
-        for facts in rule.instances(cset, x):
+        for facts in rule.instances(cset, x, labels):
             if not rule.met(present, f, x, facts):
                 where = {"label": label_str(facts[-1])} if facts else {}
                 fail(rule.condition, slf, **where)
@@ -582,7 +695,7 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
         del live[branch_id]
         expand(tableau, index, inst)
         for child in tableau.branches[index:index + len(
-                tableau.trace[-1]["children"])]:
+                tableau.steps_taken[-1].children)]:
             sat = admit(child)
             if sat is not None:
                 return _certify_countermodel(f, sat, tableau)

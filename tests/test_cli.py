@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import time
+
+import pytest
 
 from ilgl.algebra import algebra_to_dict, complex_algebra, save_algebra
 from ilgl.cli import main
@@ -9,6 +15,15 @@ from ilgl.relational import IntLayeredFrame, RelationalModel, frame_to_dict
 
 FIGURE = "q <|- (q |> (p -> (p | q)))"
 REFUTABLE = "(p |> q) -> (q |> p)"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def cli_env(**extra) -> dict:
+    """The environment for ``python -m ilgl.cli`` run from a test: the
+    package sources come first on the module path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run(capsys, *argv):
@@ -44,6 +59,13 @@ class TestProveCommand:
     def test_syntax_error_exit_two(self, capsys):
         code, _ = run(capsys, "prove", "p |> q |> r")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-labels", "-1"), ("--max-steps", "-5"), ("--timeout", "-1")])
+    def test_negative_budget_exit_two(self, capsys, flag, value):
+        code, body = run_json(capsys, "prove", "p -> p", flag, value)
+        assert code == 2 and body["status"] == "error"
+        assert flag in body["payload"]["message"]
 
     def test_unknown_exit_three(self, capsys):
         code, body = run_json(capsys, "prove", "((p -> bot) -> bot) -> p",
@@ -216,11 +238,9 @@ class TestDeepFormulas:
             assert code in (0, 1) and body["status"] in ("valid", "invalid")
 
     def test_no_traceback(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "ilgl.cli", "prove", TOO_DEEP[0]],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr + proc.stdout
 
@@ -290,6 +310,18 @@ class TestAlgebraCommand:
         assert code == 0 and body["payload"]["report"] == []
         assert json.loads(out.read_text())["size"] >= 2
 
+    def test_too_many_upsets_exit_two(self, capsys, tmp_path):
+        # Ten chains of seven worlds: 8^10 up-sets, far past the bound.
+        order = [[7 * c + i, 7 * c + j] for c in range(10)
+                 for i in range(7) for j in range(i, 7)]
+        fpath = tmp_path / "chains.json"
+        fpath.write_text(json.dumps({"worlds": 70, "order": order,
+                                     "rel": []}))
+        start = time.monotonic()
+        code, body = run_json(capsys, "algebra", "complex", str(fpath))
+        assert code == 2 and "up-sets" in body["payload"]["message"]
+        assert time.monotonic() - start < 5.0
+
 
 class TestCrosscheckCommand:
     def test_ok_suites(self, capsys):
@@ -303,36 +335,36 @@ class TestCrosscheckCommand:
         code, _ = run(capsys, "crosscheck", "nonsense")
         assert code == 2
 
+    def test_negative_budget_exit_two(self, capsys):
+        code, body = run_json(capsys, "crosscheck", "soundness",
+                              "--budget", "-3")
+        assert code == 2 and body["status"] == "error"
+        assert "--budget" in body["payload"]["message"]
+
 
 class TestSubprocess:
     def test_module_entry_point(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "ilgl.cli", "--json", "prove", FIGURE],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=cli_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "proved"
 
     def test_byte_determinism_across_processes(self):
-        import subprocess
-        import sys
         cmd = [sys.executable, "-m", "ilgl.cli", "--json", "prove",
                REFUTABLE, "--trace"]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        first = subprocess.run(cmd, capture_output=True, text=True,
+                               env=cli_env())
+        second = subprocess.run(cmd, capture_output=True, text=True,
+                                env=cli_env())
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
 
     def test_persistence_suite_ignores_hash_seed(self):
-        import os
-        import subprocess
-        import sys
         cmd = [sys.executable, "-m", "ilgl.cli", "--json", "crosscheck",
                "persistence", "--seed", "7", "--budget", "30"]
         outs = {subprocess.run(cmd, capture_output=True,
-                               env=dict(os.environ, PYTHONHASHSEED=seed)
-                               ).stdout
+                               env=cli_env(PYTHONHASHSEED=seed)).stdout
                 for seed in ("1", "2", "3")}
         assert len(outs) == 1
         assert json.loads(outs.pop())["status"] == "ok"

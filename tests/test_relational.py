@@ -11,10 +11,11 @@ from ilgl.formula import atoms, parse
 from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
 from ilgl.graph import scaffold_to_frame
-from ilgl.relational import (_CACHE, OP_NAME, IntLayeredFrame,
+from ilgl.relational import (_CACHE, MAX_UPSETS, OP_NAME, IntLayeredFrame,
                              RelationalModel, enumerate_frames,
                              enumerate_preorders, frame_from_dict,
-                             frame_to_dict, rel_satisfies, rel_valid_upto)
+                             frame_to_dict, rel_satisfies, rel_valid_upto,
+                             upset_masks)
 
 
 class TestScaffoldToFrame:
@@ -112,6 +113,15 @@ class TestEnumeration:
     def test_all_yielded_frames_valid(self):
         for frame in itertools.islice(enumerate_frames(3, 2), 500):
             assert frame.validate() == []
+
+    def test_upsets_bounded(self):
+        # 16 discrete worlds have exactly MAX_UPSETS up-sets; 17 have
+        # twice as many, and 80 would have 2^80.
+        assert MAX_UPSETS == 1 << 16
+        assert len(upset_masks([1 << w for w in range(16)])) == MAX_UPSETS
+        for worlds in (17, 80):
+            with pytest.raises(ValueError, match="up-sets"):
+                upset_masks([1 << w for w in range(worlds)])
 
 
 class TestValidityOracle:

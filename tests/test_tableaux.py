@@ -1,19 +1,66 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
 from ilgl import graph as graphmod
 from ilgl import relational as relmod
-from ilgl.formula import Atom, parse, render
+from ilgl import tableaux
+from ilgl.formula import Atom, Bot, Top, parse, render
 from ilgl.gen import random_formula
-from ilgl.tableaux import (CSS, ConstraintSet, Limits,
+from ilgl.tableaux import (CSS, RULES, ConstraintSet, Limits, RuleInstance,
                            applicable_rules, check_hintikka, css_check,
                            expand, extract_model, initial_tableau,
                            is_closed, label_str, prove, realize_check)
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
+
+
+def closed_by_rescan(css):
+    """The closure test by a scan of the whole branch: the reference for
+    the branch's incremental one."""
+    by_formula = {}
+    for (sign, f, x) in css.formula_order:
+        if isinstance(f, Top) and not sign:
+            return True
+        if isinstance(f, Bot) and sign:
+            return True
+        slot = by_formula.setdefault(f, ([], []))
+        slot[0 if sign else 1].append(x)
+    for f, (ts, fs) in by_formula.items():
+        for x in ts:
+            for y in fs:
+                if css.cset.holds(x, y):
+                    return True
+    return False
+
+
+def rules_from_scratch(css):
+    """Every unspent rule instance by a scan of the whole branch over the
+    whole domain: the reference for the inherited agenda."""
+    labels = sorted(css.cset.domain)
+    out = []
+    for slf in css.formula_order:
+        sign, f, x = slf
+        rule = RULES.get((type(f), sign))
+        if rule is None:
+            continue
+        for facts in rule.instances(css.cset, x, labels):
+            inst = RuleInstance(rule.name, slf, facts)
+            if tableaux._unspent(css, rule, inst):
+                out.append(inst)
+    return out
+
+
+def sweep():
+    """The 1,000-formula sweep: a fresh random.Random(20240) per depth,
+    500 formulas at each of depths 4 and 5."""
+    for depth in (4, 5):
+        rng = random.Random(20240)
+        for _ in range(500):
+            yield random_formula(rng, depth)
 
 
 class TestClosure:
@@ -112,6 +159,31 @@ class TestApplicableRules:
         assert [i.rule for i in insts] == ["T->"] * 3
         assert {i.facts for i in insts} == {(c0,), (c1,), (c2,)}
 
+    def test_rescan_after_constraint_between_old_labels(self):
+        # c0 <= c1 between two labels already scanned widens the range
+        # of an old formula in the middle, so the next scan starts over.
+        css = CSS([(True, parse("p -> q"), c0)], [(c0, c0), (c1, c1)])
+        assert [i.facts for i in applicable_rules(css)] == [(c0,)]
+        css.add_constraint((c0, c1))
+        assert applicable_rules(css) == rules_from_scratch(css)
+        assert [i.facts for i in applicable_rules(css)] == [(c0,), (c1,)]
+
+    def test_inherited_agenda_matches_scan_from_scratch(self,
+                                                        monkeypatch):
+        scan = tableaux.applicable_rules
+        checked = [0]
+
+        def compare(css):
+            expected = rules_from_scratch(css)
+            assert scan(css) == expected
+            checked[0] += 1
+            return expected
+
+        monkeypatch.setattr(tableaux, "applicable_rules", compare)
+        for f in sweep():
+            prove(f)
+        assert checked[0] > 5000
+
 
 class TestExpand:
     def test_f_and_branches(self):
@@ -188,6 +260,39 @@ class TestClosed:
         css2 = CSS([(True, Atom("p"), c1), (False, Atom("p"), c0)],
                    [(c0, c1)])
         assert not is_closed(css2)
+
+    def test_constraint_added_after_formulas_closes(self):
+        css = CSS([(True, Atom("p"), c1), (False, Atom("p"), c2)],
+                  [(c1, c1), (c2, c2)])
+        assert not is_closed(css)
+        twin = css.copy()
+        css.add_constraint((c2, c1))
+        assert not is_closed(css) and not closed_by_rescan(css)
+        css.add_constraint((c1, c2))
+        assert is_closed(css) and closed_by_rescan(css)
+        assert not is_closed(twin)  # a copy keeps its own index
+
+    def test_label_enters_domain_after_formulas(self):
+        # Without c3 in the domain, c3 <= c3 does not hold yet.
+        css = CSS([(True, Atom("p"), c3), (False, Atom("p"), c3)])
+        assert not is_closed(css) and not closed_by_rescan(css)
+        css.add_constraint((c3, c3))
+        assert is_closed(css) and closed_by_rescan(css)
+
+    def test_incremental_matches_rescan_on_sweep(self, monkeypatch):
+        incremental = tableaux.is_closed
+        seen = {True: 0, False: 0}
+
+        def compare(css):
+            result = incremental(css)
+            assert result == closed_by_rescan(css)
+            seen[result] += 1
+            return result
+
+        monkeypatch.setattr(tableaux, "is_closed", compare)
+        for f in sweep():
+            prove(f)
+        assert seen[True] > 500 and seen[False] > 5000
 
 
 FIGURE = "q <|- (q |> (p -> (p | q)))"
@@ -266,6 +371,18 @@ class TestProve:
         for _ in range(60):
             prove(random_formula(rng, 4))
         assert counts["scans"] == counts["open"] > 0
+
+    def test_negation_chain_at_nesting_limit(self):
+        # 99 negations of p, the deepest formula the parser accepts: the
+        # label budget runs out well within the default time budget.
+        f = parse("~" * 99 + "p")
+        start = time.monotonic()
+        result = prove(f)
+        elapsed = time.monotonic() - start
+        assert result.status == "unknown"
+        assert result.reason == "label budget exhausted"
+        assert result.tableau.steps == 267
+        assert elapsed < 3.0
 
     def test_divergent_saturation_reports_unknown(self):
         # Double negation elimination never saturates: the T-> premise
@@ -442,18 +559,15 @@ SWEEP_HINTIKKA_SHA256 = \
 def test_traces_byte_identical():
     traces, hintikka = hashlib.sha256(), hashlib.sha256()
     counts = {}
-    for depth in (4, 5):
-        rng = random.Random(20240)
-        for _ in range(500):
-            f = random_formula(rng, depth)
-            result = prove(f)
-            t = result.tableau
-            counts[result.status] = counts.get(result.status, 0) + 1
-            traces.update(json.dumps([render(f), result.status, t.steps,
-                                      t.trace], sort_keys=True).encode())
-            for branch in t.branches:
-                hintikka.update(json.dumps(check_hintikka(branch),
-                                           sort_keys=True).encode())
+    for f in sweep():
+        result = prove(f)
+        t = result.tableau
+        counts[result.status] = counts.get(result.status, 0) + 1
+        traces.update(json.dumps([render(f), result.status, t.steps,
+                                  t.trace], sort_keys=True).encode())
+        for branch in t.branches:
+            hintikka.update(json.dumps(check_hintikka(branch),
+                                       sort_keys=True).encode())
     assert counts == {"countermodel": 875, "proved": 118, "unknown": 7}
     assert traces.hexdigest() == SWEEP_TRACE_SHA256
     assert hintikka.hexdigest() == SWEEP_HINTIKKA_SHA256
