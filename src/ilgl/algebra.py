@@ -254,7 +254,10 @@ def fep_complete(alg: FiniteLayeredHeytingAlgebra,
     ambient ones squeezed through the closure/interior maps onto the
     carrier.  Returns (algebra, inclusion map on A-elements, report); the
     report verifies validity and the embeddability property itself.
+    Raises ValueError on a subset id outside the algebra.
     """
+    if any(not 0 <= a < alg.size for a in subset):
+        raise ValueError(f"subset ids must be elements 0..{alg.size - 1}")
     base = set(subset) | {alg.top, alg.bot}
     carrier = set(base)
     while True:
@@ -330,19 +333,28 @@ def algebra_to_dict(alg: FiniteLayeredHeytingAlgebra) -> dict:
 
 
 def algebra_from_dict(data: dict) -> FiniteLayeredHeytingAlgebra:
-    n = int(data["size"])
-    return FiniteLayeredHeytingAlgebra(
-        size=n,
-        leq=[[bool(x) for x in row] for row in data["leq"]],
-        meet=[[int(x) for x in row] for row in data["meet"]],
-        join=[[int(x) for x in row] for row in data["join"]],
-        himp=[[int(x) for x in row] for row in data["himp"]],
-        lconj=[[int(x) for x in row] for row in data["lconj"]],
-        rres=[[int(x) for x in row] for row in data["rres"]],
-        lres=[[int(x) for x in row] for row in data["lres"]],
-        top=int(data["top"]),
-        bot=int(data["bot"]),
-    )
+    """The algebra a JSON object describes.  Raises ValueError unless
+    every table is size x size and every entry, top and bot is an element
+    id; the laws are ``validate_algebra``'s to check."""
+    if not isinstance(data, dict):
+        raise ValueError("an algebra is a JSON object")
+    try:
+        n = int(data["size"])
+        leq = [[bool(x) for x in row] for row in data["leq"]]
+        ops = {name: [[int(x) for x in row] for row in data[name]]
+               for name in BINOPS}
+        top, bot = int(data["top"]), int(data["bot"])
+    except TypeError as exc:
+        raise ValueError(f"malformed algebra: {exc}") from exc
+    for name, rows in {"leq": leq, **ops}.items():
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"{name} is not a {n} x {n} table")
+        if name in ops and any(not 0 <= x < n for row in rows for x in row):
+            raise ValueError(f"{name} has an entry outside 0..{n - 1}")
+    if not (0 <= top < n and 0 <= bot < n):
+        raise ValueError(f"top or bot outside 0..{n - 1}")
+    return FiniteLayeredHeytingAlgebra(size=n, leq=leq, top=top, bot=bot,
+                                       **ops)
 
 
 def load_algebra(path: str) -> FiniteLayeredHeytingAlgebra:

@@ -259,19 +259,19 @@ def cmd_algebra(args) -> int:
             run = RunResult("algebra complex", "ok", EXIT_OK,
                             {"size": alg.size}, paths,
                             time.monotonic() - started)
-        elif args.algebra_cmd == "primefilters":
+        else:
             alg = algmod.load_algebra(args.path)
+            problems = algmod.validate_algebra(alg)
+            if problems:
+                return _fail("algebra", f"invalid algebra: {problems[:5]}",
+                             args.json)
+        if args.algebra_cmd == "primefilters":
             filters = algmod.prime_filters(alg)
             run = RunResult("algebra primefilters", "ok", EXIT_OK,
                             {"count": len(filters),
                              "filters": [sorted(f) for f in filters]},
                             [], time.monotonic() - started)
         elif args.algebra_cmd == "embed":
-            alg = algmod.load_algebra(args.path)
-            problems = algmod.validate_algebra(alg)
-            if problems:
-                return _fail("algebra", f"invalid algebra: {problems[:5]}",
-                             args.json)
             h, report = algmod.representation_embed(alg)
             status = "ok" if not report else "violations"
             run = RunResult("algebra embed", status,
@@ -280,7 +280,6 @@ def cmd_algebra(args) -> int:
                              "report": report[:10]},
                             [], time.monotonic() - started)
         elif args.algebra_cmd == "fep":
-            alg = algmod.load_algebra(args.path)
             subset = [int(x) for x in args.subset.split(",") if x != ""]
             completed, inclusion, report = algmod.fep_complete(alg, subset)
             paths = []
@@ -295,8 +294,6 @@ def cmd_algebra(args) -> int:
                                            for k, v in inclusion.items()},
                              "report": report[:10]},
                             paths, time.monotonic() - started)
-        else:
-            raise AssertionError(args.algebra_cmd)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail("algebra", str(exc), args.json)
     run.emit(args.json)

@@ -169,40 +169,37 @@ _PRED_FIXED = ("~>",) + _FIXED + (".",)
 _PRED_KEYWORDS = _KEYWORDS + ("exists", "forall", "Contains")
 
 
+def _token_re(fixed: tuple) -> re.Pattern:
+    """Whitespace, then a fixed token (the first in ``fixed`` that
+    matches), a word (``\\w`` is ``str.isalnum`` or "_") or any other
+    character."""
+    ops = "|".join(map(re.escape, fixed))
+    return re.compile(rf"\s+|({ops})|(\w+)|(.)", re.DOTALL)
+
+
+_TOKEN_RE = {False: _token_re(_FIXED), True: _token_re(_PRED_FIXED)}
+
+
 def _tokenize(text: str, pred: bool) -> list:
-    fixed, keywords = ((_PRED_FIXED, _PRED_KEYWORDS) if pred
-                       else (_FIXED, _KEYWORDS))
+    keywords = _PRED_KEYWORDS if pred else _KEYWORDS
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for op in fixed:
-            if text.startswith(op, i):
-                tokens.append((op, op, i))
-                i += len(op)
-                break
-        else:
-            if c.isalpha():
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word in keywords:
-                    tokens.append((word, word, i))
-                elif ATOM_RE.match(word):
-                    tokens.append(("ident", word, i))
-                else:
-                    raise ParseError(
-                        f"bad identifier {word!r}", i, ("identifier",)
-                    )
-                i = j
+    for m in _TOKEN_RE[pred].finditer(text):
+        op, word, other = m.groups()
+        i = m.start()
+        if op:
+            tokens.append((op, op, i))
+        elif word and word[0].isalpha():
+            if word in keywords:
+                tokens.append((word, word, i))
+            elif ATOM_RE.match(word):
+                tokens.append(("ident", word, i))
             else:
-                raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+                raise ParseError(
+                    f"bad identifier {word!r}", i, ("identifier",)
+                )
+        elif word or other:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

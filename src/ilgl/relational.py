@@ -7,9 +7,9 @@ over the full ternary-relation space; at 3 and 4 worlds the relation is
 enumerated in (size, lex)-ascending order up to a size cap (default 2),
 because the full space (2^27 and 2^64 relations per preorder) is out of
 reach.  Counterexamples are therefore world-minimal, and "no
-counterexample" always means none within the declared family.
-The oracle builds a step one preorder at a time, each relation's tables
-from per-triple tables, and caches the steps small enough to keep.
+counterexample" always means none within the declared family (at most
+4 worlds).  Validity is the same on isomorphic frames, so the oracle
+scans one frame per isomorphism class, the first in enumeration order.
 """
 
 from __future__ import annotations
@@ -359,13 +359,15 @@ class Counterexample:
 
 
 def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
-    """(entries, tables) per preorder of one world-count step, in
-    enumeration order; entries are (position, frame, ups).
+    """(entries, tables) per kept preorder of one world-count step, in
+    enumeration order; entries are (position, frame, ups), at position
+    p * R + r for the preorder's rank p and the relation's index r among
+    the R relations of size at most ``cap`` in (size, lex) order.
 
-    The tables of every relation of size at most ``cap`` are folded from
-    the per-triple tables at once.  Of the relations sharing tables only
-    the first is kept; distinct preorders have distinct up-sets, so it is
-    also the first in the step.
+    One frame is kept per isomorphism class, the one of least position.
+    It lies on the lowest-ranked preorder of its orbit, where relation r
+    is kept when no automorphism maps r, or a relation with r's tables,
+    to a smaller index.  All tables are folded from per-triple tables.
     """
     triples = list(itertools.product(range(n), repeat=3))
     top = len(triples) if cap is None else min(cap, len(triples))
@@ -373,8 +375,22 @@ def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
                        dtype=np.intp) for k in range(top + 1)]
     rels = [frozenset(triples[i] for i in c)
             for block in combos for c in block.tolist()]
+    # masks[w, r]: relation r moved by world permutation w, as a bitmask
+    # of triples; permutations() yields the identity first.
+    perms = list(itertools.permutations(range(n)))
+    moved = np.array(perms)[:, np.array(triples)] @ np.array([n * n, n, 1])
+    bits = np.left_shift(np.uint64(1), moved.astype(np.uint64))
+    masks = np.concatenate([np.bitwise_or.reduce(bits[:, c], axis=-1)
+                            for c in combos], axis=-1)
+    by_mask = np.argsort(masks[0])
+    orders = enumerate_preorders(n)
+    rank = {order: p for p, order in enumerate(orders)}
     full = (1 << n) - 1
-    for p, order in enumerate(enumerate_preorders(n)):
+    for p, order in enumerate(orders):
+        images = np.array([rank[frozenset((w[a], w[b]) for a, b in order)]
+                           for w in perms])
+        if images.min() < p:
+            continue
         ups, index, up_of, meet, join, himp = _order_tables(n, order)
         lc, rr, lr = _triple_tables(n, ups, up_of, triples)
         lut = np.zeros(1 << n, dtype=np.int16)
@@ -384,10 +400,17 @@ def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
              np.bitwise_and.reduce(rr[c], axis=1, initial=full),
              np.bitwise_and.reduce(lr[c], axis=1, initial=full)], axis=1)
             for c in combos])]
+        # The least index an automorphism moves each relation to, then
+        # each set of relations with equal tables to: r is kept if it is
+        # its set's least.
+        moves = by_mask[np.searchsorted(masks[0], masks[images == p],
+                                        sorter=by_mask)].min(axis=0)
         first: Dict[bytes, int] = {}
-        for r, row in enumerate(map(bytes, layer.reshape(len(rels), -1))):
-            first.setdefault(row, r)
-        keep = list(first.values())
+        same = np.array([first.setdefault(row, r) for r, row in
+                         enumerate(map(bytes, layer.reshape(len(rels), -1)))])
+        least = np.full(len(rels), len(rels))
+        np.minimum.at(least, same, moves)
+        keep = np.flatnonzero(least[same] == np.arange(len(rels))).tolist()
         ops = np.array([meet, join, himp], dtype=np.int16)
         ops = np.concatenate([np.broadcast_to(ops, (len(keep),) + ops.shape),
                               layer[keep]], axis=1)
@@ -397,14 +420,9 @@ def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
 
 
 class _StackedStep:
-    """Distinct algebras of a run of preorder chunks, stacked for
-    vectorized evaluation.
-
-    Frames sharing operation tables are interchangeable for validity, so
-    only the first frame per distinct table set is kept; ``position``
-    remembers its place in the enumeration order so the counterexample
-    reported is still the overall first.
-    """
+    """The algebras of one step, stacked for vectorized evaluation:
+    ``entries`` in enumeration order, and per up-set count u a group of
+    entry ``indices`` with their int16 operation ``tables``, (A, u, u)."""
 
     def __init__(self, chunks):
         self.entries = []  # (position, frame, ups)
@@ -423,20 +441,11 @@ class _StackedStep:
 
 
 class _OracleCache:
-    """Lazily built steps of the oracle frame family.
-
-    Small steps (up to 3 worlds, or 4 worlds with a thin relation cap)
-    are deduplicated, stacked, and cached for the life of the process
-    because validity sweeps exhaust them repeatedly.  Larger steps are
-    built and scanned one preorder chunk at a time and not cached.
-    """
+    """The oracle's steps by (worlds, relation cap), built on first use
+    and kept for the process's life: 18,186 algebras at most by default."""
 
     def __init__(self):
         self.stacked: Dict[tuple, _StackedStep] = {}
-
-    @staticmethod
-    def stackable(n: int, cap: Optional[int]) -> bool:
-        return n <= 3 or (cap is not None and cap <= 1)
 
     def stacked_step(self, n: int, cap: Optional[int]) -> _StackedStep:
         key = (n, cap)
@@ -452,35 +461,30 @@ def _scan_stacked(nodes: list, names: list, step: _StackedStep
                   ) -> Optional[Counterexample]:
     """Evaluate the formula whose ``postfix`` is ``nodes`` over every
     (algebra, assignment) of a stacked step at once; returns the
-    counterexample earliest in enumeration order."""
+    counterexample earliest in enumeration order.  Each table lookup is
+    one ``take`` from the group's flattened tables: int16 ids at int32
+    offsets."""
     k = len(names)
     best = None  # (position, frame, ups, assignment index, value index)
     for u in sorted(step.groups):
         group = step.groups[u]
-        tables = group["tables"]
+        flat = {name: t.reshape(-1) for name, t in group["tables"].items()}
         a_count = len(group["indices"])
         count = u ** k
-        rows = np.arange(a_count)[:, None]
-        atom_vec = {
-            name: np.broadcast_to(
-                (np.arange(count) // u ** (k - 1 - m)) % u,
-                (a_count, count))
-            for m, name in enumerate(names)}
-        result = fold_tables(
-            nodes,
-            lambda name, a, b: tables[name][rows, a, b].astype(np.int64),
-            atom_vec, 0, u - 1)
-        if np.shape(result) != (a_count, count):  # no atom occurs in f
-            result = np.broadcast_to(result, (a_count, count))
+        base = np.arange(0, a_count * u * u, u * u, dtype=np.int32)[:, None]
+        atom_vec = {name: (np.arange(count) // u ** (k - 1 - m) % u
+                           ).astype(np.int16)
+                    for m, name in enumerate(names)}
+        result = np.broadcast_to(fold_tables(
+            nodes, lambda name, a, b: flat[name].take(base + a * u + b),
+            atom_vec, 0, u - 1), (a_count, count))
         failing = result != (u - 1)
-        if failing.any():
-            for row in np.flatnonzero(failing.any(axis=1)):
-                idx = group["indices"][int(row)]
-                position, frame, ups = step.entries[idx]
-                if best is None or position < best[0]:
-                    t = int(np.flatnonzero(failing[row])[0])
-                    value = int(result[row, t])
-                    best = (position, frame, ups, t, value)
+        hit = failing.any(axis=1)
+        row = int(hit.argmax())  # positions ascend with the rows
+        position, frame, ups = step.entries[group["indices"][row]]
+        if hit[row] and (best is None or position < best[0]):
+            t = int(failing[row].argmax())
+            best = (position, frame, ups, t, int(result[row, t]))
     if best is None:
         return None
     # The atoms take the up-sets the digits of t index; the formula's
@@ -500,8 +504,11 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
     """First countermodel of ``f`` in the oracle family, None if it survives.
 
     Search order is world count, then preorder, then relation (size, lex),
-    then valuation; the result is schedule-independent.
+    then valuation; the result is schedule-independent.  The family stops
+    at 4 worlds.
     """
+    if max_worlds > 4:
+        raise ValueError(f"{max_worlds} worlds exceed the oracle's limit 4")
     names = atoms(f)
     if len(names) > max_atoms:
         raise ValueError(f"{len(names)} atoms exceed the limit {max_atoms}")
@@ -510,16 +517,9 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
     if rel_caps:
         caps.update(rel_caps)
     for n in range(1, max_worlds + 1):
-        cap = caps.get(n, 2)
-        if _CACHE.stackable(n, cap):
-            steps = [_CACHE.stacked_step(n, cap)]
-        else:
-            steps = (_StackedStep([chunk])
-                     for chunk in _preorder_chunks(n, cap))
-        for step in steps:
-            hit = _scan_stacked(nodes, names, step)
-            if hit is not None:
-                return hit
+        hit = _scan_stacked(nodes, names, _CACHE.stacked_step(n, caps[n]))
+        if hit is not None:
+            return hit
     return None
 
 

@@ -1,0 +1,82 @@
+"""The oracle's frame family before its reduction to isomorphism classes.
+
+``unreduced_chunks`` builds one chunk per labelled preorder, keeping the
+first relation of each set of equal tables: the family the oracle scanned
+before it kept one frame per isomorphism class.  ``class_minima`` groups
+its frames into isomorphism classes by relabelling their tables under
+every world permutation.  The tests hold the reduced oracle steps against
+both.
+"""
+
+import itertools
+from typing import Dict, Optional
+
+import numpy as np
+
+from ilgl.relational import (OP_NAME, IntLayeredFrame, _order_tables,
+                             _triple_tables, enumerate_preorders)
+
+LAYER_OPS = ("lconj", "rres", "lres")
+
+
+def unreduced_chunks(n: int, cap: Optional[int], ranks=None):
+    """(entries, tables) per preorder, in enumeration order, for the
+    preorders whose rank is in ``ranks`` (all when None); entries are
+    (position, frame, ups) as in the oracle's steps."""
+    triples = list(itertools.product(range(n), repeat=3))
+    top = len(triples) if cap is None else min(cap, len(triples))
+    combos = [np.array(list(itertools.combinations(range(len(triples)), k)),
+                       dtype=np.intp) for k in range(top + 1)]
+    rels = [frozenset(triples[i] for i in c)
+            for block in combos for c in block.tolist()]
+    full = (1 << n) - 1
+    for p, order in enumerate(enumerate_preorders(n)):
+        if ranks is not None and p not in ranks:
+            continue
+        ups, index, up_of, meet, join, himp = _order_tables(n, order)
+        lc, rr, lr = _triple_tables(n, ups, up_of, triples)
+        lut = np.zeros(1 << n, dtype=np.int16)
+        lut[ups] = np.arange(len(ups))
+        layer = lut[np.concatenate([np.stack(
+            [np.bitwise_or.reduce(lc[c], axis=1),
+             np.bitwise_and.reduce(rr[c], axis=1, initial=full),
+             np.bitwise_and.reduce(lr[c], axis=1, initial=full)], axis=1)
+            for c in combos])]
+        first: Dict[bytes, int] = {}
+        for r, row in enumerate(map(bytes, layer.reshape(len(rels), -1))):
+            first.setdefault(row, r)
+        keep = list(first.values())
+        ops = np.array([meet, join, himp], dtype=np.int16)
+        ops = np.concatenate([np.broadcast_to(ops, (len(keep),) + ops.shape),
+                              layer[keep]], axis=1)
+        yield ([(p * len(rels) + r, IntLayeredFrame(n, order, rels[r]), ups)
+                for r in keep],
+               dict(zip(OP_NAME.values(), ops.transpose(1, 0, 2, 3))))
+
+
+def class_minima(n: int, chunks) -> Dict[tuple, int]:
+    """The least position of a frame in each isomorphism class of the
+    chunks' frames, by class.  A world permutation carries a frame to one
+    on the permuted preorder, whose tables are the frame's with every
+    up-set id relabelled; a class is named by the least (preorder rank,
+    relabelled tables) over all permutations."""
+    rank = {order: p for p, order in enumerate(enumerate_preorders(n))}
+    least: Dict[tuple, int] = {}
+    for entries, tables in chunks:
+        order, ups = entries[0][1].order, entries[0][2]
+        layer = np.stack([tables[name] for name in LAYER_OPS], axis=1)
+        keys = [None] * len(entries)
+        for perm in itertools.permutations(range(n)):
+            moved = [sum(1 << perm[w] for w in range(n) if m >> w & 1)
+                     for m in ups]
+            sigma = np.argsort(np.argsort(moved))
+            inv = np.argsort(sigma)
+            image = sigma[layer[:, :, inv][:, :, :, inv]]
+            r = rank[frozenset((perm[a], perm[b]) for a, b in order)]
+            for i, row in enumerate(image):
+                key = (r, row.tobytes())
+                if keys[i] is None or key < keys[i]:
+                    keys[i] = key
+        for (position, _, _), key in zip(entries, keys):
+            least[key] = min(position, least.get(key, position))
+    return least

@@ -39,8 +39,9 @@ def report(number, passed, detail=""):
 
 @pytest.fixture(scope="module")
 def small_algebra_family():
-    """Distinct complex algebras of the declared oracle frame family with
-    at most 3 worlds, with a representative frame each."""
+    """One complex algebra per isomorphism class of the declared oracle
+    frame family with at most 3 worlds, the algebras the oracle scans,
+    with a representative frame each."""
     return [(frame, complex_algebra(frame))
             for n in (1, 2, 3)
             for pos, frame, ups in _CACHE.stacked_step(
@@ -178,8 +179,8 @@ def test_criterion_05_complex_algebra_validity(small_algebra_family):
             bad += 1
         four += 1
     ok = bad == 0
-    report(5, ok, f"{len(small_algebra_family)} distinct small algebras + "
-           f"{four} random 4-world frames, {bad} invalid")
+    report(5, ok, f"{len(small_algebra_family)} small algebras up to "
+           f"isomorphism + {four} random 4-world frames, {bad} invalid")
 
 
 def test_criterion_06_representation(small_algebra_family):

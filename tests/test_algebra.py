@@ -273,6 +273,7 @@ class TestDecisionProcedureAgreement:
         # with "interpreted as top in every complex algebra of that same
         # frame family, under every valuation"; the satisfaction bridge
         # makes them the same search, asserted here on both code paths.
+        # Both take one algebra per isomorphism class of the family.
         from ilgl.relational import _CACHE, DEFAULT_REL_CAPS, rel_valid_upto
         from ilgl.formula import atoms as formula_atoms
 

@@ -323,6 +323,42 @@ class TestAlgebraCommand:
         assert time.monotonic() - start < 5.0
 
 
+    @staticmethod
+    def two_chain_file(tmp_path, **changes):
+        frame = IntLayeredFrame(2, frozenset([(0, 0), (1, 1), (0, 1)]),
+                                frozenset([(0, 0, 1)]))
+        data = {**algebra_to_dict(complex_algebra(frame)), **changes}
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_json_list_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text('["size"]')
+        for argv in (("algebra", "embed"), ("validate",)):
+            code, body = run_json(capsys, *argv, str(path))
+            assert code == 2 and "JSON object" in body["payload"]["message"]
+
+    def test_out_of_range_entry_exit_two(self, capsys, tmp_path):
+        meet = [[0, 0, 0], [0, 9, 1], [0, 1, 2]]
+        path = self.two_chain_file(tmp_path, meet=meet)
+        for argv in (("algebra", "embed"), ("validate",)):
+            code, body = run_json(capsys, *argv, path)
+            assert code == 2 and "meet" in body["payload"]["message"]
+
+    def test_fep_subset_outside_algebra_exit_two(self, capsys, tmp_path):
+        path = self.two_chain_file(tmp_path)
+        code, body = run_json(capsys, "algebra", "fep", path,
+                              "--subset", "0,7")
+        assert code == 2 and "subset" in body["payload"]["message"]
+
+    def test_primefilters_on_invalid_algebra_exit_two(self, capsys,
+                                                      tmp_path):
+        path = self.two_chain_file(tmp_path, join=[[0, 0, 0]] * 3)
+        code, body = run_json(capsys, "algebra", "primefilters", path)
+        assert code == 2 and "invalid algebra" in body["payload"]["message"]
+
+
 class TestCrosscheckCommand:
     def test_ok_suites(self, capsys):
         for suite in ("residuation", "representation", "fep"):

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ilgl.formula import (And, Atom, Bot, Imp, ImpLeft, ImpRight, LayerConj,
-                          Or, ParseError, Top, atoms, parse, render,
-                          subformulas)
+from ilgl.formula import (_FIXED, _KEYWORDS, _PRED_FIXED, _PRED_KEYWORDS,
+                          ATOM_RE, And, Atom, Bot, Imp, ImpLeft, ImpRight,
+                          LayerConj, Or, ParseError, Top, _tokenize, atoms,
+                          parse, render, subformulas)
 from ilgl.gen import random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -123,3 +126,76 @@ class TestSubformulas:
     def test_atoms(self):
         assert atoms(parse("p -> q | p")) == ["p", "q"]
         assert atoms(parse("forall -> exists")) == ["exists", "forall"]
+
+
+def tokenize_by_probes(text: str, pred: bool) -> list:
+    """The tokenizer the per-mode regular expressions replaced: every fixed
+    token tried with ``str.startswith`` at every position.  Kept as the
+    reference for ``_tokenize``."""
+    fixed, keywords = ((_PRED_FIXED, _PRED_KEYWORDS) if pred
+                       else (_FIXED, _KEYWORDS))
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        for op in fixed:
+            if text.startswith(op, i):
+                tokens.append((op, op, i))
+                i += len(op)
+                break
+        else:
+            if c.isalpha():
+                j = i + 1
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                word = text[i:j]
+                if word in keywords:
+                    tokens.append((word, word, i))
+                elif ATOM_RE.match(word):
+                    tokens.append(("ident", word, i))
+                else:
+                    raise ParseError(
+                        f"bad identifier {word!r}", i, ("identifier",)
+                    )
+                i = j
+            else:
+                raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text: str, pred: bool):
+    try:
+        return tokenize(text, pred)
+    except ParseError as exc:
+        return str(exc), exc.offset, exc.expected
+
+
+# Operator characters and words, ASCII and Unicode letters, digits and
+# spaces, and any other character.
+_PIECES = st.one_of(
+    st.sampled_from(_PRED_FIXED + _PRED_KEYWORDS + tuple(
+        "-|<>&~(). \t\n_0123456789pqrxyzAPQZ\u00e9\u00b2\u0660\u3000")),
+    st.characters())
+
+
+class TestTokenize:
+    def test_sweep_tokens_unchanged(self):
+        for depth in (4, 5):
+            rng = random.Random(20240)
+            for _ in range(500):
+                text = render(random_formula(rng, depth))
+                for pred in (False, True):
+                    assert _tokenize(text, pred) \
+                        == tokenize_by_probes(text, pred), text
+
+    @settings(max_examples=500, derandomize=True, database=None,
+              deadline=None)
+    @given(st.lists(_PIECES, max_size=30).map("".join), st.booleans())
+    def test_matches_probing_tokenizer(self, text, pred):
+        assert _tokens_or_error(_tokenize, text, pred) \
+            == _tokens_or_error(tokenize_by_probes, text, pred)

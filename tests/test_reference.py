@@ -16,8 +16,8 @@ from ilgl.algebra import complex_algebra
 from ilgl.formula import parse, parse_pred
 from ilgl.graph import model_evaluator, model_from_dict
 from ilgl.predicate import resource_evaluator, resource_model_from_dict
-from ilgl.relational import (_CACHE, DEFAULT_REL_CAPS, _preorder_chunks,
-                             _StackedStep)
+from ilgl.relational import DEFAULT_REL_CAPS
+from oracle_reference import unreduced_chunks
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -63,12 +63,11 @@ def test_predicate_sentences_agree_at_every_world():
 LAYER_TAGS = {"lconj": "lc", "rres": "rimp", "lres": "limp"}
 
 
-def _algebras(step):
-    """(frame, ups, layer tables) of every algebra of a stacked step."""
-    for group in step.groups.values():
-        for row, idx in enumerate(group["indices"]):
-            pos, frame, ups = step.entries[idx]
-            yield frame, ups, {name: group["tables"][name][row].tolist()
+def _algebras(chunks):
+    """(frame, ups, layer tables) of every algebra of some table chunks."""
+    for entries, tables in chunks:
+        for row, (pos, frame, ups) in enumerate(entries):
+            yield frame, ups, {name: tables[name][row].tolist()
                                for name in LAYER_TAGS}
 
 
@@ -84,21 +83,22 @@ def _check_layer_tables(frame, ups, tables):
 def test_oracle_layer_tables_agree_with_the_clauses():
     # The oracle and the complex algebra build their lconj/rres/lres
     # tables with one builder, so each is checked against the reference
-    # clauses here: every distinct algebra up to 3 worlds, and a seeded
-    # sample of the 4-world cap-1 and cap-2 steps.
+    # clauses here, on the family before its reduction to isomorphism
+    # classes: every distinct algebra per preorder up to 3 worlds, and a
+    # seeded sample of the 4-world cap-1 step and of cap-2 preorders.
     checked = 0
     for n in (1, 2, 3):
         for frame, ups, tables in _algebras(
-                _CACHE.stacked_step(n, DEFAULT_REL_CAPS[n])):
+                unreduced_chunks(n, DEFAULT_REL_CAPS[n])):
             _check_layer_tables(frame, ups, tables)
             checked += 1
     assert checked == 2 + 298 + 5478
     rng = random.Random(5)
-    four = [_CACHE.stacked_step(4, 1)]
-    four += [_StackedStep([chunk]) for chunk in _preorder_chunks(4, 2)
-             if rng.random() < 0.1]
-    for step in four:
-        algebras = list(_algebras(step))
+    sampled = {p for p in range(355) if rng.random() < 0.1}
+    four = [list(unreduced_chunks(4, 1))]
+    four += [[chunk] for chunk in unreduced_chunks(4, 2, sampled)]
+    for chunks in four:
+        algebras = list(_algebras(chunks))
         for frame, ups, tables in rng.sample(algebras,
                                              min(40, len(algebras))):
             _check_layer_tables(frame, ups, tables)

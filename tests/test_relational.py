@@ -1,12 +1,17 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from ilgl import graph as graphmod
+from ilgl import relational as relmod
 from ilgl.formula import atoms, parse
 from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
@@ -16,6 +21,10 @@ from ilgl.relational import (_CACHE, MAX_UPSETS, OP_NAME, IntLayeredFrame,
                              enumerate_preorders, frame_from_dict,
                              frame_to_dict, rel_satisfies, rel_valid_upto,
                              upset_masks)
+from oracle_reference import class_minima, unreduced_chunks
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 class TestScaffoldToFrame:
@@ -168,14 +177,28 @@ class TestValidityOracle:
         with pytest.raises(ValueError):
             rel_valid_upto(parse("p & q"), 2, 1)
 
-    def test_streaming_four_world_path(self):
+    def test_four_world_cap_two_step_is_cached(self, monkeypatch):
         # Capping smaller steps to the empty relation forces the search
-        # into the streamed 4-world scan.
+        # into the 4-world cap-2 step; once built, it is not built again.
         f = parse("(p |> q) -> (q |> p)")
-        cex = rel_valid_upto(f, 4, 2, rel_caps={1: 0, 2: 0, 3: 0, 4: 2})
+        caps = {1: 0, 2: 0, 3: 0, 4: 2}
+        cex = rel_valid_upto(f, 4, 2, rel_caps=caps)
         assert cex is not None
         assert cex.frame.worlds == 4
         assert not rel_satisfies(cex.model(), cex.world, f)
+        step = _CACHE.stacked[(4, 2)]
+
+        def rebuild(n, cap):
+            raise AssertionError(f"step ({n}, {cap}) rebuilt")
+
+        monkeypatch.setattr(relmod, "_preorder_chunks", rebuild)
+        again = rel_valid_upto(f, 4, 2, rel_caps=caps)
+        assert frame_to_dict(again.model()) == frame_to_dict(cex.model())
+        assert _CACHE.stacked_step(4, 2) is step
+
+    def test_more_than_four_worlds_rejected(self):
+        with pytest.raises(ValueError, match="4"):
+            rel_valid_upto(parse("p -> p"), 5, 1)
 
     def test_matches_direct_brute_force(self):
         # Independent oracle: sweep the identical two-world family with
@@ -216,10 +239,65 @@ class TestValidityOracle:
                 assert fast.world == slow[2]
         assert outcomes == {True, False}
 
-    def test_streamed_path_runs_to_completion(self):
-        # The 4-world default-cap step is not cached; a valid formula
-        # scans all of its 738,755 frames.
-        assert rel_valid_upto(parse("p -> p"), 4, 1) is None
+    def test_default_caps_four_worlds_cold(self):
+        # A valid 3-atom formula scans every class of the default family
+        # up to 4 worlds, building each step first.
+        code = ("from ilgl.formula import parse; "
+                "from ilgl.relational import rel_valid_upto; "
+                "print(rel_valid_upto(parse('(p |> q) -> (p |> (q | r))'), "
+                "4, 3))")
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
+        assert time.monotonic() - started < 30
+
+
+class TestIsomorphismClasses:
+    # The reduced steps against the unreduced family they replace: one
+    # entry per isomorphism class, at the class's least position.
+
+    def test_step_sizes(self):
+        sizes = [len(_CACHE.stacked_step(n, cap).entries) for n, cap in
+                 ((1, None), (2, None), (3, 2), (4, 1), (4, 2))]
+        assert sizes == [2, 158, 974, 951, 18186]
+
+    @pytest.mark.parametrize("n, cap", [(1, None), (2, None), (3, 2),
+                                        (4, 1)])
+    def test_one_entry_per_class(self, n, cap):
+        chunks = list(unreduced_chunks(n, cap))
+        unreduced = {pos: (frame, ups, {name: t[row] for name, t
+                                        in tables.items()})
+                     for entries, tables in chunks
+                     for row, (pos, frame, ups) in enumerate(entries)}
+        step = _CACHE.stacked_step(n, cap)
+        positions = [pos for pos, _, _ in step.entries]
+        assert positions == sorted(class_minima(n, chunks).values())
+        for group in step.groups.values():
+            for row, idx in enumerate(group["indices"]):
+                pos, frame, ups = step.entries[idx]
+                ref_frame, ref_ups, ref_tables = unreduced[pos]
+                assert (frame, ups) == (ref_frame, ref_ups)
+                for name, table in group["tables"].items():
+                    assert np.array_equal(table[row], ref_tables[name])
+
+    def test_one_entry_per_class_on_sampled_four_world_preorders(self):
+        orders = enumerate_preorders(4)
+        rank = {order: p for p, order in enumerate(orders)}
+        orbit = {p: frozenset(rank[frozenset((w[a], w[b]) for a, b in order)]
+                              for w in itertools.permutations(range(4)))
+                 for p, order in enumerate(orders)}
+        lowest = sorted({min(ranks) for ranks in orbit.values()})
+        assert len(lowest) == 33
+        step = _CACHE.stacked_step(4, 2)
+        relations = 1 + 64 + 64 * 63 // 2
+        assert sorted({pos // relations for pos, _, _ in step.entries}) \
+            == lowest
+        for p in random.Random(11).sample(lowest, 4):
+            least = class_minima(4, unreduced_chunks(4, 2, orbit[p]))
+            assert [pos for pos, _, _ in step.entries
+                    if pos // relations == p] == sorted(least.values())
 
 
 def _sha(lines) -> str:
@@ -237,11 +315,13 @@ def _counterexample_line(cex) -> str:
 
 
 def test_oracle_byte_identical():
-    # Both digests come from the scalar table builder this one replaced:
-    # the cached steps' entries and stacked tables, and the
-    # counterexamples of the stacked and streamed scans.
+    # The steps digest covers every cached step's entries and stacked
+    # tables; it was recorded once TestIsomorphismClasses held them
+    # against the unreduced family.  The counterexamples digest dates from
+    # the scalar table builder and the unreduced scan: reducing to one
+    # frame per isomorphism class leaves every counterexample unchanged.
     lines = []
-    for n, cap in ((1, None), (2, None), (3, 2), (4, 1)):
+    for n, cap in ((1, None), (2, None), (3, 2), (4, 1), (4, 2)):
         step = _CACHE.stacked_step(n, cap)
         for pos, frame, ups in step.entries:
             lines.append(repr((pos, frame.worlds, sorted(frame.order),
@@ -262,20 +342,20 @@ def test_oracle_byte_identical():
     results = [rel_valid_upto(f, 3, 3) for f in formulas]
     # Refutable with at most two atoms, but only on a non-empty relation:
     # with every smaller step capped to the empty relation the search
-    # reaches the streamed 4-world step.
+    # reaches the 4-world cap-2 step.
     empty = {1: 0, 2: 0, 3: 0}
-    streamed = [f for f, cex in zip(formulas, results)
-                if cex is not None and len(atoms(f)) <= 2
-                and rel_valid_upto(f, 3, 3, rel_caps=empty) is None][:11]
-    assert len(streamed) == 11
+    four_world = [f for f, cex in zip(formulas, results)
+                  if cex is not None and len(atoms(f)) <= 2
+                  and rel_valid_upto(f, 3, 3, rel_caps=empty) is None][:11]
+    assert len(four_world) == 11
     lines = [_counterexample_line(cex) for cex in results]
     lines += [_counterexample_line(rel_valid_upto(
-        f, 4, 2, rel_caps={**empty, 4: 2})) for f in streamed]
+        f, 4, 2, rel_caps={**empty, 4: 2})) for f in four_world]
     assert _sha(lines) == COUNTEREXAMPLES_DIGEST
 
 
 STEPS_DIGEST = (
-    "da45fdd9aeff34739b8bc2794ef20a8713300beeefdd1921070e47f7a70f14b9")
+    "f7e66ba1bc6ad27eb89bafe931149b274b8949ddd4d693f84f30836f73350e6f")
 COUNTEREXAMPLES_DIGEST = (
     "bc89d3485bda0a4a4e1ce3f228e09ad98ded67af62d18e3bfcccd982e918d4cc")
 
