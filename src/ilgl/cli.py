@@ -151,7 +151,10 @@ def cmd_check(args) -> int:
     if args.world is not None and not 0 <= args.world < n:
         return _fail("check", f"world {args.world} is not among the "
                      f"model's worlds 0..{n - 1}", args.json)
-    problems = graphmod.validate_model(model, exhaustive=args.exhaustive)
+    try:
+        problems = graphmod.validate_model(model, exhaustive=args.exhaustive)
+    except ValueError as exc:  # beyond the exhaustive scope
+        return _fail("check", str(exc), args.json)
     if problems:
         RunResult("check", "error", EXIT_INPUT,
                   {"message": "model file fails validation",
@@ -352,6 +355,11 @@ def cmd_crosscheck(args) -> int:
     return run.exit_code
 
 
+EXHAUSTIVE = ("check admissibility against every subgraph of the graph; "
+              "refused above 12 vertices or 20000 subgraphs, and on the "
+              "graphs it accepts it finds what the default check finds")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ilgl",
@@ -375,12 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("formula")
     p.add_argument("--world", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("validate", help="validate a model/frame/algebra file")
     p.add_argument("path")
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("algebra", help="complex algebras, prime filters, "
@@ -415,9 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # One parser per process, built on first use: building it costs more
+    # than checking a small model.  parse_args keeps no state between
+    # calls; each returns a fresh namespace.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -10,8 +10,8 @@ import random
 from typing import Optional, Tuple
 
 from .formula import BINARY_NODES, Atom, Bot, Formula, Top
-from .graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
-                    Subgraph, _all_decompositions, check_admissible, compose)
+from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
+                    OrderedScaffold, check_admissible)
 from .relational import (IntLayeredFrame, RelationalModel, closure_pairs,
                          principal_upsets)
 
@@ -88,46 +88,35 @@ def _try_scaffold(rng: random.Random) -> Optional[OrderedScaffold]:
     # Draw over a sorted list: set order depends on the hash seed.
     eset = frozenset(e for e in sorted(edges) if rng.random() < 0.6)
 
-    def sub(verts) -> Subgraph:
-        vs = frozenset(verts)
-        return Subgraph(vs, frozenset((a, b) for a, b in edges - eset
-                                      if a in vs and b in vs), graph)
-
-    pool = {}
+    masks = GraphMasks(graph, eset)
+    pool = set()
     free = list(names)
     rng.shuffle(free)
     while free:
         take = min(len(free), rng.choice([1, 1, 2]))
         part, free = free[:take], free[take:]
-        if rng.random() < 0.8:
-            sg = sub(part)
-            pool[sg.key()] = sg
+        if rng.random() < 0.8:  # the part with its non-eset edges
+            vm = sum(1 << masks.vertices.index(v) for v in part)
+            pool.add((vm, masks.inner(vm) & ~masks.eset))
     if not pool:
         return None
     # Close under composition and decomposition so the admissibility
     # biconditional has no witnesses against X.
     for _ in range(12):
-        grown = False
-        members = list(pool.values())
+        members = list(pool)
         if len(members) > 25:
             return None
-        for h in members:
-            for k in members:
-                out = compose(h, k, eset)
-                if out is not None and out.key() not in pool:
-                    pool[out.key()] = out
-                    grown = True
+        grown = {masks.compose(h, k) for h in members for k in members}
+        grown.discard(None)
         for m in members:
-            for h, k in _all_decompositions(m, eset):
-                for part_sg in (h, k):
-                    if part_sg.key() not in pool:
-                        pool[part_sg.key()] = part_sg
-                        grown = True
-        if not grown:
+            for h, k in masks.decompositions(m):
+                grown.update((h, k))
+        if grown <= pool:
             break
+        pool |= grown
     else:
         return None
-    subgraphs = sorted(pool.values(),
+    subgraphs = sorted(map(masks.subgraph, pool),
                        key=lambda s: (sorted(s.vertices), sorted(s.edges)))
     m = len(subgraphs)
     order_pairs = [(i, j) for i in range(m) for j in range(m)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .formula import Formula
-from .relational import Evaluator, IntLayeredFrame, closure_pairs
+from .relational import (Evaluator, IntLayeredFrame, closure_pairs,
+                         upset_masks)
 
 Edge = Tuple[str, str]
 
@@ -45,9 +46,6 @@ class Subgraph:
             if (u, v) not in self.parent.edges:
                 raise ValueError(f"edge ({u},{v}) not in parent")
 
-    def key(self) -> Tuple:
-        return (frozenset(self.vertices), frozenset(self.edges))
-
 
 def _check_parents(h: Subgraph, k: Subgraph) -> None:
     if h.parent is not k.parent and h.parent != k.parent:
@@ -69,14 +67,94 @@ def compose(h: Subgraph, k: Subgraph,
     eset edges running h-to-k.
     """
     _check_parents(h, k)
-    if h.vertices & k.vertices:
-        return None
-    if not reaches(h, k, eset) or reaches(k, h, eset):
-        return None
-    between = {(u, v) for u, v in eset
-               if u in h.vertices and v in k.vertices}
-    return Subgraph(h.vertices | k.vertices,
-                    h.edges | k.edges | frozenset(between), h.parent)
+    masks = GraphMasks(h.parent, eset)
+    out = masks.compose(masks.part(h), masks.part(k))
+    return None if out is None else masks.subgraph(out)
+
+
+Part = Tuple[int, int]  # (vertex mask, edge mask) of a subgraph
+
+
+def _bits(mask: int) -> List[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class GraphMasks:
+    """A graph and its eset as bitmasks over its sorted vertices and
+    edges: composition and decomposition on ``Part``s."""
+
+    def __init__(self, graph: DirectedGraph, eset: FrozenSet[Edge]):
+        if not eset <= graph.edges:
+            raise ValueError("eset must be a subset of the graph's edges")
+        self.graph = graph
+        self.vertices, self.edges = sorted(graph.vertices), sorted(graph.edges)
+        self._vbit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        self._ebit = {e: 1 << i for i, e in enumerate(self.edges)}
+        # Per edge: the bits of its tail and head vertices.
+        self.ends = [(self._vbit[u], self._vbit[v]) for u, v in self.edges]
+        self.eset = sum(self._ebit[e] for e in eset)
+        self._sums: Dict[int, Tuple[int, int]] = {}
+
+    def sums(self, vm: int) -> Tuple[int, int]:
+        """The edges leaving and entering the vertex set ``vm``."""
+        got = self._sums.get(vm)
+        if got is None:
+            out = inn = 0
+            for e, (u, v) in enumerate(self.ends):
+                if vm & u:
+                    out |= 1 << e
+                if vm & v:
+                    inn |= 1 << e
+            got = self._sums[vm] = (out, inn)
+        return got
+
+    def inner(self, vm: int) -> int:
+        """The edges inside the vertex set ``vm``."""
+        out, inn = self.sums(vm)
+        return out & inn
+
+    def part(self, sg: Subgraph) -> Part:
+        return (sum(self._vbit[v] for v in sg.vertices),
+                sum(self._ebit[e] for e in sg.edges))
+
+    def subgraph(self, part: Part) -> Subgraph:
+        return Subgraph(frozenset(self.vertices[v] for v in _bits(part[0])),
+                        frozenset(self.edges[e] for e in _bits(part[1])),
+                        self.graph)
+
+    def compose(self, h: Part, k: Part) -> Optional[Part]:
+        """``compose`` on parts."""
+        (hv, he), (kv, ke) = h, k
+        (h_out, h_in), (k_out, k_in) = self.sums(hv), self.sums(kv)
+        between = h_out & k_in & self.eset
+        if hv & kv or not between or k_out & h_in & self.eset:
+            return None
+        return hv | kv, he | ke | between
+
+    def decompositions(self, member: Part) -> List[Tuple[Part, Part]]:
+        """Every (h, k) with h @ k equal to ``member``.  Each part carries
+        the member's edges on its side.  The left vertices form an up-set
+        of a preorder: a member or inner eset edge u->v puts u left when v
+        is, and an edge in exactly one of member and eset puts v left when
+        u is.  The up-sets with an eset edge from left to right are the
+        decompositions."""
+        vm, em = member
+        if not vm & (vm - 1):  # fewer than two vertices
+            return []
+        up = {1 << v: 1 << v for v in _bits(vm)}
+        for e in _bits(em | self.inner(vm) & self.eset):
+            u, v = self.ends[e]
+            up[v] |= u
+            if (em ^ self.eset) >> e & 1:
+                up[u] |= v
+        for w in up:  # transitive closure, Warshall on bit rows
+            for v in up:
+                if up[v] & w:
+                    up[v] |= up[w]
+        return [((left, em & self.inner(left)),
+                 (vm ^ left, em & self.inner(vm ^ left)))
+                for left in upset_masks(up.values())
+                if self.sums(left)[0] & self.sums(vm ^ left)[1] & self.eset]
 
 
 @dataclass
@@ -87,27 +165,30 @@ class OrderedScaffold:
     order: FrozenSet[Tuple[int, int]]  # full preorder on X indices
 
     def __post_init__(self):
-        if not self.eset <= self.graph.edges:
-            raise ValueError("eset must be a subset of the graph's edges")
+        self.masks = GraphMasks(self.graph, self.eset)
         n = len(self.subgraphs)
         self.order = frozenset(
             closure_pairs(self.order, range(n)))
-        self._index: Dict[Tuple, int] = {
-            sg.key(): i for i, sg in enumerate(self.subgraphs)}
-        # Composition table over X: comp[(i, j)] = index of X[i] @ X[j],
-        # None when undefined or when the result lies outside X.
-        self._comp: Dict[Tuple[int, int], Optional[int]] = {}
-        for i, h in enumerate(self.subgraphs):
-            for j, k in enumerate(self.subgraphs):
-                out = compose(h, k, self.eset)
-                self._comp[(i, j)] = (
-                    self._index.get(out.key()) if out is not None else None)
+        self.parts = [self.masks.part(sg) for sg in self.subgraphs]
+        index = {part: i for i, part in enumerate(self.parts)}
+        # Composition table over X: comp[(i, j)] = index of X[i] @ X[j]
+        # when that lies in X; the (h, k, h @ k) leaving X are kept apart.
+        self._comp: Dict[Tuple[int, int], int] = {}
+        self._escapes: Set[Tuple[Part, Part, Part]] = set()
+        for i, h in enumerate(self.parts):
+            for j, k in enumerate(self.parts):
+                out = self.masks.compose(h, k)
+                if out in index:
+                    self._comp[(i, j)] = index[out]
+                elif out is not None:
+                    self._escapes.add((h, k, out))
 
     def leq(self, i: int, j: int) -> bool:
         return (i, j) in self.order
 
     def composition_index(self, i: int, j: int) -> Optional[int]:
-        return self._comp[(i, j)]
+        """Index of X[i] @ X[j]; None when undefined or outside X."""
+        return self._comp.get((i, j))
 
 
 @dataclass
@@ -119,98 +200,49 @@ class LayeredGraphModel:
         return len(self.scaffold.subgraphs)
 
 
-def _all_decompositions(member: Subgraph, eset):
-    """All (h, k) with h @ k equal to ``member``.
-
-    Candidate parts carry exactly the member's edges restricted to their
-    side; any valid decomposition has this shape because cross edges can
-    only come from eset.
-    """
-    verts = sorted(member.vertices)
-    n = len(verts)
-    if n < 2 or n > 12:
-        return
-    for mask in range(1, 2 ** n - 1):
-        left = frozenset(v for b, v in enumerate(verts) if mask >> b & 1)
-        right = member.vertices - left
-        h = Subgraph(left, frozenset((u, v) for u, v in member.edges
-                                     if u in left and v in left),
-                     member.parent)
-        k = Subgraph(right, frozenset((u, v) for u, v in member.edges
-                                      if u in right and v in right),
-                     member.parent)
-        out = compose(h, k, eset)
-        if out is not None and out.key() == member.key():
-            yield h, k
-
-
-def _all_subgraphs(graph: DirectedGraph, limit: int = 20000):
-    verts = sorted(graph.vertices)
-    n = len(verts)
-    count = 0
-    for vmask in range(2 ** n):
-        vs = frozenset(v for b, v in enumerate(verts) if vmask >> b & 1)
-        inner = sorted((u, v) for u, v in graph.edges
-                       if u in vs and v in vs)
-        m = len(inner)
-        for emask in range(2 ** m):
-            count += 1
-            if count > limit:
-                raise ValueError(
-                    f"more than {limit} subgraphs; exhaustive check refused")
-            yield Subgraph(vs, frozenset(
-                e for b, e in enumerate(inner) if emask >> b & 1), graph)
-
-
 def check_admissible(scaffold: OrderedScaffold,
                      exhaustive: bool = False) -> List[dict]:
-    """Violations of the admissibility biconditional, empty iff admissible.
+    """Violations of the admissibility biconditional, sorted by parts.
 
-    Default scope: all pairs from X plus single-vertex subgraphs, and all
-    decompositions of members of X (members above 12 vertices are not
-    decomposed).  With ``exhaustive`` every subgraph of the ambient graph
-    is considered (refused above 12 vertices).
-    """
-    violations = []
-    eset = scaffold.eset
-    in_x = set(scaffold._index)
+    A violating pair has both parts in X and composes outside X, or it
+    decomposes a member of X.  A member above 12 vertices is only split
+    into parts from the pool: X, single vertices and the decomposition
+    parts of smaller members.  ``exhaustive`` (every subgraph) is refused
+    above 12 vertices or 20000 subgraphs and adds nothing below them."""
+    masks, n = scaffold.masks, len(scaffold.masks.vertices)
+    if exhaustive and n > 12:
+        raise ValueError("exhaustive admissibility check capped at "
+                         "12 vertices")
+    if exhaustive and sum(1 << bin(masks.inner(vm)).count("1")
+                          for vm in range(1 << n)) > 20000:
+        raise ValueError("more than 20000 subgraphs; exhaustive check "
+                         "refused")
+    in_x = set(scaffold.parts)
+    found = set(scaffold._escapes)
+    pool = in_x | {(1 << v, 0) for v in range(n)}
+    large = [m for m in in_x if bin(m[0]).count("1") > 12]
+    for member in in_x.difference(large):
+        for h, k in masks.decompositions(member):
+            pool.update((h, k))
+            found.add((h, k, member))
+    for member in large:
+        for h in pool:
+            kv = member[0] ^ h[0]
+            k = (kv, member[1] & masks.inner(kv))
+            if k in pool and masks.compose(h, k) == member:
+                found.add((h, k, member))
 
-    def describe(sg: Subgraph) -> dict:
-        return {"vertices": sorted(sg.vertices),
-                "edges": sorted(map(list, sg.edges))}
+    def describe(part: Part) -> dict:
+        return subgraph_to_dict(masks.subgraph(part))
 
-    def check_pair(h: Subgraph, k: Subgraph) -> None:
-        out = compose(h, k, eset)
-        if out is None:
-            return
-        components_in = h.key() in in_x and k.key() in in_x
-        if components_in != (out.key() in in_x):
-            violations.append({
-                "left": describe(h), "right": describe(k),
-                "composition": describe(out),
-                "direction": ("composition missing from X"
-                              if components_in else
-                              "component missing from X")})
-
-    pool = {sg.key(): sg for sg in scaffold.subgraphs}
-    for v in scaffold.graph.vertices:
-        single = Subgraph(frozenset([v]), frozenset(), scaffold.graph)
-        pool.setdefault(single.key(), single)
-    for member in scaffold.subgraphs:
-        for h, k in _all_decompositions(member, eset):
-            pool.setdefault(h.key(), h)
-            pool.setdefault(k.key(), k)
-    if exhaustive:
-        if len(scaffold.graph.vertices) > 12:
-            raise ValueError("exhaustive admissibility check capped at "
-                             "12 vertices")
-        for sg in _all_subgraphs(scaffold.graph):
-            pool.setdefault(sg.key(), sg)
-    items = list(pool.values())
-    for h in items:
-        for k in items:
-            check_pair(h, k)
-    return violations
+    violations = [
+        {"left": describe(h), "right": describe(k),
+         "composition": describe(out),
+         "direction": ("composition missing from X" if out not in in_x
+                       else "component missing from X")}
+        for h, k, out in found if (h in in_x and k in in_x) != (out in in_x)]
+    return sorted(violations, key=lambda v: [
+        v[s][f] for s in ("left", "right") for f in ("vertices", "edges")])
 
 
 def check_persistent(model: LayeredGraphModel) -> List[tuple]:
@@ -237,8 +269,7 @@ def validate_model(model: LayeredGraphModel,
 def scaffold_to_frame(scaffold: OrderedScaffold) -> IntLayeredFrame:
     """Frame on X with R(i,j,k) iff X[i] @ X[j] is defined and equals X[k]."""
     n = len(scaffold.subgraphs)
-    rel = {(i, j, m) for (i, j), m in scaffold._comp.items()
-           if m is not None}
+    rel = {(i, j, m) for (i, j), m in scaffold._comp.items()}
     return IntLayeredFrame(n, scaffold.order, frozenset(rel))
 
 
@@ -260,15 +291,18 @@ def valid_in_model(model: LayeredGraphModel, f: Formula) -> bool:
 
 # -- JSON model format --------------------------------------------------
 
+def subgraph_to_dict(sg: Subgraph) -> dict:
+    return {"vertices": sorted(sg.vertices),
+            "edges": sorted(map(list, sg.edges))}
+
+
 def model_to_dict(model: LayeredGraphModel) -> dict:
     sc = model.scaffold
     return {
         "vertices": sorted(sc.graph.vertices),
         "edges": sorted(map(list, sc.graph.edges)),
         "eset": sorted(map(list, sc.eset)),
-        "X": [{"vertices": sorted(sg.vertices),
-               "edges": sorted(map(list, sg.edges))}
-              for sg in sc.subgraphs],
+        "X": [subgraph_to_dict(sg) for sg in sc.subgraphs],
         "order": sorted(map(list, sc.order)),
         "valuation": {p: sorted(ws)
                       for p, ws in sorted(model.valuation.items())},

@@ -188,13 +188,29 @@ def check_theorem(d: Derivation, f: Formula) -> bool:
 
 # -- JSON derivation format ------------------------------------------------
 
-def derivation_from_dict(data: dict) -> Derivation:
-    conclusion = Sequent(parse(data["conclusion"]["left"]),
-                         parse(data["conclusion"]["right"]))
-    premises = [derivation_from_dict(p) for p in data.get("premises", [])]
+def derivation_from_dict(data, where: str = "derivation") -> Derivation:
+    """Raises ValueError naming the first missing or malformed field by
+    its path, such as ``derivation.premises[0].conclusion``."""
+    def field(obj, key: str, kind: type, at: str, default=None):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{at} is not a JSON object")
+        value = obj.get(key, default)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{at}.{key} is missing or not a "
+                             f"{kind.__name__}: {value!r}")
+        return value
+
+    sides = field(data, "conclusion", dict, where)
+    conclusion = Sequent(
+        *(parse(field(sides, side, str, f"{where}.conclusion"))
+          for side in ("left", "right")))
+    premises = [derivation_from_dict(p, f"{where}.premises[{i}]")
+                for i, p in enumerate(field(data, "premises", list, where,
+                                            []))]
     index = data.get("index")
-    return Derivation(data["rule"], conclusion, premises,
-                      None if index is None else int(index))
+    return Derivation(field(data, "rule", str, where), conclusion, premises,
+                      None if index is None
+                      else field(data, "index", int, where))
 
 
 def derivation_to_dict(d: Derivation) -> dict:

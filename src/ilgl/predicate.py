@@ -15,9 +15,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .formula import (BINARY_NODES, QUANT_NODES, Contains, Formula,
                       PointsTo)
-from .graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
-                    Subgraph, compose, model_from_dict, model_to_dict,
-                    scaffold_to_frame)
+from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
+                    OrderedScaffold, Subgraph, model_from_dict,
+                    model_to_dict, scaffold_to_frame)
 from .relational import (Evaluator, closure_pairs, principal_upsets,
                          upset_masks)
 
@@ -190,19 +190,19 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
     place_vertices = [v for forest in place_forests for v in forest]
     singles = [Subgraph(frozenset([v]), frozenset(), graph)
                for v in sorted(place_vertices)]
-    pool = [Subgraph(frozenset(vs), frozenset(es), graph)
+    masks = GraphMasks(graph, eset)
+    pool = [masks.part(Subgraph(frozenset(vs), frozenset(es), graph))
             for vs, es in link_worlds]
     grown = True
     while grown:
         grown = False
         for h in list(pool):
             for k in list(pool):
-                out = compose(h, k, eset)
-                if out is not None and all(out.key() != m.key()
-                                           for m in pool):
+                out = masks.compose(h, k)
+                if out is not None and out not in pool:
                     pool.append(out)
                     grown = True
-    subgraphs = singles + pool
+    subgraphs = singles + [masks.subgraph(p) for p in pool]
     placement_pairs = set()
     for forest in place_forests:
         for child, parent in forest.items():

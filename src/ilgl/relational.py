@@ -536,7 +536,10 @@ def frame_to_dict(model: RelationalModel) -> dict:
 
 
 def frame_from_dict(data: dict) -> RelationalModel:
-    n = int(data["worlds"])
+    n = data.get("worlds") if isinstance(data, dict) else None
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"a frame needs \"worlds\": a count of worlds, "
+                         f"got {n!r}")
     order = closure_pairs([(int(i), int(j)) for i, j in data.get("order", [])],
                           range(n))
     frame = IntLayeredFrame(

@@ -141,6 +141,20 @@ class TestCheckCommand:
                               "forall s. Contains(s)", "--world", "0")
         assert code == 1 and body["status"] == "unsat"
 
+    def test_exhaustive_refused_exit_two(self, capsys, tmp_path):
+        names = [f"v{i:02d}" for i in range(13)]
+        chain = [[a, b] for a, b in zip(names, names[1:])]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "vertices": names, "edges": chain, "eset": chain,
+            "X": [{"vertices": names[:1], "edges": []}], "order": [],
+            "valuation": {}}))
+        for argv in (("check", str(path), "top"), ("validate", str(path))):
+            code, body = run_json(capsys, *argv)
+            assert code == 0, argv
+            code, body = run_json(capsys, *argv, "--exhaustive")
+            assert code == 2 and "12 vertices" in body["payload"]["message"]
+
     def test_world_out_of_range_exit_two(self, capsys, tmp_path):
         path = self.model_file(tmp_path)
         capsys.readouterr()
@@ -323,6 +337,14 @@ class TestAlgebraCommand:
         assert time.monotonic() - start < 5.0
 
 
+    def test_complex_worlds_not_a_count_exit_two(self, capsys, tmp_path):
+        fpath = tmp_path / "frame.json"
+        for worlds in ("3", 2.0, True, -1):
+            fpath.write_text(json.dumps({"worlds": worlds, "order": [],
+                                         "rel": []}))
+            code, body = run_json(capsys, "algebra", "complex", str(fpath))
+            assert code == 2 and "worlds" in body["payload"]["message"]
+
     @staticmethod
     def two_chain_file(tmp_path, **changes):
         frame = IntLayeredFrame(2, frozenset([(0, 0), (1, 1), (0, 1)]),
@@ -357,6 +379,34 @@ class TestAlgebraCommand:
         path = self.two_chain_file(tmp_path, join=[[0, 0, 0]] * 3)
         code, body = run_json(capsys, "algebra", "primefilters", path)
         assert code == 2 and "invalid algebra" in body["payload"]["message"]
+
+
+class TestHilbertCommand:
+    def test_not_an_object_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text("[1]")
+        code, body = run_json(capsys, "hilbert", str(path))
+        assert code == 2
+        assert "not a JSON object" in body["payload"]["message"]
+
+    def test_malformed_premises_named(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "rule": "Ax", "conclusion": {"left": "p", "right": "p"},
+            "premises": 5}))
+        code, body = run_json(capsys, "hilbert", str(path))
+        assert code == 2
+        assert "derivation.premises" in body["payload"]["message"]
+
+    def test_nested_field_named_by_path(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "rule": "Ax", "conclusion": {"left": "p", "right": "p"},
+            "premises": [{"rule": "Ax", "conclusion": {"left": "p"}}]}))
+        code, body = run_json(capsys, "hilbert", str(path))
+        assert code == 2
+        assert ("derivation.premises[0].conclusion.right"
+                in body["payload"]["message"])
 
 
 class TestCrosscheckCommand:
@@ -404,3 +454,46 @@ class TestSubprocess:
                 for seed in ("1", "2", "3")}
         assert len(outs) == 1
         assert json.loads(outs.pop())["status"] == "ok"
+
+    def test_validate_violations_ignore_hash_seed(self, tmp_path):
+        # X = {b->c, d->e} on the eset chain a->b->c->d->e: three
+        # violations, once listed in set iteration order.
+        chain = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "vertices": list("abcde"), "edges": chain, "eset": chain,
+            "X": [{"vertices": ["b", "c"], "edges": [["b", "c"]]},
+                  {"vertices": ["d", "e"], "edges": [["d", "e"]]}],
+            "order": [], "valuation": {}}))
+        cmd = [sys.executable, "-m", "ilgl.cli", "--json", "validate",
+               str(path)]
+        outs = {subprocess.run(cmd, capture_output=True,
+                               env=cli_env(PYTHONHASHSEED=seed)).stdout
+                for seed in ("1", "2", "3")}
+        assert len(outs) == 1
+        body = json.loads(outs.pop())
+        assert body["payload"]["violation_count"] == 3
+
+    def test_one_parser_per_process(self, capsys, tmp_path):
+        """Calls of main in one process give the bytes and exit codes of
+        fresh processes: no parser or namespace state leaks between
+        them."""
+        model = str(tmp_path / "cm.json")
+        assert main(["prove", REFUTABLE, "--emit-countermodel", model]) == 1
+        capsys.readouterr()
+        argvs = [["check", model],
+                 ["--json", "check", model, REFUTABLE, "--world", "0"],
+                 ["--json", "check", model, REFUTABLE],
+                 ["--json", "check", model, "p", "--world", "0"],
+                 ["--json", "prove", REFUTABLE]]
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "ilgl.cli", *argv],
+                                   capture_output=True, text=True,
+                                   env=cli_env())
+            assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr), argv

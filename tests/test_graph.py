@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+import graph_reference
+from ilgl.crosscheck import _bigraph_fixture
 from ilgl.formula import parse
-from ilgl.gen import random_formula, random_graph_model
-from ilgl.graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
-                        Subgraph, check_admissible, check_persistent,
-                        compose, model_from_dict, model_to_dict, reaches,
-                        satisfies, valid_in_model, validate_model)
+from ilgl.gen import _try_scaffold, random_formula, random_graph_model
+from ilgl.graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
+                        OrderedScaffold, Subgraph, check_admissible,
+                        check_persistent, compose, model_from_dict,
+                        model_to_dict, reaches, satisfies, valid_in_model,
+                        validate_model)
 
 
 def g(vertices, edges):
@@ -120,6 +123,126 @@ class TestAdmissibility:
         assert check_admissible(good, exhaustive=True) == []
         bad = OrderedScaffold(PARENT, eset, [hk], frozenset())
         assert check_admissible(bad, exhaustive=True) != []
+
+    def test_exhaustive_refusals(self):
+        names = [f"v{i:02d}" for i in range(13)]
+        chain = g(names, zip(names, names[1:]))
+        single = Subgraph(frozenset(names[:1]), frozenset(), chain)
+        sc = OrderedScaffold(chain, frozenset(), [single], frozenset())
+        with pytest.raises(ValueError, match="12 vertices"):
+            check_admissible(sc, exhaustive=True)
+        assert check_admissible(sc) == []
+        # 12 vertices, but 2^66 subgraphs on the 12-clique alone.
+        dense = g(names[:12], [(a, b) for a in names[:12]
+                               for b in names[:12] if a < b])
+        single = Subgraph(frozenset(names[:1]), frozenset(), dense)
+        sc = OrderedScaffold(dense, frozenset(), [single], frozenset())
+        with pytest.raises(ValueError, match="20000 subgraphs"):
+            check_admissible(sc, exhaustive=True)
+
+    def test_violations_sorted_by_parts(self):
+        report = check_admissible(chain_scaffold(5, [(1, 2), (3, 4)]))
+        assert len(report) == 3 and report == sorted(report, key=part_key)
+        report = check_admissible(chain_scaffold(9, [(0, 8)]))
+        assert len(report) == 8 and report == sorted(report, key=part_key)
+
+
+def part_key(violation: dict) -> tuple:
+    return tuple(violation[side][f] for side in ("left", "right")
+                 for f in ("vertices", "edges"))
+
+
+def chain_scaffold(n: int, members, eset_too: bool = True):
+    """The chain v00 -> v01 -> ... on n vertices (all eset edges when
+    ``eset_too``) with the members given as (first, last) vertex ranges,
+    each carrying its chain edges."""
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = frozenset(zip(names, names[1:]))
+    graph = DirectedGraph(frozenset(names), edges)
+    xs = [Subgraph(frozenset(names[a:b + 1]),
+                   frozenset(zip(names[a:b], names[a + 1:b + 1])), graph)
+          for a, b in members]
+    return OrderedScaffold(graph, edges if eset_too else frozenset(), xs,
+                           frozenset())
+
+
+def same_violations(scaffold) -> bool:
+    new = check_admissible(scaffold)
+    old = graph_reference.check_admissible(scaffold)
+    return sorted(map(repr, new)) == sorted(map(repr, old))
+
+
+class TestAdmissibleAgainstReference:
+    """The X×X compositions plus up-set decompositions report the same
+    violations as the pool-wide scan of ``tests/graph_reference.py``."""
+
+    def test_gen_scaffolds_with_members_removed(self):
+        rng = random.Random(8)
+        inadmissible = 0
+        for _ in range(300):
+            sc = None
+            while sc is None:
+                sc = _try_scaffold(rng)
+            xs = list(sc.subgraphs)
+            for i in sorted(rng.sample(range(len(xs)),
+                                       min(len(xs), rng.randrange(4))),
+                            reverse=True):
+                del xs[i]
+            cut = OrderedScaffold(sc.graph, sc.eset, xs, frozenset())
+            assert same_violations(cut)
+            report = check_admissible(cut)
+            assert report == sorted(report, key=part_key)
+            inadmissible += bool(report)
+        assert inadmissible >= 60
+
+    def test_bigraph_fixture(self):
+        sc = _bigraph_fixture().model.scaffold
+        assert same_violations(sc) and check_admissible(sc) == []
+        for i in range(len(sc.subgraphs)):
+            xs = sc.subgraphs[:i] + sc.subgraphs[i + 1:]
+            assert same_violations(
+                OrderedScaffold(sc.graph, sc.eset, xs, frozenset()))
+
+    @pytest.mark.parametrize("members", [
+        [(0, 13)], [(0, 13), (0, 0)], [(0, 13), (0, 1)], [(0, 5)],
+        # v00..v05 in X; v06..v13 enters the pool as a part of v05..v13,
+        # so the 14-vertex member's split between them is reported.
+        [(0, 13), (0, 5), (5, 13)], [(0, 13), (0, 5), (6, 13)],
+        [(0, 13), (0, 5), (5, 13), (6, 13), (5, 5)],
+        # The single vertex v00 is in the pool without being in X.
+        [(0, 13), (1, 13)], [(0, 13), (1, 13), (0, 0)],
+    ])
+    def test_members_above_twelve_vertices(self, members):
+        for eset_too in (True, False):
+            assert same_violations(chain_scaffold(14, members, eset_too))
+
+    def test_split_of_a_large_member_into_pool_parts(self):
+        report = check_admissible(chain_scaffold(14, [(0, 13), (0, 5),
+                                                      (5, 13)]))
+        assert any(v["left"]["vertices"] == [f"v{i:02d}" for i in range(6)]
+                   and len(v["composition"]["vertices"]) == 14
+                   for v in report)
+
+    def test_decompositions_equal_brute_force(self):
+        rng = random.Random(11)
+        found = 0
+        for _ in range(400):
+            names = [f"x{i}" for i in range(rng.randrange(2, 9))]
+            edges = frozenset((a, b) for a in names for b in names
+                              if rng.random() < 0.3)
+            eset = frozenset(e for e in sorted(edges) if rng.random() < 0.6)
+            graph = DirectedGraph(frozenset(names), edges)
+            vs = frozenset(v for v in names if rng.random() < 0.8)
+            member = Subgraph(vs, frozenset(
+                e for e in sorted(edges)
+                if e[0] in vs and e[1] in vs and rng.random() < 0.7), graph)
+            masks = GraphMasks(graph, eset)
+            fast = {(masks.subgraph(h), masks.subgraph(k))
+                    for h, k in masks.decompositions(masks.part(member))}
+            slow = set(graph_reference.all_decompositions(member, eset))
+            assert fast == slow
+            found += bool(slow)
+        assert found >= 100
 
 
 class TestPersistence:

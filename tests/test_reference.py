@@ -14,7 +14,9 @@ import sys
 
 from ilgl.algebra import complex_algebra
 from ilgl.formula import parse, parse_pred
-from ilgl.graph import model_evaluator, model_from_dict
+import graph_reference
+from ilgl.graph import (OrderedScaffold, check_admissible, model_evaluator,
+                        model_from_dict)
 from ilgl.predicate import resource_evaluator, resource_model_from_dict
 from ilgl.relational import DEFAULT_REL_CAPS
 from oracle_reference import unreduced_chunks
@@ -58,6 +60,30 @@ def test_predicate_sentences_agree_at_every_world():
             for w in range(ev.n):
                 assert ev.sat(w, g) == bool(mask >> w & 1), \
                     (places, inputs.render(f), w)
+
+
+def test_admissibility_on_resource_models_matches_reference():
+    """The benchmark's bigraph resource models, whole and with one member
+    removed, give the same violations as the pool-wide reference scan;
+    (10, 1) has a 12-vertex link world."""
+    rng = random.Random(5)
+    inadmissible = 0
+    for places, links in ((2, 0), (4, 1), (6, 1), (8, 1), (10, 1)):
+        sc = resource_model_from_dict(inputs.random_resource_model(
+            rng, places, links)).model.scaffold
+        links_at = [i for i, sg in enumerate(sc.subgraphs)
+                    if len(sg.vertices) > 1]
+        cuts = [sc.subgraphs] + [
+            sc.subgraphs[:i] + sc.subgraphs[i + 1:]
+            for i in rng.sample(links_at, min(3, len(links_at)))]
+        for xs in cuts:
+            cut = OrderedScaffold(sc.graph, sc.eset, xs, frozenset())
+            new = check_admissible(cut)
+            old = graph_reference.check_admissible(cut)
+            assert sorted(map(repr, new)) == sorted(map(repr, old))
+            inadmissible += bool(new)
+        assert check_admissible(sc) == []
+    assert inadmissible >= 5
 
 
 LAYER_TAGS = {"lconj": "lc", "rres": "rimp", "lres": "limp"}
