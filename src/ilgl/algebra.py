@@ -9,11 +9,10 @@ sizes this toolkit targets (a few dozen elements).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .formula import Formula
+from .formula import Formula, InputError
 from .relational import (OP_NAME, Evaluator, IntLayeredFrame,
                          RelationalModel, fold_tables, frame_tables, postfix)
 
@@ -254,10 +253,10 @@ def fep_complete(alg: FiniteLayeredHeytingAlgebra,
     ambient ones squeezed through the closure/interior maps onto the
     carrier.  Returns (algebra, inclusion map on A-elements, report); the
     report verifies validity and the embeddability property itself.
-    Raises ValueError on a subset id outside the algebra.
+    Raises InputError on a subset id outside the algebra.
     """
     if any(not 0 <= a < alg.size for a in subset):
-        raise ValueError(f"subset ids must be elements 0..{alg.size - 1}")
+        raise InputError(f"subset ids must be elements 0..{alg.size - 1}")
     base = set(subset) | {alg.top, alg.bot}
     carrier = set(base)
     while True:
@@ -335,17 +334,13 @@ def algebra_to_dict(alg: FiniteLayeredHeytingAlgebra) -> dict:
 def algebra_from_dict(data: dict) -> FiniteLayeredHeytingAlgebra:
     """The algebra a JSON object describes.  Raises ValueError unless
     every table is size x size and every entry, top and bot is an element
-    id; the laws are ``validate_algebra``'s to check."""
-    if not isinstance(data, dict):
-        raise ValueError("an algebra is a JSON object")
-    try:
-        n = int(data["size"])
-        leq = [[bool(x) for x in row] for row in data["leq"]]
-        ops = {name: [[int(x) for x in row] for row in data[name]]
-               for name in BINOPS}
-        top, bot = int(data["top"]), int(data["bot"])
-    except TypeError as exc:
-        raise ValueError(f"malformed algebra: {exc}") from exc
+    id (KeyError or TypeError on a missing or mistyped field); the laws
+    are ``validate_algebra``'s to check."""
+    n = int(data["size"])
+    leq = [[bool(x) for x in row] for row in data["leq"]]
+    ops = {name: [[int(x) for x in row] for row in data[name]]
+           for name in BINOPS}
+    top, bot = int(data["top"]), int(data["bot"])
     for name, rows in {"leq": leq, **ops}.items():
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"{name} is not a {n} x {n} table")
@@ -355,14 +350,3 @@ def algebra_from_dict(data: dict) -> FiniteLayeredHeytingAlgebra:
         raise ValueError(f"top or bot outside 0..{n - 1}")
     return FiniteLayeredHeytingAlgebra(size=n, leq=leq, top=top, bot=bot,
                                        **ops)
-
-
-def load_algebra(path: str) -> FiniteLayeredHeytingAlgebra:
-    with open(path) as fh:
-        return algebra_from_dict(json.load(fh))
-
-
-def save_algebra(alg: FiniteLayeredHeytingAlgebra, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(algebra_to_dict(alg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

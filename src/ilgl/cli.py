@@ -3,7 +3,13 @@ the cross-validation suites.
 
 Exit codes: 0 success / proved / sat / valid; 1 refuted with certificate
 (countermodel, unsat, invalid, suite violation); 2 input error; 3 budget
-exhausted (unknown).
+exhausted (unknown); 4 internal error.
+
+A bad input raises ``InputError`` wherever it is found: input files are
+read through ``files.read`` and output files written through
+``files.write``.  ``main`` alone turns it into an exit-2 result.  Any
+other exception is an internal error: exit 4, with the traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -12,22 +18,24 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import algebra as algmod
 from . import crosscheck
+from . import files
 from . import graph as graphmod
 from . import hilbert
 from . import predicate as predmod
-from . import relational as relmod
 from . import tableaux
-from .formula import ParseError, parse, parse_pred, render
+from .formula import InputError, ParseError, parse, parse_pred, render
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -60,10 +68,10 @@ class RunResult:
                 print(f"  wrote {path}")
 
 
-def _fail(command: str, message: str, as_json: bool) -> int:
-    RunResult(command, "error", EXIT_INPUT,
-              {"message": message}).emit(as_json)
-    return EXIT_INPUT
+def _fail(command: str, message: str, as_json: bool,
+          code: int = EXIT_INPUT) -> int:
+    RunResult(command, "error", code, {"message": message}).emit(as_json)
+    return code
 
 
 def _scaffold_dot(model: graphmod.LayeredGraphModel) -> str:
@@ -87,12 +95,8 @@ def cmd_prove(args) -> int:
                         ("--max-labels", args.max_labels),
                         ("--timeout", args.timeout)):
         if not value >= 0:  # NaN too
-            return _fail("prove", f"{flag} must be zero or more, got "
-                         f"{value}", args.json)
-    try:
-        f = parse(args.formula)
-    except ParseError as exc:
-        return _fail("prove", str(exc), args.json)
+            raise InputError(f"{flag} must be zero or more, got {value}")
+    f = parse(args.formula)
     limits = tableaux.Limits(max_rule_applications=args.max_steps,
                              max_labels=args.max_labels,
                              timeout=args.timeout)
@@ -113,13 +117,10 @@ def cmd_prove(args) -> int:
             data["label_map"] = {
                 tableaux.label_str(lab): idx
                 for lab, idx in sorted(result.label_map.items())}
-            with open(args.emit_countermodel, "w") as fh:
-                json.dump(data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            files.write(args.emit_countermodel, files.json_text(data))
             paths.append(args.emit_countermodel)
         if args.dot:
-            with open(args.dot, "w") as fh:
-                fh.write(_scaffold_dot(result.model))
+            files.write(args.dot, _scaffold_dot(result.model))
             paths.append(args.dot)
         run = RunResult("prove", "countermodel", EXIT_REFUTED, payload,
                         paths, time.monotonic() - started)
@@ -131,68 +132,42 @@ def cmd_prove(args) -> int:
     return run.exit_code
 
 
-def _load_any_model(path: str):
-    """(layered graph model, resource model or None) from a model file."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if "placement" in data or "resources" in data:
-        rm = predmod.resource_model_from_dict(data)
-        return rm.model, rm
-    return graphmod.model_from_dict(data), None
-
-
 def cmd_check(args) -> int:
     started = time.monotonic()
-    try:
-        model, rm = _load_any_model(args.model)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        return _fail("check", f"cannot load model: {exc}", args.json)
+    kind, model = files.read(args.model, "model", "resource model")
+    rm = None
+    if kind == "resource model":
+        rm, model = model, model.model
     n = model.world_count()
     if args.world is not None and not 0 <= args.world < n:
-        return _fail("check", f"world {args.world} is not among the "
-                     f"model's worlds 0..{n - 1}", args.json)
-    try:
-        problems = graphmod.validate_model(model, exhaustive=args.exhaustive)
-    except ValueError as exc:  # beyond the exhaustive scope
-        return _fail("check", str(exc), args.json)
+        raise InputError(f"world {args.world} is not among the model's "
+                         f"worlds 0..{n - 1}")
+    problems = graphmod.validate_model(model)
     if problems:
         RunResult("check", "error", EXIT_INPUT,
                   {"message": "model file fails validation",
                    "violations": problems[:10]}).emit(args.json)
         return EXIT_INPUT
-    propositional = None
     try:
-        propositional = parse(args.formula)
+        f = parse(args.formula)
     except ParseError as exc:
-        propositional_error = exc
-    if propositional is not None:
-        if args.world is not None:
-            ok = graphmod.satisfies(model, args.world, propositional)
-        else:
-            ok = graphmod.valid_in_model(model, propositional)
-    else:
-        try:
-            pf = parse_pred(args.formula)
-        except ParseError as exc:
-            # Without resources the formula was meant to be propositional.
-            return _fail("check", str(exc if rm is not None
-                                       else propositional_error),
-                         args.json)
         if rm is None:
-            return _fail("check", "predicate formulas need a resource "
-                         "model (placement/resources)", args.json)
+            raise InputError(f"{exc}; a predicate formula would need a "
+                             "resource model (placement/resources)") from exc
+        pf = parse_pred(args.formula)
         free = predmod.free_resources(pf)
         if free:
-            return _fail("check", f"formula has free resources "
-                         f"{sorted(free)}; only sentences are checkable",
-                         args.json)
-        try:
-            if args.world is not None:
-                ok = predmod.pred_satisfies(rm, {}, args.world, pf)
-            else:
-                ok = predmod.pred_valid_in_model(rm, pf)
-        except ValueError as exc:
-            return _fail("check", str(exc), args.json)
+            raise InputError(f"formula has free resources {sorted(free)}; "
+                             "only sentences are checkable")
+        if args.world is not None:
+            ok = predmod.pred_satisfies(rm, {}, args.world, pf)
+        else:
+            ok = predmod.pred_valid_in_model(rm, pf)
+    else:
+        if args.world is not None:
+            ok = graphmod.satisfies(model, args.world, f)
+        else:
+            ok = graphmod.valid_in_model(model, f)
     if args.world is not None:
         status = "sat" if ok else "unsat"
     else:
@@ -206,119 +181,77 @@ def cmd_check(args) -> int:
 
 def cmd_validate(args) -> int:
     started = time.monotonic()
-    try:
-        with open(args.path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail("validate", f"cannot read {args.path}: {exc}",
-                     args.json)
-    try:
-        if "size" in data:
-            kind = "algebra"
-            problems = algmod.validate_algebra(algmod.algebra_from_dict(data))
-        elif "worlds" in data:
-            kind = "frame"
-            problems = relmod.frame_from_dict(data).validate()
-        elif "X" in data:
-            kind = "model"
-            if "placement" in data or "resources" in data:
-                kind = "resource model"
-                rm = predmod.resource_model_from_dict(data)
-                problems = graphmod.validate_model(
-                    rm.model, exhaustive=args.exhaustive)
-            else:
-                problems = graphmod.validate_model(
-                    graphmod.model_from_dict(data),
-                    exhaustive=args.exhaustive)
-        else:
-            return _fail("validate", "unrecognized file kind", args.json)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        return _fail("validate", f"malformed {args.path}: {exc}", args.json)
+    kind, obj = files.read(args.path, "algebra", "frame", "model",
+                           "resource model")
+    if kind == "algebra":
+        problems = algmod.validate_algebra(obj)
+    elif kind == "frame":
+        problems = obj.validate()
+    else:
+        problems = graphmod.validate_model(
+            obj.model if kind == "resource model" else obj)
     payload = {"kind": kind, "violations": problems[:20],
                "violation_count": len(problems)}
-    if problems:
-        RunResult("validate", "violations", EXIT_INPUT, payload, [],
-                  time.monotonic() - started).emit(args.json)
-        return EXIT_INPUT
-    RunResult("validate", "ok", EXIT_OK, payload, [],
-              time.monotonic() - started).emit(args.json)
-    return EXIT_OK
+    run = RunResult("validate", "violations" if problems else "ok",
+                    EXIT_INPUT if problems else EXIT_OK, payload, [],
+                    time.monotonic() - started)
+    run.emit(args.json)
+    return run.exit_code
+
+
+def element_ids(text: str) -> List[int]:
+    """``--subset``: element ids separated by commas."""
+    return [int(x) for x in text.split(",") if x != ""]
 
 
 def cmd_algebra(args) -> int:
     started = time.monotonic()
-    try:
-        if args.algebra_cmd == "complex":
-            rmodel = relmod.load_frame(args.path)
-            problems = rmodel.frame.validate()
-            if problems:
-                return _fail("algebra", f"invalid frame: {problems[:5]}",
-                             args.json)
-            alg = algmod.complex_algebra(rmodel.frame)
-            paths = []
-            if args.output:
-                algmod.save_algebra(alg, args.output)
-                paths.append(args.output)
-            run = RunResult("algebra complex", "ok", EXIT_OK,
-                            {"size": alg.size}, paths,
-                            time.monotonic() - started)
-        else:
-            alg = algmod.load_algebra(args.path)
-            problems = algmod.validate_algebra(alg)
-            if problems:
-                return _fail("algebra", f"invalid algebra: {problems[:5]}",
-                             args.json)
-        if args.algebra_cmd == "primefilters":
-            filters = algmod.prime_filters(alg)
-            run = RunResult("algebra primefilters", "ok", EXIT_OK,
-                            {"count": len(filters),
-                             "filters": [sorted(f) for f in filters]},
-                            [], time.monotonic() - started)
-        elif args.algebra_cmd == "embed":
-            h, report = algmod.representation_embed(alg)
-            status = "ok" if not report else "violations"
-            run = RunResult("algebra embed", status,
-                            EXIT_OK if not report else EXIT_REFUTED,
-                            {"map": {str(k): v for k, v in h.items()},
-                             "report": report[:10]},
-                            [], time.monotonic() - started)
-        elif args.algebra_cmd == "fep":
-            subset = [int(x) for x in args.subset.split(",") if x != ""]
-            completed, inclusion, report = algmod.fep_complete(alg, subset)
-            paths = []
-            if args.output:
-                algmod.save_algebra(completed, args.output)
-                paths.append(args.output)
-            status = "ok" if not report else "violations"
-            run = RunResult("algebra fep", status,
-                            EXIT_OK if not report else EXIT_REFUTED,
-                            {"size": completed.size,
-                             "inclusion": {str(k): v
-                                           for k, v in inclusion.items()},
-                             "report": report[:10]},
-                            paths, time.monotonic() - started)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail("algebra", str(exc), args.json)
+    report, paths = [], []
+    if args.algebra_cmd == "complex":
+        frame = files.read(args.path, "frame")[1].frame
+        problems = frame.validate()
+        if problems:
+            raise InputError(f"invalid frame: {problems[:5]}")
+        alg = out = algmod.complex_algebra(frame)
+        payload = {"size": alg.size}
+    else:
+        alg = files.read(args.path, "algebra")[1]
+        problems = algmod.validate_algebra(alg)
+        if problems:
+            raise InputError(f"invalid algebra: {problems[:5]}")
+    if args.algebra_cmd == "primefilters":
+        filters = algmod.prime_filters(alg)
+        payload = {"count": len(filters),
+                   "filters": [sorted(f) for f in filters]}
+    elif args.algebra_cmd == "embed":
+        h, report = algmod.representation_embed(alg)
+        payload = {"map": {str(k): v for k, v in h.items()},
+                   "report": report[:10]}
+    elif args.algebra_cmd == "fep":
+        out, inclusion, report = algmod.fep_complete(alg, args.subset)
+        payload = {"size": out.size,
+                   "inclusion": {str(k): v for k, v in inclusion.items()},
+                   "report": report[:10]}
+    if getattr(args, "output", None):
+        files.write(args.output, files.json_text(algmod.algebra_to_dict(out)))
+        paths.append(args.output)
+    run = RunResult(f"algebra {args.algebra_cmd}",
+                    "violations" if report else "ok",
+                    EXIT_REFUTED if report else EXIT_OK, payload, paths,
+                    time.monotonic() - started)
     run.emit(args.json)
     return run.exit_code
 
 
 def cmd_hilbert(args) -> int:
     started = time.monotonic()
-    try:
-        derivation = hilbert.load_derivation(args.path)
-    except (OSError, ValueError, KeyError, ParseError,
-            json.JSONDecodeError) as exc:
-        return _fail("hilbert", f"cannot load derivation: {exc}", args.json)
+    derivation = files.read(args.path, "derivation")[1]
     problems = hilbert.check_derivation(derivation)
     payload = {"conclusion": str(derivation.conclusion),
                "problems": problems[:10]}
     if args.theorem:
-        try:
-            f = parse(args.theorem)
-        except ParseError as exc:
-            return _fail("hilbert", str(exc), args.json)
-        payload["theorem"] = hilbert.check_theorem(derivation, f)
+        payload["theorem"] = hilbert.check_theorem(derivation,
+                                                   parse(args.theorem))
         if not payload["theorem"] and not problems:
             problems = [{"problem": "conclusion is not top |- theorem"}]
     status = "ok" if not problems else "violations"
@@ -331,33 +264,21 @@ def cmd_hilbert(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     started = time.monotonic()
-    if args.suite not in crosscheck.SUITES:
-        return _fail("crosscheck", f"unknown suite {args.suite!r} "
-                     f"(choose from {', '.join(crosscheck.SUITES)})",
-                     args.json)
     if args.budget is not None and args.budget < 0:
-        return _fail("crosscheck", f"--budget must be zero or more, got "
-                     f"{args.budget}", args.json)
+        raise InputError(f"--budget must be zero or more, got {args.budget}")
     ok, summary, repro = crosscheck.run_suite(args.suite, args.seed,
                                               args.budget)
     payload = {"suite": args.suite, "seed": args.seed, **summary}
     paths = []
     if not ok and repro is not None:
         repro_path = args.repro or f"crosscheck-{args.suite}-repro.json"
-        with open(repro_path, "w") as fh:
-            json.dump(repro, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        files.write(repro_path, files.json_text(repro))
         paths.append(repro_path)
     run = RunResult("crosscheck", "ok" if ok else "violations",
                     EXIT_OK if ok else EXIT_REFUTED, payload, paths,
                     time.monotonic() - started)
     run.emit(args.json)
     return run.exit_code
-
-
-EXHAUSTIVE = ("check admissibility against every subgraph of the graph; "
-              "refused above 12 vertices or 20000 subgraphs, and on the "
-              "graphs it accepts it finds what the default check finds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("formula")
     p.add_argument("--world", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("validate", help="validate a model/frame/algebra file")
     p.add_argument("path")
-    p.add_argument("--exhaustive", action="store_true", help=EXHAUSTIVE)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("algebra", help="complex algebras, prime filters, "
@@ -403,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("path")
     a = asub.add_parser("fep")
     a.add_argument("path")
-    a.add_argument("--subset", default="")
+    a.add_argument("--subset", default="", type=element_ids)
     a.add_argument("-o", "--output")
     p.set_defaults(func=cmd_algebra)
 
@@ -434,7 +353,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        return _fail(args.command, str(exc), args.json)
+    except Exception as exc:
+        traceback.print_exc()
+        return _fail(args.command, f"internal error: {type(exc).__name__}: "
+                     f"{exc}", args.json, EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

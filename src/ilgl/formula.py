@@ -148,7 +148,11 @@ IMP_NODES = (Imp, ImpRight, ImpLeft)
 QUANT_NODES = (Exists, Forall)
 
 
-class ParseError(Exception):
+class InputError(ValueError):
+    """A malformed or refused input: the CLI reports it with exit 2."""
+
+
+class ParseError(InputError):
     """Syntax error carrying the byte offset and the expected-token set."""
 
     def __init__(self, message: str, offset: int, expected: tuple = ()):

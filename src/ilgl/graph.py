@@ -9,7 +9,6 @@ R(i, j, k) holds iff X[i] @ X[j] = X[k].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -139,7 +138,7 @@ class GraphMasks:
         u is.  The up-sets with an eset edge from left to right are the
         decompositions."""
         vm, em = member
-        if not vm & (vm - 1):  # fewer than two vertices
+        if not em & self.eset:  # every composition holds an eset edge
             return []
         up = {1 << v: 1 << v for v in _bits(vm)}
         for e in _bits(em | self.inner(vm) & self.eset):
@@ -200,37 +199,17 @@ class LayeredGraphModel:
         return len(self.scaffold.subgraphs)
 
 
-def check_admissible(scaffold: OrderedScaffold,
-                     exhaustive: bool = False) -> List[dict]:
+def check_admissible(scaffold: OrderedScaffold) -> List[dict]:
     """Violations of the admissibility biconditional, sorted by parts.
 
     A violating pair has both parts in X and composes outside X, or it
-    decomposes a member of X.  A member above 12 vertices is only split
-    into parts from the pool: X, single vertices and the decomposition
-    parts of smaller members.  ``exhaustive`` (every subgraph) is refused
-    above 12 vertices or 20000 subgraphs and adds nothing below them."""
-    masks, n = scaffold.masks, len(scaffold.masks.vertices)
-    if exhaustive and n > 12:
-        raise ValueError("exhaustive admissibility check capped at "
-                         "12 vertices")
-    if exhaustive and sum(1 << bin(masks.inner(vm)).count("1")
-                          for vm in range(1 << n)) > 20000:
-        raise ValueError("more than 20000 subgraphs; exhaustive check "
-                         "refused")
+    decomposes a member of X.  Raises InputError when a member has more
+    than ``relational.MAX_UPSETS`` candidate splits."""
+    masks = scaffold.masks
     in_x = set(scaffold.parts)
     found = set(scaffold._escapes)
-    pool = in_x | {(1 << v, 0) for v in range(n)}
-    large = [m for m in in_x if bin(m[0]).count("1") > 12]
-    for member in in_x.difference(large):
-        for h, k in masks.decompositions(member):
-            pool.update((h, k))
-            found.add((h, k, member))
-    for member in large:
-        for h in pool:
-            kv = member[0] ^ h[0]
-            k = (kv, member[1] & masks.inner(kv))
-            if k in pool and masks.compose(h, k) == member:
-                found.add((h, k, member))
+    for member in in_x:
+        found.update((h, k, member) for h, k in masks.decompositions(member))
 
     def describe(part: Part) -> dict:
         return subgraph_to_dict(masks.subgraph(part))
@@ -257,10 +236,9 @@ def check_persistent(model: LayeredGraphModel) -> List[tuple]:
     return bad
 
 
-def validate_model(model: LayeredGraphModel,
-                   exhaustive: bool = False) -> List[dict]:
+def validate_model(model: LayeredGraphModel) -> List[dict]:
     problems = [dict(kind="admissibility", **v)
-                for v in check_admissible(model.scaffold, exhaustive)]
+                for v in check_admissible(model.scaffold)]
     problems += [{"kind": "persistence", "atom": p, "below": i, "above": j}
                  for (p, i, j) in check_persistent(model)]
     return problems
@@ -335,5 +313,5 @@ def model_from_dict(data: dict) -> LayeredGraphModel:
 
 
 def load_model(path: str) -> LayeredGraphModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    from .files import read  # which builds on this module
+    return read(path, "model")[1]

@@ -7,7 +7,6 @@ checks proofs, it does not search for them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -223,8 +222,3 @@ def derivation_to_dict(d: Derivation) -> dict:
     if d.index is not None:
         out["index"] = d.index
     return out
-
-
-def load_derivation(path: str) -> Derivation:
-    with open(path) as fh:
-        return derivation_from_dict(json.load(fh))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .formula import (BINARY_NODES, QUANT_NODES, Contains, Formula,
-                      PointsTo)
+                      InputError, PointsTo)
 from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                     OrderedScaffold, Subgraph, model_from_dict,
                     model_to_dict, scaffold_to_frame)
@@ -73,7 +73,7 @@ def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]
     """Every up-closed vertex set of the placement preorder, exactly once."""
     domain = sorted({v for pair in placement for v in pair})
     if len(domain) > MAX_PLACEMENT_VERTICES:
-        raise ValueError(
+        raise InputError(
             f"{len(domain)} placement vertices exceed the quantifier cap "
             f"of {MAX_PLACEMENT_VERTICES}; shrink the model")
     pos = {v: j for j, v in enumerate(domain)}

@@ -15,7 +15,6 @@ scans one frame per isomorphism class, the first in enumeration order.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple)
@@ -24,7 +23,7 @@ import numpy as np
 
 from .formula import (BINARY_NODES, And, Atom, Bot, Contains, Exists, Forall,
                       Formula, Imp, ImpLeft, ImpRight, LayerConj, Or,
-                      PointsTo, Top, atoms)
+                      InputError, PointsTo, Top, atoms)
 
 Triple = Tuple[int, int, int]
 
@@ -63,13 +62,13 @@ MAX_UPSETS = 1 << 16
 
 def upset_masks(principals) -> List[int]:
     """Every up-set, ascending: the unions of the principal up-set masks,
-    built by adding one principal up-set at a time.  Raises ValueError as
+    built by adding one principal up-set at a time.  Raises InputError as
     soon as there are more than MAX_UPSETS."""
     masks = {0}
     for p in principals:
         masks |= {m | p for m in masks}
         if len(masks) > MAX_UPSETS:
-            raise ValueError(f"more than {MAX_UPSETS} up-sets")
+            raise InputError(f"more than {MAX_UPSETS} up-sets")
     return sorted(masks)
 
 
@@ -549,8 +548,3 @@ def frame_from_dict(data: dict) -> RelationalModel:
     valuation = {p: frozenset(int(i) for i in ws)
                  for p, ws in data.get("valuation", {}).items()}
     return RelationalModel(frame, valuation)
-
-
-def load_frame(path: str) -> RelationalModel:
-    with open(path) as fh:
-        return frame_from_dict(json.load(fh))

@@ -2,12 +2,14 @@
 up-set decompositions.
 
 ``check_admissible`` composes every pair of a pool: X, the single
-vertices, and every brute-force decomposition of each member of X of at
-most 12 vertices (``all_decompositions``, which tries all 2^n vertex
-splits).  With ``exhaustive`` the pool holds every subgraph of the
+vertices, and every brute-force decomposition of each member of X
+(``all_decompositions``, which tries all 2^n vertex splits of members of
+up to 20 vertices).  With ``exhaustive`` the pool holds every subgraph of the
 ambient graph (``all_subgraphs``).  The tests hold ``graph.check_admissible``
 and ``GraphMasks.decompositions`` against it.
 """
+
+import numpy as np
 
 from ilgl.graph import Subgraph, compose
 
@@ -21,9 +23,16 @@ def all_decompositions(member: Subgraph, eset):
     """
     verts = sorted(member.vertices)
     n = len(verts)
-    if n < 2 or n > 12:
-        return
-    for mask in range(1, 2 ** n - 1):
+    if n > 20:
+        raise ValueError("brute-force decompositions capped at 20 vertices")
+    # Skip only the splits that cannot compose: the edges of h @ k between
+    # its parts all run from h to k.
+    masks = np.arange(1, 2 ** n - 1, dtype=np.int64)
+    keep = np.ones(len(masks), dtype=bool)
+    for u, v in member.edges:
+        keep &= ~((masks >> verts.index(v) & 1)
+                  & ~(masks >> verts.index(u) & 1)).astype(bool)
+    for mask in masks[keep].tolist():
         left = frozenset(v for b, v in enumerate(verts) if mask >> b & 1)
         right = member.vertices - left
         h = Subgraph(left, frozenset((u, v) for u, v in member.edges

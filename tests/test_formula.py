@@ -193,8 +193,7 @@ class TestTokenize:
                     assert _tokenize(text, pred) \
                         == tokenize_by_probes(text, pred), text
 
-    @settings(max_examples=500, derandomize=True, database=None,
-              deadline=None)
+    @settings(max_examples=500)
     @given(st.lists(_PIECES, max_size=30).map("".join), st.booleans())
     def test_matches_probing_tokenizer(self, text, pred):
         assert _tokens_or_error(_tokenize, text, pred) \
