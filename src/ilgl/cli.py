@@ -7,9 +7,10 @@ exhausted (unknown); 4 internal error.
 
 A bad input raises ``InputError`` wherever it is found: input files are
 read through ``files.read`` and output files written through
-``files.write``.  ``main`` alone turns it into an exit-2 result.  Any
-other exception is an internal error: exit 4, with the traceback on
-stderr.
+``files.write``.  Each command returns a ``RunResult``; ``main`` alone
+times it, turns an ``InputError`` into an exit-2 result, prints it and
+returns its exit code.  Any other exception is an internal error: exit
+4, with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
+PROVE_EXITS = {"proved": EXIT_OK, "countermodel": EXIT_REFUTED,
+               "unknown": EXIT_UNKNOWN}
 
 
 @dataclass
@@ -68,12 +71,6 @@ class RunResult:
                 print(f"  wrote {path}")
 
 
-def _fail(command: str, message: str, as_json: bool,
-          code: int = EXIT_INPUT) -> int:
-    RunResult(command, "error", code, {"message": message}).emit(as_json)
-    return code
-
-
 def _scaffold_dot(model: graphmod.LayeredGraphModel) -> str:
     sc = model.scaffold
     lines = ["digraph scaffold {"]
@@ -89,8 +86,7 @@ def _scaffold_dot(model: graphmod.LayeredGraphModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_prove(args) -> int:
-    started = time.monotonic()
+def cmd_prove(args) -> RunResult:
     for flag, value in (("--max-steps", args.max_steps),
                         ("--max-labels", args.max_labels),
                         ("--timeout", args.timeout)):
@@ -107,8 +103,6 @@ def cmd_prove(args) -> int:
         payload["trace"] = result.tableau.trace
     if result.status == "proved":
         payload["branches"] = len(result.tableau.branches)
-        run = RunResult("prove", "proved", EXIT_OK, payload, paths,
-                        time.monotonic() - started)
     elif result.status == "countermodel":
         payload["worlds"] = result.model.world_count()
         payload["root"] = result.root
@@ -122,18 +116,13 @@ def cmd_prove(args) -> int:
         if args.dot:
             files.write(args.dot, _scaffold_dot(result.model))
             paths.append(args.dot)
-        run = RunResult("prove", "countermodel", EXIT_REFUTED, payload,
-                        paths, time.monotonic() - started)
     else:
         payload["reason"] = result.reason
-        run = RunResult("prove", "unknown", EXIT_UNKNOWN, payload, paths,
-                        time.monotonic() - started)
-    run.emit(args.json)
-    return run.exit_code
+    return RunResult("prove", result.status, PROVE_EXITS[result.status],
+                     payload, paths)
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
+def cmd_check(args) -> RunResult:
     kind, model = files.read(args.model, "model", "resource model")
     rm = None
     if kind == "resource model":
@@ -144,10 +133,9 @@ def cmd_check(args) -> int:
                          f"worlds 0..{n - 1}")
     problems = graphmod.validate_model(model)
     if problems:
-        RunResult("check", "error", EXIT_INPUT,
-                  {"message": "model file fails validation",
-                   "violations": problems[:10]}).emit(args.json)
-        return EXIT_INPUT
+        return RunResult("check", "error", EXIT_INPUT,
+                         {"message": "model file fails validation",
+                          "violations": problems[:10]})
     try:
         f = parse(args.formula)
     except ParseError as exc:
@@ -172,15 +160,11 @@ def cmd_check(args) -> int:
         status = "sat" if ok else "unsat"
     else:
         status = "valid" if ok else "invalid"
-    run = RunResult("check", status,
-                    EXIT_OK if ok else EXIT_REFUTED, {"formula": args.formula},
-                    [], time.monotonic() - started)
-    run.emit(args.json)
-    return run.exit_code
+    return RunResult("check", status, EXIT_OK if ok else EXIT_REFUTED,
+                     {"formula": args.formula})
 
 
-def cmd_validate(args) -> int:
-    started = time.monotonic()
+def cmd_validate(args) -> RunResult:
     kind, obj = files.read(args.path, "algebra", "frame", "model",
                            "resource model")
     if kind == "algebra":
@@ -192,11 +176,8 @@ def cmd_validate(args) -> int:
             obj.model if kind == "resource model" else obj)
     payload = {"kind": kind, "violations": problems[:20],
                "violation_count": len(problems)}
-    run = RunResult("validate", "violations" if problems else "ok",
-                    EXIT_INPUT if problems else EXIT_OK, payload, [],
-                    time.monotonic() - started)
-    run.emit(args.json)
-    return run.exit_code
+    return RunResult("validate", "violations" if problems else "ok",
+                     EXIT_INPUT if problems else EXIT_OK, payload)
 
 
 def element_ids(text: str) -> List[int]:
@@ -204,8 +185,7 @@ def element_ids(text: str) -> List[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def cmd_algebra(args) -> int:
-    started = time.monotonic()
+def cmd_algebra(args) -> RunResult:
     report, paths = [], []
     if args.algebra_cmd == "complex":
         frame = files.read(args.path, "frame")[1].frame
@@ -235,16 +215,12 @@ def cmd_algebra(args) -> int:
     if getattr(args, "output", None):
         files.write(args.output, files.json_text(algmod.algebra_to_dict(out)))
         paths.append(args.output)
-    run = RunResult(f"algebra {args.algebra_cmd}",
-                    "violations" if report else "ok",
-                    EXIT_REFUTED if report else EXIT_OK, payload, paths,
-                    time.monotonic() - started)
-    run.emit(args.json)
-    return run.exit_code
+    return RunResult(f"algebra {args.algebra_cmd}",
+                     "violations" if report else "ok",
+                     EXIT_REFUTED if report else EXIT_OK, payload, paths)
 
 
-def cmd_hilbert(args) -> int:
-    started = time.monotonic()
+def cmd_hilbert(args) -> RunResult:
     derivation = files.read(args.path, "derivation")[1]
     problems = hilbert.check_derivation(derivation)
     payload = {"conclusion": str(derivation.conclusion),
@@ -254,16 +230,11 @@ def cmd_hilbert(args) -> int:
                                                    parse(args.theorem))
         if not payload["theorem"] and not problems:
             problems = [{"problem": "conclusion is not top |- theorem"}]
-    status = "ok" if not problems else "violations"
-    run = RunResult("hilbert", status,
-                    EXIT_OK if not problems else EXIT_REFUTED, payload, [],
-                    time.monotonic() - started)
-    run.emit(args.json)
-    return run.exit_code
+    return RunResult("hilbert", "violations" if problems else "ok",
+                     EXIT_REFUTED if problems else EXIT_OK, payload)
 
 
-def cmd_crosscheck(args) -> int:
-    started = time.monotonic()
+def cmd_crosscheck(args) -> RunResult:
     if args.budget is not None and args.budget < 0:
         raise InputError(f"--budget must be zero or more, got {args.budget}")
     ok, summary, repro = crosscheck.run_suite(args.suite, args.seed,
@@ -274,11 +245,8 @@ def cmd_crosscheck(args) -> int:
         repro_path = args.repro or f"crosscheck-{args.suite}-repro.json"
         files.write(repro_path, files.json_text(repro))
         paths.append(repro_path)
-    run = RunResult("crosscheck", "ok" if ok else "violations",
-                    EXIT_OK if ok else EXIT_REFUTED, payload, paths,
-                    time.monotonic() - started)
-    run.emit(args.json)
-    return run.exit_code
+    return RunResult("crosscheck", "ok" if ok else "violations",
+                     EXIT_OK if ok else EXIT_REFUTED, payload, paths)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,14 +321,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        run = args.func(args)
     except InputError as exc:
-        return _fail(args.command, str(exc), args.json)
+        run = RunResult(args.command, "error", EXIT_INPUT,
+                        {"message": str(exc)})
     except Exception as exc:
         traceback.print_exc()
-        return _fail(args.command, f"internal error: {type(exc).__name__}: "
-                     f"{exc}", args.json, EXIT_INTERNAL)
+        run = RunResult(args.command, "error", EXIT_INTERNAL, {
+            "message": f"internal error: {type(exc).__name__}: {exc}"})
+    run.elapsed = time.monotonic() - started
+    run.emit(args.json)
+    return run.exit_code
 
 
 if __name__ == "__main__":

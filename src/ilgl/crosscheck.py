@@ -5,7 +5,9 @@ Layered-graph, relational and predicate satisfaction share one set of
 clauses (``relational.Evaluator``); the graph semantics is the relational
 one on the scaffold's frame.  The suites therefore pair independent
 procedures: prover against oracle and graph models, relational clauses
-against complex-algebra tables, and persistence of each semantics.
+against complex-algebra tables, and persistence of each semantics.  The
+residuation suite checks the algebra axioms of complex algebras; the
+derived laws of residuated structures follow from them.
 
 Each suite runs a seeded sweep and returns (ok, summary, repro): on
 failure ``repro`` is a JSON-ready reproduction of the first (shrunk where
@@ -26,9 +28,6 @@ from .formula import (Contains, Exists, Forall, Formula, InputError, PointsTo,
                       render, subformulas)
 from .predicate import (LinkGraphSpec, build_bigraph_scaffold,
                         resource_evaluator)
-
-SUITES = ("soundness", "persistence", "residuation", "representation",
-          "fep", "oracle-agreement")
 
 
 def _shrink_formula(f: Formula, failing: Callable[[Formula], bool]) -> Formula:
@@ -152,8 +151,11 @@ def suite_persistence(seed: int, budget: int
 
 def suite_residuation(seed: int, budget: int
                       ) -> Tuple[bool, dict, Optional[dict]]:
-    """Derived residuated-structure laws on complex algebras of random
-    frames: monotonicity, bottom absorption, unit laws, join distribution."""
+    """Complex algebras of random frames satisfy the algebra axioms,
+    residuation among them.  The derived laws are not checked again: the
+    layer product is a left adjoint in each argument, so it is monotone,
+    absorbs bottom and distributes over joins, and the unit laws of the
+    residuals follow from the adjunction at top and at bottom."""
     rng = random.Random(seed)
     for i in range(budget):
         frame = gen.random_frame(rng, rng.randrange(1, 5))
@@ -166,33 +168,6 @@ def suite_residuation(seed: int, budget: int
                     "order": sorted(map(list, frame.order)),
                     "rel": sorted(map(list, frame.rel))},
                 "issues": issues[:5]}
-        n = alg.size
-        for a in range(n):
-            for b in range(n):
-                if alg.lconj[alg.bot][a] != alg.bot \
-                        or alg.lconj[a][alg.bot] != alg.bot:
-                    return False, {}, {"suite": "residuation",
-                                       "law": "bottom absorption"}
-                if alg.rres[a][alg.top] != alg.top \
-                        or alg.lres[a][alg.top] != alg.top \
-                        or alg.rres[alg.bot][a] != alg.top \
-                        or alg.lres[alg.bot][a] != alg.top:
-                    return False, {}, {"suite": "residuation",
-                                       "law": "unit laws"}
-                for a2 in range(n):
-                    for b2 in range(n):
-                        if alg.le(a, a2) and alg.le(b, b2) and not alg.le(
-                                alg.lconj[a][b], alg.lconj[a2][b2]):
-                            return False, {}, {"suite": "residuation",
-                                               "law": "monotonicity"}
-                        join_ab = alg.join[a][a2]
-                        lhs = alg.lconj[join_ab][alg.join[b][b2]]
-                        rhs = alg.join[
-                            alg.join[alg.lconj[a][b]][alg.lconj[a][b2]]][
-                            alg.join[alg.lconj[a2][b]][alg.lconj[a2][b2]]]
-                        if lhs != rhs:
-                            return False, {}, {"suite": "residuation",
-                                               "law": "join distribution"}
     return True, {"algebras": budget}, None
 
 
@@ -246,24 +221,21 @@ def suite_oracle_agreement(seed: int, budget: int
     return True, {"instances": budget}, None
 
 
-_DEFAULT_BUDGETS = {
-    "soundness": 200, "persistence": 150, "residuation": 60,
-    "representation": 60, "fep": 60, "oracle-agreement": 150,
-}
-
-_RUNNERS = {
-    "soundness": suite_soundness,
-    "persistence": suite_persistence,
-    "residuation": suite_residuation,
-    "representation": suite_representation,
-    "fep": suite_fep,
-    "oracle-agreement": suite_oracle_agreement,
+# Each suite's runner and default budget.
+SUITES = {
+    "soundness": (suite_soundness, 200),
+    "persistence": (suite_persistence, 150),
+    "residuation": (suite_residuation, 60),
+    "representation": (suite_representation, 60),
+    "fep": (suite_fep, 60),
+    "oracle-agreement": (suite_oracle_agreement, 150),
 }
 
 
 def run_suite(name: str, seed: int = 0, budget: Optional[int] = None
               ) -> Tuple[bool, dict, Optional[dict]]:
-    if name not in _RUNNERS:
+    if name not in SUITES:
         raise InputError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITES)}")
-    return _RUNNERS[name](seed, budget or _DEFAULT_BUDGETS[name])
+    runner, default = SUITES[name]
+    return runner(seed, default if budget is None else budget)

@@ -14,7 +14,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .formula import Formula
 from .relational import (Evaluator, IntLayeredFrame, closure_pairs,
-                         upset_masks)
+                         persistence_failures, upset_masks,
+                         valuation_from_dict)
 
 Edge = Tuple[str, str]
 
@@ -226,14 +227,8 @@ def check_admissible(scaffold: OrderedScaffold) -> List[dict]:
 
 def check_persistent(model: LayeredGraphModel) -> List[tuple]:
     """All (atom, i, j) with i below j but only i in the atom's extension."""
-    bad = []
-    sc = model.scaffold
-    for atom, worlds in sorted(model.valuation.items()):
-        for i in worlds:
-            for j in range(len(sc.subgraphs)):
-                if sc.leq(i, j) and j not in worlds:
-                    bad.append((atom, i, j))
-    return bad
+    return persistence_failures(model.valuation, model.world_count(),
+                                model.scaffold.leq)
 
 
 def validate_model(model: LayeredGraphModel) -> List[dict]:
@@ -302,14 +297,8 @@ def model_from_dict(data: dict) -> LayeredGraphModel:
     scaffold = OrderedScaffold(
         graph, frozenset(edge(e) for e in data["eset"]), subgraphs,
         frozenset((int(i), int(j)) for i, j in data.get("order", [])))
-    valuation = {p: frozenset(int(i) for i in ws)
-                 for p, ws in data.get("valuation", {}).items()}
-    n = len(subgraphs)
-    for p, ws in valuation.items():
-        for i in ws:
-            if not 0 <= i < n:
-                raise ValueError(f"valuation of {p!r} mentions world {i}")
-    return LayeredGraphModel(scaffold, valuation)
+    return LayeredGraphModel(scaffold,
+                             valuation_from_dict(data, len(subgraphs)))
 
 
 def load_model(path: str) -> LayeredGraphModel:

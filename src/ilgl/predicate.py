@@ -46,26 +46,10 @@ class ResourceModel:
 
     def __post_init__(self):
         domain = {v for pair in self.placement for v in pair}
-        self.place_vertices = frozenset(domain)
         self.placement = frozenset(closure_pairs(self.placement, domain))
-
-    def place_leq(self, u: str, v: str) -> bool:
-        return (u, v) in self.placement
 
 
 ResourceAssignment = Dict[str, FrozenSet[str]]
-
-
-def check_assignment(rm: ResourceModel, s: ResourceAssignment) -> List[str]:
-    problems = []
-    for r, block in sorted(s.items()):
-        for v in block:
-            if v not in rm.place_vertices:
-                problems.append(f"{r}: {v} is not a placement vertex")
-            for w in rm.place_vertices:
-                if rm.place_leq(v, w) and w not in block:
-                    problems.append(f"{r}: not up-closed at {v} <= {w}")
-    return problems
 
 
 def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]

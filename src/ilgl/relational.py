@@ -30,22 +30,17 @@ Triple = Tuple[int, int, int]
 
 def closure_pairs(pairs, domain) -> Set[Tuple]:
     """Reflexive-transitive closure of ``pairs`` over ``domain``."""
-    succ: Dict = {d: {d} for d in domain}
+    bit = {d: 1 << k for k, d in enumerate(domain)}
+    up = dict(bit)  # each element's successors, as a bitmask
     for a, b in pairs:
-        if a not in succ or b not in succ:
+        if a not in bit or b not in bit:
             raise ValueError(f"order pair ({a},{b}) outside the domain")
-        succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in succ:
-            extra = set()
-            for b in succ[a]:
-                extra |= succ[b]
-            if not extra <= succ[a]:
-                succ[a] |= extra
-                changed = True
-    return {(a, b) for a in succ for b in succ[a]}
+        up[a] |= bit[b]
+    for w, w_bit in bit.items():  # Warshall on bit rows
+        for v in up:
+            if up[v] & w_bit:
+                up[v] |= up[w]
+    return {(a, b) for a in up for b, b_bit in bit.items() if up[a] & b_bit}
 
 
 def principal_upsets(n: int, order) -> List[int]:
@@ -97,11 +92,17 @@ class IntLayeredFrame:
         for i in rng:
             if (i, i) not in self.order:
                 problems.append(f"order not reflexive at {i}")
-        for i, j in self.order:
-            for k, l in self.order:
-                if j == k and (i, l) not in self.order:
-                    problems.append(f"order not transitive: "
-                                    f"({i},{j}),({j},{l})")
+        # Transitivity in O(|order|): each world's successors as a bitmask;
+        # (i, j) is transitive when j's successors are among i's.
+        inside = [(i, j) for i, j in self.order if i in rng and j in rng]
+        succ = [0] * self.worlds
+        for i, j in inside:
+            succ[i] |= 1 << j
+        for i, j in inside:
+            missing = succ[j] & ~succ[i]
+            if missing:
+                problems += [f"order not transitive: ({i},{j}),({j},{l})"
+                             for l in rng if missing >> l & 1]
         return problems
 
     def upsets(self) -> List[int]:
@@ -115,15 +116,23 @@ class RelationalModel:
     valuation: Dict[str, FrozenSet[int]]
 
     def validate(self) -> List[str]:
-        problems = self.frame.validate()
-        for p, ws in sorted(self.valuation.items()):
-            for i in ws:
-                for j in range(self.frame.worlds):
-                    if self.frame.leq(i, j) and j not in ws:
-                        problems.append(
-                            f"valuation of {p!r} not persistent: "
-                            f"{i} <= {j}")
-        return problems
+        return self.frame.validate() + [
+            f"valuation of {p!r} not persistent: {i} <= {j}"
+            for p, i, j in persistence_failures(
+                self.valuation, self.frame.worlds, self.frame.leq)]
+
+
+def persistence_failures(valuation: Dict[str, FrozenSet[int]], n: int,
+                         leq: Callable[[int, int], bool]
+                         ) -> List[Tuple[str, int, int]]:
+    """All (atom, i, j) with i <= j but only i in the atom's extension."""
+    bad = []
+    for p, ws in sorted(valuation.items()):
+        for i in ws:
+            for j in range(n):
+                if leq(i, j) and j not in ws:
+                    bad.append((p, i, j))
+    return bad
 
 
 def _has_path(sg, sources: FrozenSet, targets: FrozenSet) -> bool:
@@ -227,26 +236,6 @@ def enumerate_preorders(n: int) -> List[FrozenSet[Tuple[int, int]]]:
         base = [p for b, p in enumerate(pairs) if bits >> b & 1]
         seen.add(frozenset(closure_pairs(base, range(n))))
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def enumerate_frames(max_worlds: int,
-                     max_rel_size: Optional[int] = None
-                     ) -> Iterator[IntLayeredFrame]:
-    """Every frame with up to ``max_worlds`` worlds, smallest first.
-
-    ``max_rel_size`` caps the ternary relation's size; None means the full
-    space (only viable below 3 worlds).
-    """
-    if max_worlds < 1:
-        raise ValueError("need at least one world")
-    for n in range(1, max_worlds + 1):
-        triples = list(itertools.product(range(n), repeat=3))
-        top = len(triples) if max_rel_size is None else min(max_rel_size,
-                                                            len(triples))
-        for order in enumerate_preorders(n):
-            for size in range(top + 1):  # (size, lex) order
-                for rel in itertools.combinations(triples, size):
-                    yield IntLayeredFrame(n, order, frozenset(rel))
 
 
 DEFAULT_REL_CAPS = {1: None, 2: None, 3: 2, 4: 2}
@@ -524,6 +513,11 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
 
 # -- JSON frame format ---------------------------------------------------
 
+# The most worlds a frame file may declare: at this bound, loading and
+# validating a frame whose order is total takes about a second.
+MAX_FRAME_WORLDS = 512
+
+
 def frame_to_dict(model: RelationalModel) -> dict:
     return {
         "worlds": model.frame.worlds,
@@ -539,12 +533,24 @@ def frame_from_dict(data: dict) -> RelationalModel:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"a frame needs \"worlds\": a count of worlds, "
                          f"got {n!r}")
+    if n > MAX_FRAME_WORLDS:
+        raise InputError(f"{n} worlds exceed the frame bound "
+                         f"{MAX_FRAME_WORLDS}")
     order = closure_pairs([(int(i), int(j)) for i, j in data.get("order", [])],
                           range(n))
     frame = IntLayeredFrame(
         n, frozenset(order),
         frozenset((int(y), int(z), int(x))
                   for y, z, x in data.get("rel", [])))
+    return RelationalModel(frame, valuation_from_dict(data, n))
+
+
+def valuation_from_dict(data: dict, n: int) -> Dict[str, FrozenSet[int]]:
+    """The file's valuation: each atom's worlds, all among 0..n-1."""
     valuation = {p: frozenset(int(i) for i in ws)
                  for p, ws in data.get("valuation", {}).items()}
-    return RelationalModel(frame, valuation)
+    for p, ws in valuation.items():
+        for i in ws:
+            if not 0 <= i < n:
+                raise ValueError(f"valuation of {p!r} mentions world {i}")
+    return valuation

@@ -5,18 +5,45 @@ first relation of each set of equal tables: the family the oracle scanned
 before it kept one frame per isomorphism class.  ``class_minima`` groups
 its frames into isomorphism classes by relabelling their tables under
 every world permutation.  The tests hold the reduced oracle steps against
-both.
+both.  ``enumerate_frames`` lists every labelled frame up to a world
+count, relations in (size, lex) order: the family before any reduction.
+
+``closure_reference`` closes a relation by composing it with itself
+until nothing is added.  ``check_assignment`` checks that a resource
+assignment takes values in the predicate quantifiers' domain, the
+up-sets of the placement order.
 """
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from ilgl.predicate import ResourceAssignment, ResourceModel
 from ilgl.relational import (OP_NAME, IntLayeredFrame, _order_tables,
                              _triple_tables, enumerate_preorders)
 
 LAYER_OPS = ("lconj", "rres", "lres")
+
+
+def enumerate_frames(max_worlds: int,
+                     max_rel_size: Optional[int] = None
+                     ) -> Iterator[IntLayeredFrame]:
+    """Every frame with up to ``max_worlds`` worlds, smallest first.
+
+    ``max_rel_size`` caps the ternary relation's size; None means the full
+    space (only viable below 3 worlds).
+    """
+    if max_worlds < 1:
+        raise ValueError("need at least one world")
+    for n in range(1, max_worlds + 1):
+        triples = list(itertools.product(range(n), repeat=3))
+        top = len(triples) if max_rel_size is None else min(max_rel_size,
+                                                            len(triples))
+        for order in enumerate_preorders(n):
+            for size in range(top + 1):  # (size, lex) order
+                for rel in itertools.combinations(triples, size):
+                    yield IntLayeredFrame(n, order, frozenset(rel))
 
 
 def unreduced_chunks(n: int, cap: Optional[int], ranks=None):
@@ -80,3 +107,28 @@ def class_minima(n: int, chunks) -> Dict[tuple, int]:
         for (position, _, _), key in zip(entries, keys):
             least[key] = min(position, least.get(key, position))
     return least
+
+
+def closure_reference(pairs, domain) -> set:
+    """The reflexive-transitive closure of ``pairs`` over ``domain``."""
+    closed = {(d, d) for d in domain} | set(pairs)
+    while True:
+        step = {(a, c) for a, b in closed for b2, c in closed if b == b2}
+        if step <= closed:
+            return closed
+        closed |= step
+
+
+def check_assignment(rm: ResourceModel, s: ResourceAssignment) -> List[str]:
+    """Why ``s`` is not an assignment of up-closed placement vertex sets;
+    empty when it is one."""
+    place_vertices = {v for pair in rm.placement for v in pair}
+    problems = []
+    for r, block in sorted(s.items()):
+        for v in block:
+            if v not in place_vertices:
+                problems.append(f"{r}: {v} is not a placement vertex")
+            for w in place_vertices:
+                if (v, w) in rm.placement and w not in block:
+                    problems.append(f"{r}: not up-closed at {v} <= {w}")
+    return problems

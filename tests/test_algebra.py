@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from ilgl.algebra import (AlgebraInterpretation, FiniteLayeredHeytingAlgebra,
                           algebra_from_dict, algebra_satisfaction_agrees,
                           algebra_to_dict, complex_algebra,
@@ -34,6 +36,35 @@ def diamond():
         rres=himp, lres=himp, top=3, bot=0)
 
 
+def crossed_pair():
+    """Complex algebra of two unordered worlds with 0 |> 1 landing in 0
+    and 1 |> 0 in 1.  Its elements are the up-sets {}, {0}, {1}, {0,1},
+    with ids 0 to 3."""
+    return complex_algebra(IntLayeredFrame(
+        2, frozenset([(0, 0), (1, 1)]), frozenset([(0, 1, 0), (1, 0, 1)])))
+
+
+def derived_laws(alg):
+    """The laws of residuated structures that follow from residuation,
+    each True when it holds in ``alg``."""
+    n = range(alg.size)
+    lc, join, bot, top = alg.lconj, alg.join, alg.bot, alg.top
+    return {
+        "monotonicity": all(
+            alg.le(lc[a][b], lc[a2][b2]) for a in n for a2 in n
+            for b in n for b2 in n if alg.le(a, a2) and alg.le(b, b2)),
+        "bottom absorption": all(lc[bot][a] == bot == lc[a][bot]
+                                 for a in n),
+        "unit laws": all(
+            alg.rres[a][top] == alg.lres[a][top] == alg.rres[bot][a]
+            == alg.lres[bot][a] == top for a in n),
+        "join distribution": all(
+            lc[join[a][a2]][b] == join[lc[a][b]][lc[a2][b]]
+            and lc[b][join[a][a2]] == join[lc[b][a]][lc[b][a2]]
+            for a in n for a2 in n for b in n),
+    }
+
+
 class TestValidate:
     def test_degenerate_two_chain(self):
         assert validate_algebra(two_chain()) == []
@@ -51,6 +82,23 @@ class TestValidate:
         alg = two_chain()
         alg.join = [[0, 0], [0, 1]]
         assert validate_algebra(alg) != []
+
+    @pytest.mark.parametrize("law, table, a, b, value", [
+        ("monotonicity", "lconj", 1, 2, 3),
+        ("bottom absorption", "lconj", 0, 3, 1),
+        ("unit laws", "rres", 2, 3, 2),
+        ("join distribution", "lconj", 3, 2, 3),
+    ])
+    def test_derived_law_break_reported(self, law, table, a, b, value):
+        """Breaking any derived law breaks an axiom that validate_algebra
+        checks, so the residuation suite need not check the laws again."""
+        alg = crossed_pair()
+        assert validate_algebra(alg) == []
+        assert all(derived_laws(alg).values())
+        getattr(alg, table)[a][b] = value
+        assert not derived_laws(alg)[law]
+        assert any(v["law"].startswith("residuation")
+                   for v in validate_algebra(alg))
 
     def test_complex_algebras_always_valid(self):
         rng = random.Random(10)

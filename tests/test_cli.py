@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,10 +7,14 @@ import time
 
 import pytest
 
+from hilbert_corpus import corpus, mutated
+
 from ilgl.algebra import algebra_to_dict, complex_algebra
 from ilgl.cli import main
+from ilgl.crosscheck import SUITES
 from ilgl.graph import load_model, satisfies
 from ilgl.formula import MAX_DEPTH, parse
+from ilgl.hilbert import derivation_to_dict
 from ilgl.predicate import resource_model_to_dict
 from ilgl.relational import IntLayeredFrame, RelationalModel, frame_to_dict
 
@@ -407,6 +412,15 @@ class TestCrosscheckCommand:
         code, _ = run(capsys, "crosscheck", "nonsense")
         assert code == 2
 
+    def test_zero_budget_runs_nothing(self, capsys):
+        for suite in SUITES:
+            code, body = run_json(capsys, "crosscheck", suite,
+                                  "--budget", "0")
+            assert code == 0 and body["status"] == "ok", suite
+            counts = {k: v for k, v in body["payload"].items()
+                      if k not in ("suite", "seed")}
+            assert counts and set(counts.values()) == {0}, suite
+
     def test_negative_budget_exit_two(self, capsys):
         code, body = run_json(capsys, "crosscheck", "soundness",
                               "--budget", "-3")
@@ -483,3 +497,79 @@ class TestSubprocess:
                                    env=cli_env())
             assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                         fresh.stderr), argv
+
+
+def golden_inputs(tmp_path):
+    """Input files for the golden run, written under ``tmp_path``."""
+    from test_predicate import composed_bigraphs
+
+    frame = IntLayeredFrame(2, frozenset([(0, 0), (1, 1), (0, 1)]),
+                            frozenset([(0, 0, 1), (1, 1, 1)]))
+    chain = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"]]
+    item = corpus()[5]
+    inputs = {
+        "frame.json": frame_to_dict(RelationalModel(frame, {"p": {1}})),
+        "rm.json": resource_model_to_dict(composed_bigraphs()),
+        "inadmissible.json": {
+            "vertices": list("abcde"), "edges": chain, "eset": chain,
+            "X": [{"vertices": ["b", "c"], "edges": [["b", "c"]]},
+                  {"vertices": ["d", "e"], "edges": [["d", "e"]]}],
+            "order": [], "valuation": {}},
+        "deriv.json": derivation_to_dict(item["derivation"]),
+        "bad_deriv.json": derivation_to_dict(mutated(item)),
+    }
+    for name, data in inputs.items():
+        (tmp_path / name).write_text(json.dumps(data))
+
+
+GOLDEN_ARGVS = [
+    ["prove", FIGURE, "--trace"],
+    ["prove", REFUTABLE, "--trace", "--emit-countermodel", "cm.json",
+     "--dot", "cm.dot"],
+    ["prove", "((p -> bot) -> bot) -> p", "--max-steps", "40"],
+    ["prove", "p |> q |> r"],
+    ["check", "cm.json", REFUTABLE],
+    ["check", "cm.json", REFUTABLE, "--world", "0"],
+    ["check", "cm.json", "p -> p"],
+    ["check", "rm.json", "exists s. Contains(s)", "--world", "0"],
+    ["check", "rm.json", "forall s. Contains(s)"],
+    ["check", "inadmissible.json", "top"],
+    ["check", "missing.json", "top"],
+    ["validate", "cm.json"],
+    ["validate", "frame.json"],
+    ["validate", "rm.json"],
+    ["validate", "inadmissible.json"],
+    ["algebra", "complex", "frame.json", "-o", "alg.json"],
+    ["validate", "alg.json"],
+    ["algebra", "primefilters", "alg.json"],
+    ["algebra", "embed", "alg.json"],
+    ["algebra", "fep", "alg.json", "--subset", "0,1", "-o", "fep.json"],
+    ["algebra", "embed", "frame.json"],
+    ["hilbert", "deriv.json"],
+    ["hilbert", "deriv.json", "--theorem", "p -> p"],
+    ["hilbert", "bad_deriv.json"],
+    *(["crosscheck", suite, "--seed", "7", "--budget", "3"]
+      for suite in ("soundness", "persistence", "residuation",
+                    "representation", "fep", "oracle-agreement")),
+    ["crosscheck", "nonsense"],
+]
+
+# sha256 over every command's argv, exit code and --json stdout, then
+# every file the commands wrote.
+JSON_BYTES_DIGEST = ("39a06975b174e3739ef6151af9cb1a0c"
+                     "0cf95f8554916f48915f426c6a4a6225")
+
+
+def test_json_bytes_golden(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden_inputs(tmp_path)
+    before = {p.name for p in tmp_path.iterdir()}
+    digest = hashlib.sha256()
+    for argv in GOLDEN_ARGVS:
+        code = main(["--json", *argv])
+        out = capsys.readouterr().out
+        digest.update(f"{argv!r}\0{code}\0{out}\0".encode())
+    for path in sorted(tmp_path.iterdir()):
+        if path.name not in before:
+            digest.update(f"{path.name}\0{path.read_text()}\0".encode())
+    assert digest.hexdigest() == JSON_BYTES_DIGEST

@@ -5,6 +5,7 @@ it into exit 2 without a traceback; any other exception exits 4."""
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from ilgl.cli import main
 from ilgl.formula import InputError, parse
 from ilgl.hilbert import Derivation, Sequent, derivation_to_dict
 from ilgl.predicate import resource_model_to_dict
-from ilgl.relational import IntLayeredFrame, RelationalModel, frame_to_dict
+from ilgl.relational import (MAX_FRAME_WORLDS, IntLayeredFrame,
+                             RelationalModel, frame_to_dict)
 
 KINDS = ("algebra", "frame", "model", "resource model", "derivation")
 MODEL = {"vertices": ["a", "b"], "edges": [["a", "b"]], "eset": [["a", "b"]],
@@ -80,6 +82,50 @@ def test_malformed_input_exit_two(capsys, tmp_path, content, argvs):
         assert code == 2 and body["status"] == "error", argv
         assert "input.json" in body["payload"]["message"], argv
         assert "Traceback" not in err, argv
+
+
+FRAME_TEXT = '{"worlds": 2, "order": [[0, 1]], "rel": [], "valuation": %s}'
+MODEL_ARGVS = [("check", "{}", "p"), ("validate", "{}")]
+FRAME_ARGVS = [("validate", "{}"), ("algebra", "complex", "{}")]
+
+
+@pytest.mark.parametrize("content, argvs, world", [
+    (FRAME_TEXT % '{"p": [1, 99]}', FRAME_ARGVS, 99),
+    (FRAME_TEXT % '{"p": [-1]}', FRAME_ARGVS, -1),
+    (json.dumps({**MODEL, "valuation": {"p": [0, 99]}}), MODEL_ARGVS, 99),
+    (json.dumps({**MODEL, "valuation": {"p": [-1]}}), MODEL_ARGVS, -1),
+], ids=["frame-99", "frame-minus-1", "model-99", "model-minus-1"])
+def test_valuation_world_out_of_range_exit_two(capsys, tmp_path, content,
+                                               argvs, world):
+    for argv in argvs:
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message, argv
+        assert f"valuation of 'p' mentions world {world}" in message, argv
+        assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("worlds", [10 ** 9, MAX_FRAME_WORLDS + 1])
+def test_frame_beyond_world_bound_exit_two(capsys, tmp_path, worlds):
+    content = json.dumps({"worlds": worlds, "order": [], "rel": []})
+    for argv in FRAME_ARGVS:
+        start = time.monotonic()
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message and "frame bound" in message, argv
+        assert "Traceback" not in err, argv
+
+
+def test_chain_frame_at_world_bound_validates(capsys, tmp_path):
+    n = MAX_FRAME_WORLDS
+    content = json.dumps({"worlds": n, "rel": [[0, 0, n - 1]],
+                          "order": [[i, i + 1] for i in range(n - 1)],
+                          "valuation": {"p": [n - 2, n - 1]}})
+    code, body, _ = run(capsys, tmp_path, content, "validate", "{}")
+    assert code == 0 and body["status"] == "ok"
 
 
 def test_missing_field_named(capsys, tmp_path):

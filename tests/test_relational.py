@@ -17,11 +17,12 @@ from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
 from ilgl.graph import scaffold_to_frame
 from ilgl.relational import (_CACHE, MAX_UPSETS, OP_NAME, IntLayeredFrame,
-                             RelationalModel, enumerate_frames,
+                             RelationalModel, closure_pairs,
                              enumerate_preorders, frame_from_dict,
                              frame_to_dict, rel_satisfies, rel_valid_upto,
                              upset_masks)
-from oracle_reference import class_minima, unreduced_chunks
+from oracle_reference import (class_minima, closure_reference,
+                              enumerate_frames, unreduced_chunks)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -122,6 +123,30 @@ class TestEnumeration:
     def test_all_yielded_frames_valid(self):
         for frame in itertools.islice(enumerate_frames(3, 2), 500):
             assert frame.validate() == []
+
+    def test_closure_matches_reference(self):
+        rng = random.Random(4)
+        for n in range(1, 9):
+            for domain in (range(n), [f"v{i}" for i in range(n)]):
+                for _ in range(30):
+                    pairs = [(rng.choice(domain), rng.choice(domain))
+                             for _ in range(rng.randrange(2 * n))]
+                    assert closure_pairs(pairs, domain) \
+                        == closure_reference(pairs, domain)
+        with pytest.raises(ValueError):
+            closure_pairs([(0, 3)], range(3))
+
+    def test_validate_names_each_fault(self):
+        order = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (1, 0)]
+        frame = IntLayeredFrame(3, frozenset(order), frozenset())
+        assert frame.validate() == ["order not transitive: (0,1),(1,2)"]
+        frame = IntLayeredFrame(2, frozenset([(0, 0), (0, 1), (1, 5)]),
+                                frozenset([(0, 0, 2)]))
+        model = RelationalModel(frame, {"p": frozenset([0])})
+        assert sorted(model.validate()) == [
+            "order not reflexive at 1", "order pair (1,5) out of range",
+            "relation triple (0, 0, 2) out of range",
+            "valuation of 'p' not persistent: 0 <= 1"]
 
     def test_upsets_bounded(self):
         # 16 discrete worlds have exactly MAX_UPSETS up-sets; 17 have
