@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .formula import Formula, InputError
+from .formula import Formula, InputError, postfix
 from .relational import (OP_NAME, Evaluator, IntLayeredFrame,
-                         RelationalModel, fold_tables, frame_tables, postfix)
+                         RelationalModel, fold_tables, frame_tables)
 
 BINOPS = tuple(OP_NAME.values())
 
@@ -52,15 +52,15 @@ def interpret(interp: AlgebraInterpretation, f: Formula) -> int:
                        interp.valuation, alg.bot, alg.top)
 
 
-def validate_algebra(alg: FiniteLayeredHeytingAlgebra,
-                     max_reports: int = 20) -> List[dict]:
-    """Check the lattice, Heyting, and residuation axioms; empty iff valid."""
+def validate_algebra(alg: FiniteLayeredHeytingAlgebra) -> List[dict]:
+    """Check the lattice, Heyting, and residuation axioms; empty iff valid.
+    Stops at the 20th violation."""
     n = alg.size
     out: List[dict] = []
 
     def report(law: str, **witness) -> bool:
         out.append({"law": law, **witness})
-        return len(out) >= max_reports
+        return len(out) >= 20
 
     rng = range(n)
     for name in BINOPS:

@@ -3,19 +3,25 @@
 ``read`` opens a JSON file, recognises its kind from its keys, refuses a
 kind the caller does not take and builds the object.  Every failure on
 the way is an ``InputError`` that names the path: a file that cannot be
-opened or decoded, JSON nested too deeply or holding a number too large
-for an integer, a missing field, a field of the wrong type, or a value
-the builder refuses.  ``write`` reports an output file that cannot be
-written the same way.
+opened or decoded or is larger than ``MAX_FILE_BYTES``, JSON nested too
+deeply or holding a number too large for an integer, a missing field, a
+field of the wrong type, or a value the builder refuses.  ``write``
+reports an output file that cannot be written the same way.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Tuple
 
 from . import algebra, graph, hilbert, predicate, relational
 from .formula import InputError
+
+# The largest file ``read`` decodes: above the 8.8 MB of a frame of
+# ``relational.MAX_FRAME_WORLDS`` worlds that lists every order pair, as
+# ``json_text`` writes it.  At most this many bytes and one more are read.
+MAX_FILE_BYTES = 16 * 2 ** 20
 
 # Looked up through their modules on each call, so that a wrapped builder
 # (the benchmark's tracer wraps ``graph.model_from_dict``) is the one used.
@@ -49,7 +55,15 @@ def read(path: str, *kinds: str) -> Tuple[str, object]:
     ``kinds``."""
     try:
         with open(path, "rb") as fh:
-            data = json.load(fh)
+            # read(n) allocates n bytes first, so ask for what the file
+            # holds; one longer than its size says (a pipe) reads on.
+            size = min(os.fstat(fh.fileno()).st_size, MAX_FILE_BYTES)
+            raw = fh.read(size + 1)
+            if len(raw) > size:
+                raw += fh.read(MAX_FILE_BYTES + 1 - len(raw))
+        if len(raw) > MAX_FILE_BYTES:
+            raise InputError(f"larger than {MAX_FILE_BYTES} bytes")
+        data = json.loads(raw)
         kind = kind_of(data)
         if kind not in kinds:
             raise InputError(f"file kind {kind!r}, expected "

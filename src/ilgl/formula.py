@@ -454,19 +454,23 @@ def _height(f: Formula) -> int:
     return deepest
 
 
-def subformulas(f: Formula) -> list:
-    """All distinct subformulas of ``f`` (including ``f``), in post-order."""
-    seen: dict = {}
+def postfix(f: Formula) -> list:
+    """Every node occurrence of ``f``, operands before their connective."""
+    out = []
 
     def walk(g: Formula) -> None:
         if isinstance(g, BINARY_NODES):
             walk(g.left)
             walk(g.right)
-        if g not in seen:
-            seen[g] = None
+        out.append(g)
 
     walk(f)
-    return list(seen)
+    return out
+
+
+def subformulas(f: Formula) -> list:
+    """All distinct subformulas of ``f`` (including ``f``), in post-order."""
+    return list(dict.fromkeys(postfix(f)))
 
 
 def atoms(f: Formula) -> list:

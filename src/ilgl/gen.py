@@ -15,8 +15,11 @@ from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
 from .relational import (IntLayeredFrame, RelationalModel, closure_pairs,
                          principal_upsets)
 
+ATOM_NAMES = ("p", "q", "r")
+
+
 def random_formula(rng: random.Random, max_depth: int = 4,
-                   atom_names: Tuple[str, ...] = ("p", "q", "r")) -> Formula:
+                   atom_names: Tuple[str, ...] = ATOM_NAMES) -> Formula:
     if max_depth == 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.1:
@@ -29,29 +32,26 @@ def random_formula(rng: random.Random, max_depth: int = 4,
                random_formula(rng, max_depth - 1, atom_names))
 
 
-def random_preorder(rng: random.Random, n: int, density: float = 0.3
-                    ) -> frozenset:
+def random_preorder(rng: random.Random, n: int) -> frozenset:
     pairs = [(i, j) for i in range(n) for j in range(n)
-             if i != j and rng.random() < density]
+             if i != j and rng.random() < 0.3]
     return frozenset(closure_pairs(pairs, range(n)))
 
 
-def random_frame(rng: random.Random, worlds: int,
-                 rel_size: Optional[int] = None) -> IntLayeredFrame:
+def random_frame(rng: random.Random, worlds: int) -> IntLayeredFrame:
     order = random_preorder(rng, worlds)
-    k = rel_size if rel_size is not None else rng.randrange(worlds + 2)
+    k = rng.randrange(worlds + 2)
     triples = [(rng.randrange(worlds), rng.randrange(worlds),
                 rng.randrange(worlds)) for _ in range(k)]
     return IntLayeredFrame(worlds, order, frozenset(triples))
 
 
-def _random_valuation(rng: random.Random, n: int, order,
-                      atom_names: Tuple[str, ...]) -> dict:
+def _random_valuation(rng: random.Random, n: int, order) -> dict:
     """Each atom true on the up-closure of a random seed set of worlds:
     the union of the seeds' principal up-sets."""
     up = principal_upsets(n, order)
     valuation = {}
-    for p in atom_names:
+    for p in ATOM_NAMES:
         mask = 0
         for w in range(n):
             if rng.random() < 0.4:
@@ -60,19 +60,17 @@ def _random_valuation(rng: random.Random, n: int, order,
     return valuation
 
 
-def random_relational_model(rng: random.Random, worlds: int,
-                            atom_names: Tuple[str, ...] = ("p", "q", "r")
+def random_relational_model(rng: random.Random, worlds: int
                             ) -> RelationalModel:
     frame = random_frame(rng, worlds)
-    return RelationalModel(
-        frame, _random_valuation(rng, worlds, frame.order, atom_names))
+    return RelationalModel(frame,
+                           _random_valuation(rng, worlds, frame.order))
 
 
-def random_scaffold(rng: random.Random, max_attempts: int = 40
-                    ) -> OrderedScaffold:
-    """A random admissible ordered scaffold (retries until the
-    admissibility repair loop converges small enough)."""
-    for _ in range(max_attempts):
+def random_scaffold(rng: random.Random) -> OrderedScaffold:
+    """A random admissible ordered scaffold (retries, up to 40 times,
+    until the admissibility repair loop converges small enough)."""
+    for _ in range(40):
         scaffold = _try_scaffold(rng)
         if scaffold is not None and not check_admissible(scaffold):
             return scaffold
@@ -124,9 +122,7 @@ def _try_scaffold(rng: random.Random) -> Optional[OrderedScaffold]:
     return OrderedScaffold(graph, eset, subgraphs, frozenset(order_pairs))
 
 
-def random_graph_model(rng: random.Random,
-                       atom_names: Tuple[str, ...] = ("p", "q", "r")
-                       ) -> LayeredGraphModel:
+def random_graph_model(rng: random.Random) -> LayeredGraphModel:
     scaffold = random_scaffold(rng)
     return LayeredGraphModel(scaffold, _random_valuation(
-        rng, len(scaffold.subgraphs), scaffold.order, atom_names))
+        rng, len(scaffold.subgraphs), scaffold.order))

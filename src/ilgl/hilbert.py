@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .formula import (And, Bot, Formula, Imp, ImpLeft, ImpRight, LayerConj,
-                      Or, Top, parse, render)
+from .formula import BINARY_NODES, Atom, Formula, Top, parse, render
 
 
 @dataclass(frozen=True)
@@ -31,134 +30,79 @@ class Derivation:
     index: Optional[int] = None  # side tag for And2 / Or1
 
 
-RULE_ARITY = {
-    "Ax": 0, "Cut": 2, "Top": 0, "Bot": 0,
-    "And1": 2, "And2": 0, "Or1": 0, "Or2": 2,
-    "Imp1": 2, "Imp2": 1, "LConj": 2,
-    "RRes1": 2, "RRes2": 1, "LRes1": 2, "LRes2": 1,
+# The paper's rules as schemas in the formula syntax: each maps to its
+# conclusion, its premises and the words that say what its conclusion must
+# be (Cut's conclusion matches every sequent).  The atoms a, b, c, d are
+# metavariables.  And2 and Or1 have one entry per side index.
+RULES = {
+    "Ax": ("a |- a", [], "needs left == right"),
+    "Cut": ("a |- c", ["a |- b", "b |- c"], ""),
+    "Top": ("a |- top", [], "concludes phi |- top"),
+    "Bot": ("bot |- a", [], "concludes bot |- phi"),
+    "And1": ("a |- b & c", ["a |- b", "a |- c"],
+             "concludes a conjunction"),
+    ("And2", 1): ("a & b |- a", [], "eliminates a conjunction"),
+    ("And2", 2): ("a & b |- b", [], "eliminates a conjunction"),
+    ("Or1", 1): ("a |- a | b", [], "introduces a disjunction"),
+    ("Or1", 2): ("b |- a | b", [], "introduces a disjunction"),
+    "Or2": ("a | b |- c", ["a |- c", "b |- c"], "eliminates a disjunction"),
+    "Imp1": ("a & d |- c", ["a |- b -> c", "d |- b"],
+             "concludes from a conjunction"),
+    "Imp2": ("a |- b -> c", ["a & b |- c"], "concludes an implication"),
+    "LConj": ("a |> b |- c |> d", ["a |- c", "b |- d"],
+              "concludes between layered conjunctions"),
+    "RRes1": ("a |> d |- c", ["a |- b -|> c", "d |- b"],
+              "concludes from a layered conjunction"),
+    "RRes2": ("a |- b -|> c", ["a |> b |- c"], "concludes -|>"),
+    "LRes1": ("d |> a |- c", ["a |- b <|- c", "d |- b"],
+              "concludes from a layered conjunction"),
+    "LRes2": ("b |- a <|- c", ["a |> b |- c"], "concludes <|-"),
 }
+
+
+def _schema(text: str) -> Sequent:
+    left, _, right = text.partition(" |- ")
+    return Sequent(parse(left), parse(right))
+
+
+_SCHEMAS = {key: (_schema(conclusion), [_schema(p) for p in premises], phrase)
+            for key, (conclusion, premises, phrase) in RULES.items()}
+_ARITY = {key if isinstance(key, str) else key[0]: len(premises)
+          for key, (_, premises, _) in RULES.items()}
+
+
+def _match(pattern, f, binding: dict) -> bool:
+    """Whether the formula or sequent ``f`` instantiates ``pattern``; an
+    atom of the pattern binds ``f`` or must equal its earlier binding."""
+    if isinstance(pattern, Atom):
+        return binding.setdefault(pattern.name, f) == f
+    if type(pattern) is not type(f):
+        return False
+    return not isinstance(pattern, (Sequent, *BINARY_NODES)) or (
+        _match(pattern.left, f.left, binding)
+        and _match(pattern.right, f.right, binding))
 
 
 def _node_ok(d: Derivation) -> Optional[str]:
     """None when the node instantiates its rule schema, else the mismatch."""
-    c = d.conclusion
-    ps = [p.conclusion for p in d.premises]
     rule = d.rule
-    if rule not in RULE_ARITY:
+    if rule not in _ARITY:
         return f"unknown rule {rule!r}"
-    if len(ps) != RULE_ARITY[rule]:
-        return (f"{rule} expects {RULE_ARITY[rule]} premises, "
-                f"got {len(ps)}")
-    if rule == "Ax":
-        return None if c.left == c.right else "Ax needs left == right"
-    if rule == "Cut":
-        if ps[0].left != c.left:
-            return "Cut: first premise must start at the conclusion's left"
-        if ps[1].right != c.right:
-            return "Cut: second premise must end at the conclusion's right"
-        if ps[0].right != ps[1].left:
-            return "Cut: premises do not meet"
-        return None
-    if rule == "Top":
-        return None if isinstance(c.right, Top) else "Top concludes phi |- top"
-    if rule == "Bot":
-        return None if isinstance(c.left, Bot) else "Bot concludes bot |- phi"
-    if rule == "And1":
-        if not isinstance(c.right, And):
-            return "And1 concludes a conjunction"
-        if ps[0] != Sequent(c.left, c.right.left):
-            return "And1: first premise mismatch"
-        if ps[1] != Sequent(c.left, c.right.right):
-            return "And1: second premise mismatch"
-        return None
-    if rule == "And2":
-        if not isinstance(c.left, And):
-            return "And2 eliminates a conjunction"
-        if d.index not in (1, 2):
-            return "And2 needs index 1 or 2"
-        picked = c.left.left if d.index == 1 else c.left.right
-        return None if c.right == picked else "And2: wrong conjunct"
-    if rule == "Or1":
-        if not isinstance(c.right, Or):
-            return "Or1 introduces a disjunction"
-        if d.index not in (1, 2):
-            return "Or1 needs index 1 or 2"
-        picked = c.right.left if d.index == 1 else c.right.right
-        return None if c.left == picked else "Or1: wrong disjunct"
-    if rule == "Or2":
-        if not isinstance(c.left, Or):
-            return "Or2 eliminates a disjunction"
-        if ps[0] != Sequent(c.left.left, c.right):
-            return "Or2: first premise mismatch"
-        if ps[1] != Sequent(c.left.right, c.right):
-            return "Or2: second premise mismatch"
-        return None
-    if rule == "Imp1":
-        # phi |- psi -> chi  and  nu |- psi  give  phi & nu |- chi
-        if not isinstance(c.left, And):
-            return "Imp1 concludes from a conjunction"
-        phi, nu = c.left.left, c.left.right
-        if not isinstance(ps[0].right, Imp):
-            return "Imp1: first premise must end in an implication"
-        psi, chi = ps[0].right.left, ps[0].right.right
-        if ps[0].left != phi or chi != c.right:
-            return "Imp1: first premise mismatch"
-        if ps[1] != Sequent(nu, psi):
-            return "Imp1: second premise mismatch"
-        return None
-    if rule == "Imp2":
-        if not isinstance(c.right, Imp):
-            return "Imp2 concludes an implication"
-        want = Sequent(And(c.left, c.right.left), c.right.right)
-        return None if ps[0] == want else "Imp2: premise mismatch"
-    if rule == "LConj":
-        if not (isinstance(c.left, LayerConj)
-                and isinstance(c.right, LayerConj)):
-            return "LConj concludes between layered conjunctions"
-        if ps[0] != Sequent(c.left.left, c.right.left):
-            return "LConj: first premise mismatch"
-        if ps[1] != Sequent(c.left.right, c.right.right):
-            return "LConj: second premise mismatch"
-        return None
-    if rule == "RRes1":
-        # phi |- psi -|> chi  and  nu |- psi  give  phi |> nu |- chi
-        if not isinstance(c.left, LayerConj):
-            return "RRes1 concludes from a layered conjunction"
-        phi, nu = c.left.left, c.left.right
-        if not isinstance(ps[0].right, ImpRight):
-            return "RRes1: first premise must end in -|>"
-        psi, chi = ps[0].right.left, ps[0].right.right
-        if ps[0].left != phi or chi != c.right:
-            return "RRes1: first premise mismatch"
-        if ps[1] != Sequent(nu, psi):
-            return "RRes1: second premise mismatch"
-        return None
-    if rule == "RRes2":
-        # phi |> psi |- chi  gives  phi |- psi -|> chi
-        if not isinstance(c.right, ImpRight):
-            return "RRes2 concludes -|>"
-        want = Sequent(LayerConj(c.left, c.right.left), c.right.right)
-        return None if ps[0] == want else "RRes2: premise mismatch"
-    if rule == "LRes1":
-        # phi |- psi <|- chi  and  nu |- psi  give  nu |> phi |- chi
-        if not isinstance(c.left, LayerConj):
-            return "LRes1 concludes from a layered conjunction"
-        nu, phi = c.left.left, c.left.right
-        if not isinstance(ps[0].right, ImpLeft):
-            return "LRes1: first premise must end in <|-"
-        psi, chi = ps[0].right.left, ps[0].right.right
-        if ps[0].left != phi or chi != c.right:
-            return "LRes1: first premise mismatch"
-        if ps[1] != Sequent(nu, psi):
-            return "LRes1: second premise mismatch"
-        return None
-    if rule == "LRes2":
-        # phi |> psi |- chi  gives  psi |- phi <|- chi
-        if not isinstance(c.right, ImpLeft):
-            return "LRes2 concludes <|-"
-        want = Sequent(LayerConj(c.right.left, c.left), c.right.right)
-        return None if ps[0] == want else "LRes2: premise mismatch"
-    raise AssertionError(rule)
+    if len(d.premises) != _ARITY[rule]:
+        return (f"{rule} expects {_ARITY[rule]} premises, "
+                f"got {len(d.premises)}")
+    schema = _SCHEMAS.get(rule) or _SCHEMAS.get((rule, d.index))
+    if schema is None:
+        return f"{rule} needs index 1 or 2"
+    conclusion, premises, phrase = schema
+    binding: dict = {}
+    if not _match(conclusion, d.conclusion, binding):
+        return f"{rule} {phrase}"
+    for i, (pattern, p) in enumerate(zip(premises, d.premises)):
+        if not _match(pattern, p.conclusion, binding):
+            which = ("first ", "second ")[i] if len(premises) == 2 else ""
+            return f"{rule}: {which}premise mismatch"
+    return None
 
 
 def check_derivation(d: Derivation) -> List[dict]:

@@ -21,9 +21,9 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
 
 import numpy as np
 
-from .formula import (BINARY_NODES, And, Atom, Bot, Contains, Exists, Forall,
-                      Formula, Imp, ImpLeft, ImpRight, LayerConj, Or,
-                      InputError, PointsTo, Top, atoms)
+from .formula import (And, Atom, Bot, Contains, Exists, Forall, Formula, Imp,
+                      ImpLeft, ImpRight, LayerConj, Or, InputError, PointsTo,
+                      Top, atoms, postfix)
 
 Triple = Tuple[int, int, int]
 
@@ -300,20 +300,6 @@ def frame_tables(frame: IntLayeredFrame) -> tuple:
     layer = tuple([[index[m] for m in row] for row in t.tolist()]
                   for t in (lconj, rres, lres))
     return ups, dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
-
-
-def postfix(f: Formula) -> list:
-    """Every node occurrence of ``f``, operands before their connective."""
-    out = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, BINARY_NODES):
-            walk(g.left)
-            walk(g.right)
-        out.append(g)
-
-    walk(f)
-    return out
 
 
 def fold_tables(nodes: list, apply: Callable, valuation: dict, bot, top):

@@ -44,25 +44,21 @@ class ConstraintSet:
     """
 
     def __init__(self, constraints: Iterable[Constraint] = ()):
-        self.constraints: Set[Constraint] = set()
         self.closure: Set[Constraint] = set()
         self.domain: Set[Label] = set()
-        self.alphabet: Set[int] = set()
         for c in constraints:
             self.add(c)
 
     def add(self, constraint: Constraint) -> Set[Constraint]:
         """Add a constraint; returns the pairs it added to the closure."""
         a, b = constraint
-        if constraint in self.constraints:
+        if constraint in self.closure:
             return set()
-        self.constraints.add(constraint)
         new = set()
         for lab in sublabels(a) + sublabels(b):
             if lab not in self.domain:
                 self.domain.add(lab)
                 new.add((lab, lab))
-                self.alphabet.update(lab)
         pre = {x for (x, y) in self.closure if y == a} | {a}
         post = {y for (x, y) in self.closure if x == b} | {b}
         new.update((x, y) for x in pre for y in post)
@@ -78,10 +74,8 @@ class ConstraintSet:
 
     def copy(self) -> "ConstraintSet":
         dup = ConstraintSet.__new__(ConstraintSet)
-        dup.constraints = set(self.constraints)
         dup.closure = set(self.closure)
         dup.domain = set(self.domain)
-        dup.alphabet = set(self.alphabet)
         return dup
 
 
@@ -102,7 +96,6 @@ class CSS:
         self.formulas: Set[SignedFormula] = set()
         self.cset = ConstraintSet(constraints)
         self.applied: Set[tuple] = set()
-        self.starved = False
         self.branch_id = 0  # assigned by the owning tableau
         self.signed: Dict[Formula, Tuple[Tuple[Label, ...],
                                          Tuple[Label, ...]]] = {}
@@ -153,7 +146,6 @@ class CSS:
         dup.formulas = set(self.formulas)
         dup.cset = self.cset.copy()
         dup.applied = set(self.applied)
-        dup.starved = self.starved
         dup.branch_id = 0
         dup.signed = dict(self.signed)
         dup.clash = self.clash
@@ -520,7 +512,7 @@ def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
     if fails:
         raise ValueError(f"not a Hintikka branch: {fails[:3]}")
     cset = css.cset
-    vertices = frozenset(f"c{i}" for i in sorted(cset.alphabet))
+    vertices = frozenset(f"c{i}" for lab in cset.domain for i in lab)
     eset = frozenset((f"c{i}", f"c{j}") for (i, j) in cset.two_letter())
     graph = DirectedGraph(vertices, eset)
     labels = sorted(cset.domain, key=lambda x: (len(x), x))
@@ -627,11 +619,8 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
         insts = applicable_rules(branch)
         if not insts:
             return branch
-        for inst in insts:
-            if over_budget(inst):
-                branch.starved = True
-            else:
-                queue.append((branch.branch_id, inst))
+        queue.extend((branch.branch_id, inst) for inst in insts
+                     if not over_budget(inst))
         return None
 
     saturated_branch = admit(tableau.branches[0])
@@ -652,7 +641,6 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
         if branch is None:
             continue
         if over_budget(inst):
-            branch.starved = True
             continue
         index = tableau.branches.index(branch)
         del live[branch_id]

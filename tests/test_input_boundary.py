@@ -128,6 +128,38 @@ def test_chain_frame_at_world_bound_validates(capsys, tmp_path):
     assert code == 0 and body["status"] == "ok"
 
 
+def test_file_beyond_size_bound_exit_two(capsys, tmp_path):
+    # A 2,000-world chain that lists its full order: about 26 MB, refused
+    # before it is decoded.
+    n = 2000
+    order = ", ".join(f"[{i}, {j}]" for i in range(n) for j in range(i, n))
+    content = '{"worlds": %d, "rel": [], "order": [%s]}' % (n, order)
+    assert len(content) > files.MAX_FILE_BYTES
+    start = time.monotonic()
+    code, body, err = run(capsys, tmp_path, content, "validate", "{}")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and body["status"] == "error"
+    message = body["payload"]["message"]
+    assert "input.json" in message and "larger than" in message
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, status", [(0, "ok"), (1, "error")])
+def test_file_at_size_bound(capsys, tmp_path, extra, status):
+    text = json.dumps(frame_to_dict(RelationalModel(FRAME, {})))
+    content = text + " " * (files.MAX_FILE_BYTES - len(text) + extra)
+    code, body, _ = run(capsys, tmp_path, content, "validate", "{}")
+    assert body["status"] == status and code == (0 if extra == 0 else 2)
+
+
+def test_full_order_frame_at_world_bound_within_size_bound():
+    n = MAX_FRAME_WORLDS
+    order = frozenset((i, j) for i in range(n) for j in range(n))
+    frame = IntLayeredFrame(n, order, frozenset())
+    text = files.json_text(frame_to_dict(RelationalModel(frame, {})))
+    assert len(text.encode()) < files.MAX_FILE_BYTES
+
+
 def test_missing_field_named(capsys, tmp_path):
     data = algebra_to_dict(complex_algebra(FRAME))
     del data["meet"]

@@ -142,3 +142,22 @@ def test_benchmark_tracer_finds_every_traced_function():
     proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_wraps_and_unwraps_in_process():
+    # The same guard on the package these tests import: every name the
+    # traced run wraps exists, and unwrapping restores each original.
+    import importlib
+
+    import ilgl
+    import worker
+    modules = [importlib.import_module(f"ilgl.{name}") for name in
+               ("algebra", "cli", "formula", "graph", "predicate",
+                "relational", "tableaux")]
+    before = [dict(vars(m)) for m in modules]
+    tracer = worker.install_tracer(ilgl)
+    assert ilgl.tableaux.prove is not before[-1]["prove"]
+    tracer.unwrap()
+    for m, names in zip(modules, before):
+        assert vars(m).keys() == names.keys()
+        assert all(vars(m)[k] is v for k, v in names.items()), m.__name__

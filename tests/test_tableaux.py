@@ -128,7 +128,6 @@ class TestCssCheck:
         css.formulas = set(css.formula_order)
         css.cset = ConstraintSet()
         css.applied = set()
-        css.starved = False
         css.branch_id = 0
         assert any(v["property"] == "Ref" for v in css_check(css))
 
