@@ -36,46 +36,72 @@ def sublabels(x: Label) -> List[Label]:
     return [(x[0],), (x[1],), x]
 
 
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class ConstraintSet:
     """A constraint set with its closure kept incrementally up to date.
 
     The closure adds reflexivity for every sub-label in the domain and
-    closes under transitivity; it never enlarges the domain.
+    closes under transitivity; it never enlarges the domain.  It is kept
+    as bit rows: ``domain`` gives each label a bit, in the order the
+    labels entered, ``labels`` lists them by bit, and ``up[i]`` holds the
+    bits of the labels above the label with bit i, ``down[i]`` those
+    below it.
     """
 
     def __init__(self, constraints: Iterable[Constraint] = ()):
-        self.closure: Set[Constraint] = set()
-        self.domain: Set[Label] = set()
+        self.domain: Dict[Label, int] = {}
+        self.labels: List[Label] = []
+        self.up: List[int] = []
+        self.down: List[int] = []
         for c in constraints:
             self.add(c)
 
-    def add(self, constraint: Constraint) -> Set[Constraint]:
-        """Add a constraint; returns the pairs it added to the closure."""
+    @property
+    def closure(self) -> Set[Constraint]:
+        return {(x, self.labels[j]) for x, i in self.domain.items()
+                for j in _bits(self.up[i])}
+
+    def add(self, constraint: Constraint) -> List[Constraint]:
+        """Add a constraint; returns the pairs it added to the closure:
+        each label at or below ``a`` gains those at or above ``b``."""
         a, b = constraint
-        if constraint in self.closure:
-            return set()
-        new = set()
+        new = []
         for lab in sublabels(a) + sublabels(b):
             if lab not in self.domain:
-                self.domain.add(lab)
-                new.add((lab, lab))
-        pre = {x for (x, y) in self.closure if y == a} | {a}
-        post = {y for (x, y) in self.closure if x == b} | {b}
-        new.update((x, y) for x in pre for y in post)
-        new -= self.closure
-        self.closure |= new
+                self.domain[lab] = i = len(self.labels)
+                self.labels.append(lab)
+                self.up.append(1 << i)
+                self.down.append(1 << i)
+                new.append((lab, lab))
+        above, below = self.up[self.domain[b]], self.down[self.domain[a]]
+        for i in _bits(below):
+            gained = above & ~self.up[i]
+            if gained:
+                self.up[i] |= gained
+                new += [(self.labels[i], self.labels[j])
+                        for j in _bits(gained)]
+        for j in _bits(above):
+            self.down[j] |= below
         return new
 
     def holds(self, a: Label, b: Label) -> bool:
-        return (a, b) in self.closure
+        i, j = self.domain.get(a), self.domain.get(b)
+        return i is not None and j is not None and self.up[i] >> j & 1 == 1
 
     def two_letter(self) -> List[Label]:
         return sorted(x for x in self.domain if len(x) == 2)
 
     def copy(self) -> "ConstraintSet":
         dup = ConstraintSet.__new__(ConstraintSet)
-        dup.closure = set(self.closure)
-        dup.domain = set(self.domain)
+        dup.domain, dup.labels = dict(self.domain), list(self.labels)
+        dup.up, dup.down = list(self.up), list(self.down)
         return dup
 
 
@@ -84,10 +110,11 @@ class CSS:
 
     The closure test is kept up to date as the branch grows: ``signed``
     maps each formula to the labels it is asserted (T) and denied (F) at,
-    and ``clash`` is set as soon as a new formula or a new closure pair
-    makes a T-label lie below an F-label of the same formula, or when
-    ``T bot`` or ``F top`` is added.  Add constraints through
-    ``add_constraint`` so that this test and the agenda see them.
+    ``asserted`` each label to the formulas asserted there, and ``clash``
+    is set as soon as a new formula or a new closure pair makes a T-label
+    lie below an F-label of the same formula, or when ``T bot`` or
+    ``F top`` is added.  Add constraints through ``add_constraint`` so
+    that this test and the agenda see them.
     """
 
     def __init__(self, formulas: Iterable[SignedFormula] = (),
@@ -95,10 +122,11 @@ class CSS:
         self.formula_order: List[SignedFormula] = []
         self.formulas: Set[SignedFormula] = set()
         self.cset = ConstraintSet(constraints)
-        self.applied: Set[tuple] = set()
+        self.applied: Set[RuleInstance] = set()
         self.branch_id = 0  # assigned by the owning tableau
         self.signed: Dict[Formula, Tuple[Tuple[Label, ...],
                                          Tuple[Label, ...]]] = {}
+        self.asserted: Dict[Label, Tuple[Formula, ...]] = {}
         self.clash = False
         # What applicable_rules found at its last scan, which covered the
         # first ``scanned`` formulas: the unspent instances of each formula
@@ -122,23 +150,27 @@ class CSS:
             self.clash = (self.clash or isinstance(f, Bot)
                           or any(holds(x, y) for y in fs))
             self.signed[f] = (ts + (x,), fs)
+            self.asserted[x] = self.asserted.get(x, ()) + (f,)
         else:
             self.clash = (self.clash or isinstance(f, Top)
                           or any(holds(y, x) for y in ts))
             self.signed[f] = (ts, fs + (x,))
 
-    def add_constraint(self, constraint: Constraint) -> None:
+    def add_constraint(self, constraint: Constraint) -> List[Label]:
+        """Add a constraint; returns the labels it added to the domain."""
         new = self.cset.add(constraint)
         # A label enters the domain with its reflexive pair.
-        self.new_labels.update(x for x, y in new if x == y)
+        labels = [x for x, y in new if x == y]
+        self.new_labels.update(labels)
         if any(x not in self.new_labels and y not in self.new_labels
                for x, y in new):
             # Old ranges changed: the next scan starts from scratch.
             self.agenda, self.scanned = {}, 0
-        if new and not self.clash:
-            self.clash = any((x, y) in new
-                             for ts, fs in self.signed.values()
-                             for x in ts for y in fs)
+        if not self.clash:
+            self.clash = any((False, f, y) in self.formulas
+                             for x, y in new
+                             for f in self.asserted.get(x, ()))
+        return labels
 
     def copy(self) -> "CSS":
         dup = CSS.__new__(CSS)
@@ -148,6 +180,7 @@ class CSS:
         dup.applied = set(self.applied)
         dup.branch_id = 0
         dup.signed = dict(self.signed)
+        dup.asserted = dict(self.asserted)
         dup.clash = self.clash
         dup.agenda = self.agenda
         dup.scanned = self.scanned
@@ -155,26 +188,20 @@ class CSS:
         return dup
 
 
-def css_check(css: CSS) -> List[dict]:
-    """Violations of the Ref / Contra / Freshness branch invariants."""
-    problems = []
-    for (_, _, x) in css.formula_order:
-        if not css.cset.holds(x, x):
-            problems.append({"property": "Ref", "label": label_str(x)})
-    twos = css.cset.two_letter()
-    for (i, j) in twos:
-        if (j, i) in css.cset.domain:
-            problems.append({"property": "Contra",
-                             "label": label_str((i, j))})
-    for (i, j) in twos:
-        for other in twos:
-            if other in ((i, j), (j, i)):
-                continue
-            if {i, j} & set(other):
-                problems.append({"property": "Freshness",
-                                 "label": label_str((i, j)),
-                                 "other": label_str(other)})
-    return problems
+def _step_problems(css: CSS, formulas: List[SignedFormula],
+                   labels: List[Label]) -> List[str]:
+    """The Ref, Contra and Freshness violations that adding ``formulas``
+    and the domain ``labels`` to a branch can make.  Domains and closures
+    only grow, so on a branch that had none these are all it has."""
+    domain = css.cset.domain
+    twos = [lab for lab in labels if len(lab) == 2]
+    return ([f"Ref {label_str(x)}" for (_, _, x) in formulas
+             if x not in domain]
+            + [f"Contra {label_str((i, j))}" for i, j in twos
+               if (j, i) in domain]
+            + [f"Freshness {label_str((i, j))} {label_str(other)}"
+               for i, j in twos for other in domain if len(other) == 2
+               and other not in ((i, j), (j, i)) and {i, j} & set(other)])
 
 
 def is_closed(css: CSS) -> bool:
@@ -291,26 +318,23 @@ RULES: Dict[Tuple[type, bool], Rule] = {
 }
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
+    """A rule on a premise over a fact tuple; ``CSS.applied`` holds it."""
+
     rule: str
     premise: SignedFormula
     facts: Tuple[Label, ...] = ()
 
-    def key(self) -> tuple:
-        return (self.rule, self.premise, self.facts)
 
-
-def _rule(inst: RuleInstance) -> Rule:
+def _rule(inst: RuleInstance) -> Optional[Rule]:
     sign, f, _ = inst.premise
-    return RULES[type(f), sign]
+    return RULES.get((type(f), sign))
 
 
 def _live(css: CSS, inst: RuleInstance) -> bool:
     """The instance would still add something to the branch: its premise
     is present and it is unspent."""
-    sign, f, _ = inst.premise
-    rule = RULES.get((type(f), sign))
+    rule = _rule(inst)
     return (rule is not None and rule.name == inst.rule
             and inst.premise in css.formulas and _unspent(css, rule, inst))
 
@@ -320,7 +344,7 @@ def _unspent(css: CSS, rule: Rule, inst: RuleInstance) -> bool:
     never are), and the instance has not been applied here."""
     _, f, x = inst.premise
     return ((rule.fresh > 0 or not rule.met(css.formulas, f, x, inst.facts))
-            and inst.key() not in css.applied)
+            and inst not in css.applied)
 
 
 def applicable_rules(css: CSS) -> List[RuleInstance]:
@@ -346,9 +370,8 @@ def applicable_rules(css: CSS) -> List[RuleInstance]:
         if f.left in operands or f.right in operands:
             insts = [inst for inst in insts if _unspent(css, rule, inst)]
         else:
-            insts = [inst for inst in insts
-                     if inst.key() not in css.applied]
-        if rule.ranged:
+            insts = [inst for inst in insts if inst not in css.applied]
+        if rule.ranged and new:
             insts += _instances(css, rule, slf, new)
         if insts or rule.ranged:
             agenda[slf] = insts
@@ -389,11 +412,24 @@ class Step(NamedTuple):
 
 @dataclass
 class Tableau:
-    branches: List[CSS]
+    leaves: Dict[int, CSS]  # the unexpanded branches by id
     steps_taken: List[Step] = field(default_factory=list)
     next_fresh: int = 1
     steps: int = 0
     next_branch: int = 2
+
+    @property
+    def branches(self) -> List[CSS]:
+        """The unexpanded branches, left to right in the tree."""
+        split = {rec.branch: rec.children for rec in self.steps_taken}
+        out, todo = [], [1]
+        while todo:
+            branch_id = todo.pop()
+            if branch_id in split:
+                todo += reversed(split[branch_id])
+            else:
+                out.append(self.leaves[branch_id])
+        return out
 
     @property
     def trace(self) -> List[dict]:
@@ -404,7 +440,7 @@ class Tableau:
 def initial_tableau(f: Formula) -> Tableau:
     root = CSS([(False, f, (0,))], [((0,), (0,))])
     root.branch_id = 1
-    return Tableau(branches=[root], next_fresh=1)
+    return Tableau(leaves={1: root}, next_fresh=1)
 
 
 def _format_slf(slf: SignedFormula) -> str:
@@ -423,11 +459,11 @@ def _render_step(rec: Step) -> dict:
                       for formulas in rec.conclusions]}
 
 
-def expand(tableau: Tableau, branch_index: int,
-           inst: RuleInstance) -> Tableau:
-    """Apply one rule instance, replacing the branch by its children."""
-    branch = tableau.branches[branch_index]
-    if not _live(branch, inst):
+def expand(tableau: Tableau, branch: CSS, inst: RuleInstance) -> Tableau:
+    """Apply one rule instance, replacing the branch by its children;
+    each child's CSS invariants are checked on what the step added."""
+    if (tableau.leaves.get(branch.branch_id) is not branch
+            or not _live(branch, inst)):
         raise ValueError(f"instance {inst} is stale")
     _, f, x = inst.premise
     rule = _rule(inst)
@@ -442,17 +478,18 @@ def expand(tableau: Tableau, branch_index: int,
         child = branch.copy()
         child.branch_id = tableau.next_branch
         tableau.next_branch += 1
-        child.applied.add(inst.key())
-        for c in new_constraints:
-            child.add_constraint(c)
+        child.applied.add(inst)
+        labels = [lab for c in new_constraints
+                  for lab in child.add_constraint(c)]
         for slf in new_formulas:
             child.add_formula(slf)
-        bad = css_check(child)
+        bad = _step_problems(child, new_formulas, labels)
         if bad:
             raise RuntimeError(f"rule {inst.rule} broke CSS invariants: "
                                f"{bad}")
         children.append(child)
-    tableau.branches[branch_index:branch_index + 1] = children
+    del tableau.leaves[branch.branch_id]
+    tableau.leaves.update((child.branch_id, child) for child in children)
     tableau.steps_taken.append(Step(
         tableau.steps, branch.branch_id, inst.rule, inst.premise,
         inst.facts, [child.branch_id for child in children], conclusions,
@@ -482,10 +519,9 @@ def check_hintikka(css: CSS) -> List[dict]:
         if not sign and isinstance(f, Top):
             fail(2, slf)
         if sign:
-            for other in css.formula_order:
-                if (not other[0] and other[1] == f
-                        and cset.holds(x, other[2])):
-                    fail(1, slf, other=_format_slf(other))
+            for y in css.signed[f][1]:
+                if cset.holds(x, y):
+                    fail(1, slf, other=_format_slf((False, f, y)))
         rule = RULES.get((type(f), sign))
         if rule is None:
             continue
@@ -519,24 +555,17 @@ def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
     label_map = {lab: idx for idx, lab in enumerate(labels)}
     subgraphs = []
     for lab in labels:
-        if len(lab) == 1:
-            subgraphs.append(Subgraph(frozenset([f"c{lab[0]}"]),
-                                      frozenset(), graph))
-        else:
-            i, j = lab
-            subgraphs.append(Subgraph(frozenset([f"c{i}", f"c{j}"]),
-                                      frozenset([(f"c{i}", f"c{j}")]),
-                                      graph))
+        names = [f"c{i}" for i in lab]
+        subgraphs.append(Subgraph(frozenset(names),
+                                  frozenset(zip(names, names[1:])), graph))
     order = frozenset((label_map[a], label_map[b])
                       for (a, b) in cset.closure)
     scaffold = OrderedScaffold(graph, eset, subgraphs, order)
     valuation: Dict[str, Set[int]] = {}
     for (sign, f, y) in css.formula_order:
         if sign and isinstance(f, Atom):
-            worlds = valuation.setdefault(f.name, set())
-            for x in labels:
-                if cset.holds(y, x):
-                    worlds.add(label_map[x])
+            valuation.setdefault(f.name, set()).update(
+                label_map[x] for x in labels if cset.holds(y, x))
     model = LayeredGraphModel(
         scaffold, {p: frozenset(ws) for p, ws in valuation.items()})
     return model, label_map
@@ -623,7 +652,7 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
                      if not over_budget(inst))
         return None
 
-    saturated_branch = admit(tableau.branches[0])
+    saturated_branch = admit(tableau.leaves[1])
     if saturated_branch is not None:
         return _certify_countermodel(f, saturated_branch, tableau)
     if not live:
@@ -638,16 +667,12 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
         # A live branch has not changed since admit scanned its agenda,
         # so each of its queued instances is still live.
         branch = live.get(branch_id)
-        if branch is None:
+        if branch is None or over_budget(inst):
             continue
-        if over_budget(inst):
-            continue
-        index = tableau.branches.index(branch)
         del live[branch_id]
-        expand(tableau, index, inst)
-        for child in tableau.branches[index:index + len(
-                tableau.steps_taken[-1].children)]:
-            sat = admit(child)
+        expand(tableau, branch, inst)
+        for child_id in tableau.steps_taken[-1].children:
+            sat = admit(tableau.leaves[child_id])
             if sat is not None:
                 return _certify_countermodel(f, sat, tableau)
         if not live:

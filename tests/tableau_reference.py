@@ -1,5 +1,8 @@
-"""Realization of a tableau branch in a layered graph model.
+"""References for tableau branches: the branch invariants checked in full,
+and the realization of a branch in a layered graph model.
 
+``css_check`` rescans a whole branch for the Ref, Contra and Freshness
+invariants; the tests hold the prover's per-step check against it.
 ``realize_check`` says whether an assignment of the branch's labels to
 worlds realizes the branch: every label is mapped, a composite label goes
 to the composition of its parts' worlds, every constraint holds in the
@@ -12,6 +15,28 @@ from typing import Dict, List
 from ilgl import graph as graphmod
 from ilgl.graph import LayeredGraphModel
 from ilgl.tableaux import CSS, Label, _format_slf, label_str
+
+
+def css_check(css: CSS) -> List[dict]:
+    """Violations of the Ref / Contra / Freshness branch invariants."""
+    problems = []
+    for (_, _, x) in css.formula_order:
+        if not css.cset.holds(x, x):
+            problems.append({"property": "Ref", "label": label_str(x)})
+    twos = css.cset.two_letter()
+    for (i, j) in twos:
+        if (j, i) in css.cset.domain:
+            problems.append({"property": "Contra",
+                             "label": label_str((i, j))})
+    for (i, j) in twos:
+        for other in twos:
+            if other in ((i, j), (j, i)):
+                continue
+            if {i, j} & set(other):
+                problems.append({"property": "Freshness",
+                                 "label": label_str((i, j)),
+                                 "other": label_str(other)})
+    return problems
 
 
 def realize_check(css: CSS, model: LayeredGraphModel,

@@ -1,21 +1,24 @@
+import dataclasses
 import hashlib
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilgl import graph as graphmod
 from ilgl import relational as relmod
 from ilgl import tableaux
-from ilgl.formula import Atom, Bot, Top, parse, render
+from ilgl.formula import And, Atom, Bot, LayerConj, Top, parse, render
 from ilgl.gen import random_formula
 from ilgl.tableaux import (CSS, RULES, ConstraintSet, Limits, RuleInstance,
-                           applicable_rules, check_hintikka, css_check,
-                           expand, extract_model, initial_tableau,
-                           is_closed, label_str, prove)
+                           applicable_rules, check_hintikka, expand,
+                           extract_model, initial_tableau, is_closed,
+                           label_str, prove)
 
-from tableau_reference import realize_check
+from tableau_reference import css_check, realize_check
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
 
@@ -56,6 +59,26 @@ def rules_from_scratch(css):
     return out
 
 
+# One- and two-letter labels over six letters.
+LABELS = st.one_of(st.tuples(st.integers(0, 5)),
+                   st.tuples(st.integers(0, 5), st.integers(0, 5)))
+
+
+def naive_closure(constraints):
+    """The closure by fixed-point iteration: the reference for
+    ``ConstraintSet``.  Returns the domain and the closure."""
+    domain = {lab for a, b in constraints for end in (a, b)
+              for lab in ([end] if len(end) == 1
+                          else [(end[0],), (end[1],), end])}
+    closure = set(constraints) | {(x, x) for x in domain}
+    while True:
+        more = {(x, z) for (x, y) in closure for (y2, z) in closure
+                if y == y2} - closure
+        if not more:
+            return domain, closure
+        closure |= more
+
+
 def sweep():
     """The 1,000-formula sweep: a fresh random.Random(20240) per depth,
     500 formulas at each of depths 4 and 5."""
@@ -92,7 +115,7 @@ class TestClosure:
 
     def test_domain_preserved(self):
         cs = ConstraintSet([((0, 1), c2)])
-        assert cs.domain == {c0, c1, (0, 1), c2}
+        assert set(cs.domain) == {c0, c1, (0, 1), c2}
         # every domain label is reflexive in the closure (Prop item 1)
         for lab in cs.domain:
             assert cs.holds(lab, lab)
@@ -107,6 +130,23 @@ class TestClosure:
             for con in constraints:
                 inc.add(con)
             assert inc.closure == ConstraintSet(constraints).closure
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(LABELS, LABELS), max_size=12))
+    def test_matches_naive_fixpoint(self, constraints):
+        cs = ConstraintSet()
+        for i, con in enumerate(constraints):
+            _, before = naive_closure(constraints[:i])
+            added = cs.add(con)
+            domain, closure = naive_closure(constraints[:i + 1])
+            assert sorted(added) == sorted(closure - before)
+            assert cs.closure == closure
+            assert set(cs.domain) == domain
+        domain, closure = naive_closure(constraints)
+        probe = sorted(domain | {(6,), (0, 6)})
+        for x in probe:
+            for y in probe:
+                assert cs.holds(x, y) == ((x, y) in closure)
 
 
 class TestCssCheck:
@@ -131,6 +171,57 @@ class TestCssCheck:
         css.branch_id = 0
         assert any(v["property"] == "Ref" for v in css_check(css))
 
+    def test_incremental_matches_rescan_on_sweep(self, monkeypatch):
+        # expand checks each child only on what the step added; the full
+        # rescan of every child of the sweep finds nothing either.
+        step = tableaux.expand
+        children = [0]
+
+        def compare(tableau, branch, inst):
+            step(tableau, branch, inst)
+            for child_id in tableau.steps_taken[-1].children:
+                assert css_check(tableau.leaves[child_id]) == []
+                children[0] += 1
+            return tableau
+
+        monkeypatch.setattr(tableaux, "expand", compare)
+        for f in sweep():
+            prove(f)
+        assert children[0] > 5000
+
+    # Rules that break one invariant each: a conclusion off the domain, a
+    # two-letter label together with its reverse, and two two-letter
+    # labels sharing a letter.
+    BROKEN = [
+        ("Ref", (And, True), "p & q",
+         dict(children=lambda f, x, w: [[(True, f.left, (9,))]])),
+        ("Contra", (LayerConj, True), "p |> q",
+         dict(create=lambda n, x: ((n, n + 1), [
+             ((n, n + 1), x), ((n + 1, n), (n + 1, n))]))),
+        ("Freshness", (LayerConj, True), "p |> q",
+         dict(create=lambda n, x: ((n, n + 1), [
+             ((n, n + 1), x), ((n + 1, n + 2), (n + 1, n + 2))]))),
+    ]
+
+    @pytest.mark.parametrize("prop, key, text, change", BROKEN,
+                             ids=[case[0] for case in BROKEN])
+    def test_broken_rule_raises(self, monkeypatch, prop, key, text,
+                                change):
+        rule = dataclasses.replace(RULES[key], **change)
+        monkeypatch.setitem(RULES, key, rule)
+        css = CSS([(True, parse(text), c0)], [(c0, c0)])
+        tableau = tableaux.Tableau(leaves={1: css})
+        css.branch_id = 1
+        (inst,) = applicable_rules(css)
+        with pytest.raises(RuntimeError, match=prop):
+            expand(tableau, css, inst)
+        # With the per-step check off, a full rescan of the child finds
+        # the same property.
+        monkeypatch.setattr(tableaux, "_step_problems", lambda *args: [])
+        expand(tableau, css, inst)
+        (child,) = tableau.branches
+        assert {v["property"] for v in css_check(child)} == {prop}
+
 
 class TestApplicableRules:
     def test_conjunction_single_instance(self):
@@ -142,7 +233,7 @@ class TestApplicableRules:
         css = CSS([(False, parse("p -|> q"), c0)], [(c0, c0)])
         insts = applicable_rules(css)
         assert [i.rule for i in insts] == ["F-|>"]
-        css.applied.add(insts[0].key())
+        css.applied.add(insts[0])
         assert applicable_rules(css) == []
 
     def test_saturation_empty(self):
@@ -191,7 +282,7 @@ class TestExpand:
         t = initial_tableau(parse("p & q"))
         inst = applicable_rules(t.branches[0])[0]
         assert inst.rule == "F&"
-        expand(t, 0, inst)
+        expand(t, t.branches[0], inst)
         assert len(t.branches) == 2
         assert (False, Atom("p"), c0) in t.branches[0].formulas
         assert (False, Atom("q"), c0) in t.branches[1].formulas
@@ -199,7 +290,7 @@ class TestExpand:
     def test_f_imp_fresh_label(self):
         t = initial_tableau(parse("p -> q"))
         inst = applicable_rules(t.branches[0])[0]
-        expand(t, 0, inst)
+        expand(t, t.branches[0], inst)
         (branch,) = t.branches
         assert (True, Atom("p"), c1) in branch.formulas
         assert (False, Atom("q"), c1) in branch.formulas
@@ -207,22 +298,24 @@ class TestExpand:
 
     def test_t_layer_fresh_pair(self):
         t = initial_tableau(parse("(p |> q) -> bot"))
-        expand(t, 0, applicable_rules(t.branches[0])[0])  # F->
+        expand(t, t.branches[0], applicable_rules(t.branches[0])[0])  # F->
         (branch,) = t.branches
         inst = [i for i in applicable_rules(branch) if i.rule == "T|>"][0]
-        idx = t.branches.index(branch)
-        expand(t, idx, inst)
-        target = t.branches[idx]
+        expand(t, branch, inst)
+        (target,) = t.branches
         assert (True, Atom("p"), (2,)) in target.formulas
         assert (True, Atom("q"), (3,)) in target.formulas
         assert target.cset.holds((2, 3), c1)
 
     def test_stale_instance_rejected(self):
         t = initial_tableau(parse("p & q"))
-        inst = applicable_rules(t.branches[0])[0]
-        expand(t, 0, inst)
+        parent = t.branches[0]
+        inst = applicable_rules(parent)[0]
+        expand(t, parent, inst)
         with pytest.raises(ValueError):
-            expand(t, 0, inst)
+            expand(t, t.branches[0], inst)
+        with pytest.raises(ValueError):  # no longer a branch of t
+            expand(t, parent, inst)
 
     def test_children_preserve_invariants(self):
         rng = random.Random(21)
@@ -230,13 +323,12 @@ class TestExpand:
             f = random_formula(rng, 3)
             t = initial_tableau(f)
             for _ in range(15):
-                expandable = [(i, inst)
-                              for i, b in enumerate(t.branches)
+                expandable = [(b, inst) for b in t.branches
                               for inst in applicable_rules(b)[:1]]
                 if not expandable:
                     break
-                i, inst = expandable[0]
-                expand(t, i, inst)  # raises if a child breaks Ref/Contra/
+                b, inst = expandable[0]
+                expand(t, b, inst)  # raises if a child breaks Ref/Contra/
                 # Freshness
 
 
@@ -384,6 +476,13 @@ class TestProve:
         assert result.reason == "label budget exhausted"
         assert result.tableau.steps == 267
         assert elapsed < 3.0
+
+    def test_deep_search_ends_on_label_budget(self):
+        # A step costs what it adds, not what its branch holds: the
+        # double-negation chain reaches 1,000 labels in its time budget.
+        result = prove(parse("~~p -> p"), Limits(100000, 1000, 10.0))
+        assert result.status == "unknown"
+        assert result.reason == "label budget exhausted"
 
     def test_divergent_saturation_reports_unknown(self):
         # Double negation elimination never saturates: the T-> premise
