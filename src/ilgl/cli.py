@@ -29,6 +29,7 @@ from . import files
 from . import graph as graphmod
 from . import hilbert
 from . import predicate as predmod
+from . import relational as relmod
 from . import tableaux
 from .formula import InputError, ParseError, parse, parse_pred, render
 
@@ -123,18 +124,20 @@ def cmd_prove(args) -> RunResult:
 
 
 def cmd_check(args) -> RunResult:
-    kind, model = files.read(args.model, "model", "resource model")
+    kind, model = files.read(args.model, "model", "resource model", "frame")
     rm = None
     if kind == "resource model":
         rm, model = model, model.model
-    n = model.world_count()
+    what = "frame" if kind == "frame" else "model"
+    n = model.frame.worlds if kind == "frame" else model.world_count()
     if args.world is not None and not 0 <= args.world < n:
-        raise InputError(f"world {args.world} is not among the model's "
+        raise InputError(f"world {args.world} is not among the {what}'s "
                          f"worlds 0..{n - 1}")
-    problems = graphmod.validate_model(model)
+    problems = (model.validate() if kind == "frame"
+                else graphmod.validate_model(model))
     if problems:
         return RunResult("check", "error", EXIT_INPUT,
-                         {"message": "model file fails validation",
+                         {"message": f"{what} file fails validation",
                           "violations": problems[:10]})
     try:
         f = parse(args.formula)
@@ -152,7 +155,12 @@ def cmd_check(args) -> RunResult:
         else:
             ok = predmod.pred_valid_in_model(rm, pf)
     else:
-        if args.world is not None:
+        if kind == "frame":
+            # One evaluator for every world: its memo is shared.
+            ev = relmod.Evaluator(model.frame, model.valuation)
+            ok = all(ev.sat(w, f) for w in
+                     (range(n) if args.world is None else [args.world]))
+        elif args.world is not None:
             ok = graphmod.satisfies(model, args.world, f)
         else:
             ok = graphmod.valid_in_model(model, f)
@@ -268,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH")
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("check", help="check a formula on a model file")
+    p = sub.add_parser("check", help="check a formula on a model or frame "
+                                     "file")
     p.add_argument("model")
     p.add_argument("formula")
     p.add_argument("--world", type=int, default=None)

@@ -6,7 +6,8 @@ the way is an ``InputError`` that names the path: a file that cannot be
 opened or decoded or is larger than ``MAX_FILE_BYTES``, JSON nested too
 deeply or holding a number too large for an integer, a missing field, a
 field of the wrong type, or a value the builder refuses.  ``write``
-reports an output file that cannot be written the same way.
+reports an output file that cannot be written, or that ``read`` would
+refuse for its size, the same way.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def json_text(data) -> str:
 
 
 def write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, unless ``read`` would refuse the file
+    for its size: then nothing is written."""
+    if len(text.encode()) > MAX_FILE_BYTES:
+        raise InputError(f"cannot write {path}: larger than "
+                         f"{MAX_FILE_BYTES} bytes")
     try:
         with open(path, "w") as fh:
             fh.write(text)

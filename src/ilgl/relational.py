@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple)
 
-import numpy as np
-
 from .formula import (And, Atom, Bot, Contains, Exists, Forall, Formula, Imp,
                       ImpLeft, ImpRight, LayerConj, Or, InputError, PointsTo,
                       Top, atoms, postfix)
@@ -243,6 +241,7 @@ DEFAULT_REL_CAPS = {1: None, 2: None, 3: 2, 4: 2}
 
 # Complex-algebra operation tables, used both by the algebra module and by
 # the oracle below (frames sharing tables are interchangeable for validity).
+# Only their builders import numpy: proving and checking never load it.
 
 # The operation each binary connective denotes in an algebra.
 OP_NAME = {And: "meet", Or: "join", Imp: "himp", LayerConj: "lconj",
@@ -270,6 +269,7 @@ def _triple_tables(n: int, ups: list, up_of: list, triples) -> tuple:
     when a holds t0 and b holds t1; rres[a][b] drops the worlds below t0
     when a holds t1 and b misses t2, lres those below t1 when a holds t0
     and b misses t2."""
+    import numpy as np
     full = (1 << n) - 1
     dtype = np.min_scalar_type(full)
     t = np.array(triples, dtype=np.intp)
@@ -289,6 +289,7 @@ def _triple_tables(n: int, ups: list, up_of: list, triples) -> tuple:
 def frame_tables(frame: IntLayeredFrame) -> tuple:
     """(upsets, ops) where upsets are bitmasks and ops maps each binary
     operation name to a square table over up-set indices."""
+    import numpy as np
     n = frame.worlds
     full = (1 << n) - 1
     ups, index, up_of, meet, join, himp = _order_tables(n, frame.order)
@@ -343,6 +344,7 @@ def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
     is kept when no automorphism maps r, or a relation with r's tables,
     to a smaller index.  All tables are folded from per-triple tables.
     """
+    import numpy as np
     triples = list(itertools.product(range(n), repeat=3))
     top = len(triples) if cap is None else min(cap, len(triples))
     combos = [np.array(list(itertools.combinations(range(len(triples)), k)),
@@ -399,6 +401,7 @@ class _StackedStep:
     entry ``indices`` with their int16 operation ``tables``, (A, u, u)."""
 
     def __init__(self, chunks):
+        import numpy as np
         self.entries = []  # (position, frame, ups)
         self.groups: Dict[int, dict] = {}
         for entries, tables in chunks:
@@ -438,6 +441,7 @@ def _scan_stacked(nodes: list, names: list, step: _StackedStep
     counterexample earliest in enumeration order.  Each table lookup is
     one ``take`` from the group's flattened tables: int16 ids at int32
     offsets."""
+    import numpy as np
     k = len(names)
     best = None  # (position, frame, ups, assignment index, value index)
     for u in sorted(step.groups):

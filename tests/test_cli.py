@@ -189,6 +189,47 @@ class TestCheckCommand:
         code, _ = run(capsys, "check", str(path), "Contains(r1)")
         assert code == 2
 
+    def frame_file(self, tmp_path, valuation):
+        """A two-world frame, 0 <= 1, with one triple."""
+        frame = IntLayeredFrame(2, frozenset([(0, 0), (1, 1), (0, 1)]),
+                                frozenset([(0, 0, 1)]))
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame_to_dict(
+            RelationalModel(frame, valuation))))
+        return str(path)
+
+    @pytest.mark.parametrize("formula, world, code, status", [
+        ("p", "1", 0, "sat"), ("p", "0", 1, "unsat"),
+        ("p -> p", None, 0, "valid"), ("p", None, 1, "invalid"),
+        ("q |> q", "1", 0, "sat"), ("q |> q", "0", 1, "unsat")])
+    def test_frame(self, capsys, tmp_path, formula, world, code, status):
+        path = self.frame_file(tmp_path, {"p": {1}, "q": {0, 1}})
+        argv = ["check", path, formula] + (["--world", world] if world
+                                           else [])
+        got, body = run_json(capsys, *argv)
+        assert (got, body["status"]) == (code, status)
+
+    def test_frame_world_out_of_range_exit_two(self, capsys, tmp_path):
+        path = self.frame_file(tmp_path, {"p": {1}})
+        for world in ("2", "-1"):
+            code, body = run_json(capsys, "check", path, "p",
+                                  "--world", world)
+            assert code == 2 and body["status"] == "error", world
+            assert "frame's worlds 0..1" in body["payload"]["message"]
+
+    def test_invalid_frame_exit_two(self, capsys, tmp_path):
+        path = self.frame_file(tmp_path, {"p": {0}})  # not persistent
+        code, body = run_json(capsys, "check", path, "top")
+        assert code == 2
+        assert body["payload"]["message"] == "frame file fails validation"
+        assert body["payload"]["violations"]
+
+    def test_predicate_formula_on_frame_exit_two(self, capsys, tmp_path):
+        path = self.frame_file(tmp_path, {"p": {1}})
+        code, body = run_json(capsys, "check", path,
+                              "exists s. Contains(s)")
+        assert code == 2 and body["status"] == "error"
+
 
 def nested_conjunction(depth):
     """``p & (p & (... (p)))``: ``depth`` levels of tree and, with one
@@ -497,6 +538,51 @@ class TestSubprocess:
                                    env=cli_env())
             assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                         fresh.stderr), argv
+
+
+# Each case: argv, its exit code, and whether it loads numpy.  Only the
+# table builders of complex algebras and the oracle import numpy; the
+# last two cases are controls that show the test would see it loaded.
+NUMPY_CASES = [
+    (["prove", "p -> p"], 0, False),
+    (["prove", REFUTABLE, "--emit-countermodel", "out.json", "--dot",
+      "out.dot"], 1, False),
+    (["check", "cm.json", REFUTABLE], 1, False),
+    (["check", "cm.json", REFUTABLE, "--world", "0"], 1, False),
+    (["check", "rm.json", "exists s. Contains(s)", "--world", "0"], 0,
+     False),
+    (["check", "frame.json", "p -> p"], 0, False),
+    (["validate", "cm.json"], 0, False),
+    (["validate", "frame.json"], 0, False),
+    (["validate", "alg.json"], 0, False),
+    (["hilbert", "deriv.json"], 0, False),
+    (["algebra", "complex", "frame.json"], 0, True),
+    (["crosscheck", "residuation", "--budget", "1"], 0, True),
+]
+
+
+@pytest.fixture(scope="module")
+def numpy_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("numpy")
+    golden_inputs(folder)
+    assert main(["algebra", "complex", str(folder / "frame.json"), "-o",
+                 str(folder / "alg.json")]) == 0
+    assert main(["prove", REFUTABLE, "--emit-countermodel",
+                 str(folder / "cm.json")]) == 1
+    return folder
+
+
+@pytest.mark.parametrize("argv, code, loads", NUMPY_CASES,
+                         ids=[" ".join(c[0][:2]) + f"-{i}"
+                              for i, c in enumerate(NUMPY_CASES)])
+def test_numpy_only_for_tables(numpy_inputs, argv, code, loads):
+    script = ("import sys; from ilgl.cli import main; "
+              "code = main(sys.argv[1:]); "
+              "print(code, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, "--json", *argv],
+                          capture_output=True, text=True, cwd=numpy_inputs,
+                          env=cli_env())
+    assert proc.stdout.splitlines()[-1] == f"{code} {loads}", proc.stderr
 
 
 def golden_inputs(tmp_path):

@@ -204,6 +204,24 @@ def test_unwritable_output_exit_two(capsys, tmp_path, argv):
     assert "cannot write" in json.loads(out)["payload"]["message"]
 
 
+def test_output_beyond_size_bound_exit_two(capsys, tmp_path, monkeypatch):
+    """The writer refuses a file the reader would refuse, and writes
+    nothing; at the bound it writes the file as it did."""
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(frame_to_dict(RelationalModel(FRAME, {}))))
+    out = tmp_path / "alg.json"
+    text = files.json_text(algebra_to_dict(complex_algebra(FRAME)))
+    argv = ["--json", "algebra", "complex", str(frame), "-o", str(out)]
+    monkeypatch.setattr(files, "MAX_FILE_BYTES", len(text) - 1)
+    code = main(argv)
+    message = json.loads(capsys.readouterr().out)["payload"]["message"]
+    assert code == 2 and not out.exists()
+    assert message == (f"cannot write {out}: larger than {len(text) - 1} "
+                       "bytes")
+    monkeypatch.setattr(files, "MAX_FILE_BYTES", len(text))
+    assert main(argv) == 0 and out.read_text() == text
+
+
 def test_unwritable_repro_exit_two(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(crosscheck, "run_suite",
                         lambda *args: (False, {}, {"suite": "soundness"}))
