@@ -53,6 +53,12 @@ def principal_upsets(n: int, order) -> List[int]:
 MAX_UPSETS = 1 << 16
 
 
+# The most elements a complex algebra or an algebra file may have: the
+# JSON of a 256-element algebra is 4.7 MB, of a 512-element one 19 MB,
+# above the 16 MiB that ``files.read`` decodes.
+MAX_ALGEBRA_SIZE = 256
+
+
 def upset_masks(principals) -> List[int]:
     """Every up-set, ascending: the unions of the principal up-set masks,
     built by adding one principal up-set at a time.  Raises InputError as
@@ -250,9 +256,13 @@ OP_NAME = {And: "meet", Or: "join", Imp: "himp", LayerConj: "lconj",
 
 def _order_tables(n: int, order) -> tuple:
     """Order-only part of the complex algebra: up-sets, principal up-set
-    masks, and the meet/join/himp tables."""
+    masks, and the meet/join/himp tables.  Raises InputError before the
+    tables when there are more than MAX_ALGEBRA_SIZE up-sets."""
     up_of = principal_upsets(n, order)
     ups = upset_masks(up_of)
+    if len(ups) > MAX_ALGEBRA_SIZE:
+        raise InputError(f"{len(ups)} up-sets exceed the algebra bound "
+                         f"{MAX_ALGEBRA_SIZE}")
     index = {m: i for i, m in enumerate(ups)}
     meet = [[index[ma & mb] for mb in ups] for ma in ups]
     join = [[index[ma | mb] for mb in ups] for ma in ups]
@@ -438,9 +448,13 @@ def _scan_stacked(nodes: list, names: list, step: _StackedStep
                   ) -> Optional[Counterexample]:
     """Evaluate the formula whose ``postfix`` is ``nodes`` over every
     (algebra, assignment) of a stacked step at once; returns the
-    counterexample earliest in enumeration order.  Each table lookup is
-    one ``take`` from the group's flattened tables: int16 ids at int32
-    offsets."""
+    counterexample earliest in enumeration order.  Axis 0 indexes the
+    group's algebras and axis m + 1 atom m's up-set, so broadcasting
+    evaluates each subformula over the atoms it mentions only.  Each
+    table lookup is one ``take`` from the group's flattened tables: int16
+    ids at int32 offsets.  Only the root's value is spread to (algebras,
+    u^k): assignment t gives atom m the up-set its m-th base-u digit
+    names, most significant first."""
     import numpy as np
     k = len(names)
     best = None  # (position, frame, ups, assignment index, value index)
@@ -448,14 +462,14 @@ def _scan_stacked(nodes: list, names: list, step: _StackedStep
         group = step.groups[u]
         flat = {name: t.reshape(-1) for name, t in group["tables"].items()}
         a_count = len(group["indices"])
-        count = u ** k
-        base = np.arange(0, a_count * u * u, u * u, dtype=np.int32)[:, None]
-        atom_vec = {name: (np.arange(count) // u ** (k - 1 - m) % u
-                           ).astype(np.int16)
+        base = np.arange(0, a_count * u * u, u * u, dtype=np.int32
+                         ).reshape((a_count,) + (1,) * k)
+        atom_vec = {name: np.arange(u, dtype=np.int16).reshape(
+                        (1,) * (m + 1) + (u,) + (1,) * (k - 1 - m))
                     for m, name in enumerate(names)}
         result = np.broadcast_to(fold_tables(
             nodes, lambda name, a, b: flat[name].take(base + a * u + b),
-            atom_vec, 0, u - 1), (a_count, count))
+            atom_vec, 0, u - 1), (a_count,) + (u,) * k).reshape(a_count, -1)
         failing = result != (u - 1)
         hit = failing.any(axis=1)
         row = int(hit.argmax())  # positions ascend with the rows

@@ -11,7 +11,7 @@ from ilgl.algebra import (AlgebraInterpretation, FiniteLayeredHeytingAlgebra,
                           representation_embed, validate_algebra)
 from ilgl.formula import parse
 from ilgl.gen import random_formula, random_frame, random_relational_model
-from ilgl.relational import IntLayeredFrame
+from ilgl.relational import IntLayeredFrame, closure_pairs
 
 
 def two_chain():
@@ -65,7 +65,70 @@ def derived_laws(alg):
     }
 
 
+def non_distributive(name, himp_of):
+    """M3 (0 < 1, 2, 3 < 4) or N5 (0 < 1 < 2 < 4 and 0 < 3 < 4) as an
+    algebra whose layering is meet, with the Heyting table and residuals
+    ``himp_of(leq, meet)`` gives."""
+    covers = {"M3": [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+              "N5": [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]}[name]
+    order = closure_pairs(covers, range(5))
+    n = range(5)
+    leq = [[(a, b) in order for b in n] for a in n]
+
+    def bound(a, b, below):
+        common = [c for c in n if (leq[c][a] and leq[c][b] if below
+                                   else leq[a][c] and leq[b][c])]
+        return next(c for c in common
+                    if all(leq[d][c] if below else leq[c][d]
+                           for d in common))
+
+    meet = [[bound(a, b, True) for b in n] for a in n]
+    join = [[bound(a, b, False) for b in n] for a in n]
+    himp = himp_of(leq, meet)
+    return FiniteLayeredHeytingAlgebra(
+        size=5, leq=leq, meet=meet, join=join, himp=himp, lconj=meet,
+        rres=himp, lres=himp, top=4, bot=0)
+
+
+def greatest_candidate(leq, meet):
+    """himp[a][b]: the greatest c with a & c <= b when there is one, else
+    top."""
+    n = range(len(leq))
+    table = []
+    for a in n:
+        row = []
+        for b in n:
+            cs = [c for c in n if leq[meet[a][c]][b]]
+            row.append(next((c for c in cs if all(leq[d][c] for d in cs)),
+                            4))
+        table.append(row)
+    return table
+
+
+HIMP_TABLES = {
+    "greatest candidate": greatest_candidate,
+    "all top": lambda leq, meet: [[4] * 5 for _ in range(5)],
+    "random": lambda leq, meet: [[random.Random(a * 5 + b).randrange(5)
+                                  for b in range(5)] for a in range(5)],
+}
+
+
 class TestValidate:
+    @pytest.mark.parametrize("lattice", ["M3", "N5"])
+    @pytest.mark.parametrize("himp", sorted(HIMP_TABLES))
+    def test_non_distributive_lattice_breaks_adjunction(self, lattice,
+                                                        himp):
+        """Distributivity is not checked on its own: given the lattice
+        laws, the Heyting adjunction makes meeting with a fixed element a
+        left adjoint, which preserves joins.  So a lawful lattice that is
+        not distributive breaks the adjunction, whatever the table."""
+        laws = {v["law"] for v in validate_algebra(
+            non_distributive(lattice, HIMP_TABLES[himp]))}
+        assert "Heyting adjunction" in laws
+        assert not any(law.startswith(("order", "meet", "join", "bot",
+                                       "top", "table", "constants"))
+                       for law in laws)
+
     def test_degenerate_two_chain(self):
         assert validate_algebra(two_chain()) == []
 

@@ -18,8 +18,8 @@ from ilgl.cli import main
 from ilgl.formula import InputError, parse
 from ilgl.hilbert import Derivation, Sequent, derivation_to_dict
 from ilgl.predicate import resource_model_to_dict
-from ilgl.relational import (MAX_FRAME_WORLDS, IntLayeredFrame,
-                             RelationalModel, frame_to_dict)
+from ilgl.relational import (MAX_ALGEBRA_SIZE, MAX_FRAME_WORLDS,
+                             IntLayeredFrame, RelationalModel, frame_to_dict)
 
 KINDS = ("algebra", "frame", "model", "resource model", "derivation")
 MODEL = {"vertices": ["a", "b"], "edges": [["a", "b"]], "eset": [["a", "b"]],
@@ -157,6 +157,42 @@ def test_full_order_frame_at_world_bound_within_size_bound():
     order = frozenset((i, j) for i in range(n) for j in range(n))
     frame = IntLayeredFrame(n, order, frozenset())
     text = files.json_text(frame_to_dict(RelationalModel(frame, {})))
+    assert len(text.encode()) < files.MAX_FILE_BYTES
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_complex_algebra_beyond_algebra_bound_exit_two(capsys, tmp_path,
+                                                       output):
+    """A small frame file whose complex algebra would have 512 elements
+    is refused before any table is built, with or without an output."""
+    content = json.dumps({"worlds": 9, "order": [], "rel": [[0, 0, 0]],
+                          "valuation": {}})
+    argv = ["algebra", "complex", "{}"]
+    if output:
+        argv += ["-o", str(tmp_path / "alg.json")]
+    start = time.monotonic()
+    code, body, err = run(capsys, tmp_path, content, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and body["status"] == "error" and "Traceback" not in err
+    assert (body["payload"]["message"]
+            == f"512 up-sets exceed the algebra bound {MAX_ALGEBRA_SIZE}")
+    assert not (tmp_path / "alg.json").exists()
+
+
+def test_algebra_file_beyond_algebra_bound_exit_two(capsys, tmp_path):
+    code, body, err = run(capsys, tmp_path, '{"size": 512}', "validate", "{}")
+    assert code == 2 and body["status"] == "error" and "Traceback" not in err
+    message = body["payload"]["message"]
+    assert "input.json" in message
+    assert f"size 512 over the algebra bound {MAX_ALGEBRA_SIZE}" in message
+
+
+def test_algebra_at_algebra_bound_fits_file_bound():
+    frame = IntLayeredFrame(8, frozenset((i, i) for i in range(8)),
+                            frozenset([(0, 1, 2)]))
+    alg = complex_algebra(frame)
+    assert alg.size == MAX_ALGEBRA_SIZE
+    text = files.json_text(algebra_to_dict(alg))
     assert len(text.encode()) < files.MAX_FILE_BYTES
 
 

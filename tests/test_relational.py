@@ -12,7 +12,9 @@ import pytest
 
 from ilgl import graph as graphmod
 from ilgl import relational as relmod
-from ilgl.formula import atoms, parse
+from ilgl.algebra import (AlgebraInterpretation,
+                          complex_algebra_with_elements, interpret)
+from ilgl.formula import atoms, parse, postfix
 from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
 from ilgl.graph import scaffold_to_frame
@@ -323,6 +325,88 @@ class TestIsomorphismClasses:
             least = class_minima(4, unreduced_chunks(4, 2, orbit[p]))
             assert [pos for pos, _, _ in step.entries
                     if pos // relations == p] == sorted(least.values())
+
+
+SCAN_STEPS = [(1, None), (2, None), (3, 2), (4, 1)]
+
+
+def _falsified(cex, f) -> bool:
+    """Whether ``algebra.interpret`` on the complex algebra of ``cex``'s
+    frame gives ``f`` a value missing ``cex.world``."""
+    alg, ups = complex_algebra_with_elements(cex.frame)
+    index = {m: i for i, m in enumerate(ups)}
+    valuation = {p: index[sum(1 << w for w in ws)]
+                 for p, ws in cex.valuation.items()}
+    value = interpret(AlgebraInterpretation(alg, valuation), f)
+    return not ups[value] >> cex.world & 1
+
+
+class TestScan:
+    """``_scan_stacked`` gives atom m its own axis; the answers must be
+    those of evaluating every (algebra, assignment) on its own."""
+
+    @pytest.mark.parametrize("text", ["top", "bot", "top -> bot",
+                                      "top |> top", "(top |> top) <|- top"])
+    def test_constant_formulas(self, text):
+        # No atom, so no atom axis: the first entry with a world where
+        # the relational clauses refute the formula, at every step.
+        f = parse(text)
+        for n, cap in SCAN_STEPS:
+            step = _CACHE.stacked_step(n, cap)
+            expected = next(
+                ((frame, w) for _, frame, _ in step.entries
+                 for w in range(n)
+                 if not rel_satisfies(RelationalModel(frame, {}), w, f)),
+                None)
+            cex = relmod._scan_stacked(postfix(f), [], step)
+            if expected is None:
+                assert cex is None, (text, n)
+            else:
+                assert (cex.frame, cex.world) == expected, (text, n)
+                assert cex.valuation == {}
+
+    @pytest.mark.parametrize("text", [
+        "top -> (bot | (top & (top -> p)))",
+        "(top |> (top -> (bot | q))) -> (p |> top)",
+        "(p |> q) -> (top |> (top -> (r & top)))",
+        "((top |> top) <|- (top & r)) -> ((p | q) |> top)",
+    ])
+    def test_counterexamples_falsified(self, text):
+        # One to three atoms, one of them once and deep under constants.
+        f = parse(text)
+        names = atoms(f)
+        refuted = 0
+        for n, cap in SCAN_STEPS:
+            cex = relmod._scan_stacked(postfix(f), names,
+                                       _CACHE.stacked_step(n, cap))
+            if cex is not None:
+                refuted += 1
+                assert sorted(cex.valuation) == names
+                assert cex.model().validate() == []
+                assert _falsified(cex, f), (text, n)
+        assert refuted
+
+    @pytest.mark.parametrize("text", [
+        "p -> (top & (top -> p))",
+        "(top |> (p & top)) -> (top |> p)",
+        "(p |> q) -> (p |> (q | r))",
+    ])
+    def test_none_agrees_with_interpret(self, text):
+        f = parse(text)
+        names = atoms(f)
+        rng = random.Random(16)
+        for n, cap in SCAN_STEPS:
+            step = _CACHE.stacked_step(n, cap)
+            assert relmod._scan_stacked(postfix(f), names, step) is None
+            for _, frame, ups in rng.sample(step.entries,
+                                            min(20, len(step.entries))):
+                alg, elements = complex_algebra_with_elements(frame)
+                assert elements == ups
+                for combo in itertools.product(range(alg.size),
+                                               repeat=len(names)):
+                    interp = AlgebraInterpretation(alg,
+                                                   dict(zip(names, combo)))
+                    assert interpret(interp, f) == alg.top, (text, n)
 
 
 def _sha(lines) -> str:
