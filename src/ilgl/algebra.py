@@ -2,19 +2,23 @@
 algebras, prime filter frames, the representation embedding, and the
 finite-embeddability completion.
 
-Algebras are explicit operation tables over element ids 0..size-1; that
-keeps validation and the completion construction total and cheap at the
-sizes this toolkit targets (a few dozen elements).
+Algebras are explicit operation tables over element ids 0..size-1.  The
+laws are checked as equations between element sets held as bitmasks, and
+the prime filters come from the join-irreducible elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from functools import reduce
+from heapq import merge
+from itertools import islice, product, repeat
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .formula import Formula, InputError, postfix
 from .relational import (MAX_ALGEBRA_SIZE, OP_NAME, Evaluator,
-                         IntLayeredFrame, RelationalModel, fold_tables,
+                         IntLayeredFrame, RelationalModel, bits, fold_tables,
                          frame_tables)
 
 BINOPS = tuple(OP_NAME.values())
@@ -55,74 +59,58 @@ def interpret(interp: AlgebraInterpretation, f: Formula) -> int:
 
 def validate_algebra(alg: FiniteLayeredHeytingAlgebra) -> List[dict]:
     """Check the lattice, Heyting, and residuation axioms; empty iff valid.
-    Stops at the 20th violation."""
-    n = alg.size
-    out: List[dict] = []
+    Stops at the 20th violation.  Needs size x size tables whose entries,
+    like top and bot, are element ids: ``algebra_from_dict`` refuses other
+    input, and ``complex_algebra`` and ``fep_complete`` build such tables."""
+    return list(islice(_violations(alg), 20))
 
-    def report(law: str, **witness) -> bool:
-        out.append({"law": law, **witness})
-        return len(out) >= 20
 
-    rng = range(n)
-    for name in BINOPS:
-        table = alg.op(name)
-        if len(table) != n or any(len(row) != n for row in table):
-            report("table shape", op=name)
-            return out
-        for a in rng:
-            for b in rng:
-                if not 0 <= table[a][b] < n:
-                    if report("table range", op=name, a=a, b=b):
-                        return out
-    if not (0 <= alg.top < n and 0 <= alg.bot < n):
-        report("constants out of range")
-        return out
-    for a in rng:
-        if not alg.le(a, a) and report("order reflexivity", a=a):
-            return out
-        for b in rng:
-            if alg.le(a, b) and alg.le(b, a) and a != b:
-                if report("order antisymmetry", a=a, b=b):
-                    return out
-            for c in rng:
-                if alg.le(a, b) and alg.le(b, c) and not alg.le(a, c):
-                    if report("order transitivity", a=a, b=b, c=c):
-                        return out
-    for a in rng:
-        if not alg.le(alg.bot, a) and report("bot least", a=a):
-            return out
-        if not alg.le(a, alg.top) and report("top greatest", a=a):
-            return out
-    for a in rng:
-        for b in rng:
-            m, j = alg.meet[a][b], alg.join[a][b]
-            if not (alg.le(m, a) and alg.le(m, b)):
-                if report("meet lower bound", a=a, b=b):
-                    return out
-            if not (alg.le(a, j) and alg.le(b, j)):
-                if report("join upper bound", a=a, b=b):
-                    return out
-            for c in rng:
-                if alg.le(c, a) and alg.le(c, b) and not alg.le(c, m):
-                    if report("meet greatest lower bound", a=a, b=b, c=c):
-                        return out
-                if alg.le(a, c) and alg.le(b, c) and not alg.le(j, c):
-                    if report("join least upper bound", a=a, b=b, c=c):
-                        return out
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if alg.le(alg.meet[a][c], b) != alg.le(c, alg.himp[a][b]):
-                    if report("Heyting adjunction", a=a, b=b, c=c):
-                        return out
-                left = alg.le(alg.lconj[a][b], c)
-                if left != alg.le(a, alg.rres[b][c]):
-                    if report("residuation (right)", a=a, b=b, c=c):
-                        return out
-                if left != alg.le(b, alg.lres[a][c]):
-                    if report("residuation (left)", a=a, b=b, c=c):
-                        return out
-    return out
+def _violations(alg: FiniteLayeredHeytingAlgebra) -> Iterator[dict]:
+    """Each broken law with its witness, group by group.  A law lists its
+    witnesses (a,), (a, b) or (a, b, c) in ascending order, from one
+    comparison of two element sets held as bitmasks: ``up[a]`` holds the
+    elements at or above a, ``down[a]`` those at or below it.  Within a
+    group, witnesses merge in ascending order, laws in turn on a tie."""
+    rng, every = range(alg.size), (1 << alg.size) - 1
+    up = [sum(1 << b for b in rng if alg.leq[a][b]) for a in rng]
+    down = [sum(1 << b for b in rng if alg.leq[b][a]) for a in rng]
+    pairs = list(product(rng, repeat=2))
+    meet, join, lconj = alg.meet, alg.join, alg.lconj
+    groups = [
+        [("order reflexivity", ((a,) for a in rng if not up[a] >> a & 1)),
+         ("order antisymmetry", ((a, b) for a in rng
+                                 for b in bits(up[a] & down[a] & ~(1 << a)))),
+         ("order transitivity", ((a, b, c) for a in rng for b in bits(up[a])
+                                 for c in bits(up[b] & ~up[a])))],
+        [("bot least", ((a,) for a in bits(every & ~up[alg.bot]))),
+         ("top greatest", ((a,) for a in bits(every & ~down[alg.top])))],
+        [("meet lower bound", ((a, b) for a, b in pairs
+                               if not (down[a] & down[b]) >> meet[a][b] & 1)),
+         ("join upper bound", ((a, b) for a, b in pairs
+                               if not (up[a] & up[b]) >> join[a][b] & 1)),
+         ("meet greatest lower bound", ((a, b, c) for a, b in pairs for c in
+                                        bits(down[a] & down[b]
+                                             & ~down[meet[a][b]]))),
+         ("join least upper bound", ((a, b, c) for a, b in pairs for c in
+                                     bits(up[a] & up[b] & ~up[join[a][b]])))],
+        [("Heyting adjunction", ((a, b, c) for a, b in pairs for c in bits(
+            down[alg.himp[a][b]] ^ _preimage(meet[a], down[b])))),
+         ("residuation (right)", ((a, b, c) for a, b in pairs for c in bits(
+             up[lconj[a][b]] ^ _preimage(alg.rres[b], up[a])))),
+         ("residuation (left)", ((a, b, c) for a, b in pairs for c in bits(
+             up[lconj[a][b]] ^ _preimage(alg.lres[a], up[b]))))]]
+    for group in groups:
+        ranked = (zip(witnesses, repeat(rank), repeat(law))
+                  for rank, (law, witnesses) in enumerate(group))
+        for witness, _, law in merge(*ranked):
+            yield {"law": law, **dict(zip("abc", witness))}
+
+
+def _preimage(row: Sequence[int], mask: int) -> int:
+    """The c with row[c] in ``mask``, as a bitmask: the row's entries,
+    highest c first, read in a string with "1" at each x of ``mask``."""
+    member = format(mask, f"0{len(row)}b")[::-1]
+    return int("".join(itemgetter(*reversed(row))(member)), 2)
 
 
 # -- complex algebras -----------------------------------------------------
@@ -160,41 +148,53 @@ def algebra_satisfaction_agrees(model: RelationalModel, f: Formula) -> bool:
 
 # -- prime filters and representation ------------------------------------
 
-def prime_filters(alg: FiniteLayeredHeytingAlgebra) -> List[FrozenSet[int]]:
-    """All prime filters, each as a set of element ids.
+def _fold(table: Sequence[Sequence[int]], items, unit: int) -> int:
+    """``items`` folded through ``table`` from ``unit``: a join or meet."""
+    return reduce(lambda acc, a: table[acc][a], items, unit)
 
-    In a finite lattice every filter is principal (it contains the meet of
-    its elements), so candidates are exactly the up-sets of single
-    elements.
-    """
-    out = []
-    for a in range(alg.size):
-        if a == alg.bot:
-            continue  # improper: the whole algebra
-        filt = frozenset(b for b in range(alg.size) if alg.le(a, b))
-        prime = all(not alg.le(a, alg.join[x][y])
-                    or alg.le(a, x) or alg.le(a, y)
-                    for x in range(alg.size) for y in range(alg.size))
-        if prime:
-            out.append(filt)
-    out.sort(key=sorted)
-    return out
+
+def _join_irreducibles(alg: FiniteLayeredHeytingAlgebra) -> List[int]:
+    """The join-irreducible elements, ordered as their up-sets sorted:
+    each a other than the join of the elements strictly below it (bot is
+    that empty join, so it is never one).  In a finite distributive
+    lattice the prime filters are exactly their up-sets (Davey &
+    Priestley, *Introduction to Lattices and Order*, 2nd ed., ch. 5)."""
+    rng = range(alg.size)
+    irreducible = [a for a in rng if a != _fold(
+        alg.join, (b for b in rng if alg.le(b, a) and b != a), alg.bot)]
+    return sorted(irreducible, key=lambda a: [b for b in rng if alg.le(a, b)])
+
+
+def prime_filters(alg: FiniteLayeredHeytingAlgebra) -> List[FrozenSet[int]]:
+    """All prime filters as sets of element ids, sorted: the up-sets of the
+    join-irreducibles, so the algebra must be valid (``cmd_algebra``
+    validates it first; complex algebras are valid by construction)."""
+    return [frozenset(b for b in range(alg.size) if alg.le(a, b))
+            for a in _join_irreducibles(alg)]
 
 
 def prime_filter_frame(alg: FiniteLayeredHeytingAlgebra) -> IntLayeredFrame:
     """Worlds are prime filters ordered by inclusion; R holds when the
-    layering product of the first two filters lands in the third."""
-    filters = prime_filters(alg)
-    k = len(filters)
-    order = frozenset((i, j) for i in range(k) for j in range(k)
-                      if filters[i] <= filters[j])
-    rel = set()
-    for i, f0 in enumerate(filters):
-        for j, f1 in enumerate(filters):
-            for m, f2 in enumerate(filters):
-                if all(alg.lconj[a][b] in f2 for a in f0 for b in f1):
-                    rel.add((i, j, m))
-    return IntLayeredFrame(k, order, frozenset(rel))
+    layering product of the first two filters lands in the third.  The
+    algebra must be valid, as for ``prime_filters``."""
+    return _filter_frame(alg)[0]
+
+
+def _filter_frame(alg: FiniteLayeredHeytingAlgebra
+                  ) -> Tuple[IntLayeredFrame, List[int]]:
+    """The prime filter frame, and for each element the worlds whose
+    filter holds it.  World i is the filter of the i-th join-irreducible
+    g[i], which holds a iff g[i] <= a.  So filter i lies in filter j iff
+    g[j] <= g[i], and, the layering product being monotone, the products
+    of filters i and j land in filter m iff g[m] <= lconj[g[i]][g[j]]."""
+    g = _join_irreducibles(alg)
+    k = range(len(g))
+    holds = [sum(1 << i for i in k if alg.le(g[i], a))
+             for a in range(alg.size)]
+    order = frozenset((i, j) for i in k for j in bits(holds[g[i]]))
+    rel = frozenset((i, j, m) for i, j in product(k, repeat=2)
+                    for m in bits(holds[alg.lconj[g[i]][g[j]]]))
+    return IntLayeredFrame(len(g), order, rel), holds
 
 
 def representation_embed(
@@ -203,35 +203,31 @@ def representation_embed(
 
     Returns the element map plus a verification report (empty iff the map
     is injective and preserves order, every binary operation, and both
-    constants).
+    constants).  Like ``prime_filters`` this needs a valid algebra.
     """
-    filters = prime_filters(alg)
-    frame = prime_filter_frame(alg)
+    frame, holds = _filter_frame(alg)
     com, ups = complex_algebra_with_elements(frame)
     index = {m: i for i, m in enumerate(ups)}
     report: List[dict] = []
     h: Dict[int, int] = {}
     for a in range(alg.size):
-        mask = sum(1 << i for i, f in enumerate(filters) if a in f)
-        if mask not in index:
+        if holds[a] not in index:
             report.append({"problem": "image not an up-set", "element": a})
             return h, report
-        h[a] = index[mask]
+        h[a] = index[holds[a]]
     if len(set(h.values())) != alg.size:
         report.append({"problem": "not injective"})
     if h[alg.top] != com.top:
         report.append({"problem": "top not preserved"})
     if h[alg.bot] != com.bot:
         report.append({"problem": "bot not preserved"})
-    for a in range(alg.size):
-        for b in range(alg.size):
-            if alg.le(a, b) != com.le(h[a], h[b]):
-                report.append({"problem": "order not preserved",
+    for a, b in product(range(alg.size), repeat=2):
+        if alg.le(a, b) != com.le(h[a], h[b]):
+            report.append({"problem": "order not preserved", "a": a, "b": b})
+        for name in BINOPS:
+            if h[alg.op(name)[a][b]] != com.op(name)[h[a]][h[b]]:
+                report.append({"problem": f"{name} not preserved",
                                "a": a, "b": b})
-            for name in BINOPS:
-                if h[alg.op(name)[a][b]] != com.op(name)[h[a]][h[b]]:
-                    report.append({"problem": f"{name} not preserved",
-                                   "a": a, "b": b})
     return h, report
 
 
@@ -266,31 +262,19 @@ def fep_complete(alg: FiniteLayeredHeytingAlgebra,
     index = {a: i for i, a in enumerate(elems)}
     k = len(elems)
 
-    def meet_c(items) -> int:
-        acc = alg.top
-        for a in items:
-            acc = alg.meet[acc][a]
-        return acc
-
-    def join_c(items) -> int:
-        acc = alg.bot
-        for a in items:
-            acc = alg.join[acc][a]
-        return acc
-
     def close_up(a: int) -> int:
-        return meet_c(c for c in elems if alg.le(a, c))
+        return _fold(alg.meet, (c for c in elems if alg.le(a, c)), alg.top)
 
     def close_down(a: int) -> int:
-        return join_c(c for c in elems if alg.le(c, a))
+        return _fold(alg.join, (c for c in elems if alg.le(c, a)), alg.bot)
 
     leq = [[alg.le(elems[i], elems[j]) for j in range(k)] for i in range(k)]
     meet = [[index[alg.meet[elems[i]][elems[j]]] for j in range(k)]
             for i in range(k)]
     join = [[index[alg.join[elems[i]][elems[j]]] for j in range(k)]
             for i in range(k)]
-    himp = [[index[join_c(c for c in elems
-                          if alg.le(alg.meet[elems[i]][c], elems[j]))]
+    himp = [[index[_fold(alg.join, (c for c in elems if alg.le(
+                alg.meet[elems[i]][c], elems[j])), alg.bot)]
              for j in range(k)] for i in range(k)]
     lconj = [[index[close_up(alg.lconj[elems[i]][elems[j]])]
               for j in range(k)] for i in range(k)]
@@ -304,14 +288,12 @@ def fep_complete(alg: FiniteLayeredHeytingAlgebra,
     inclusion = {a: index[a] for a in sorted(base)}
 
     report = [dict(kind="algebra", **v) for v in validate_algebra(completed)]
-    for name in BINOPS:
-        for a in sorted(base):
-            for b in sorted(base):
-                image = alg.op(name)[a][b]
-                if image in base:
-                    if completed.op(name)[index[a]][index[b]] != index[image]:
-                        report.append({"kind": "embeddability", "op": name,
-                                       "a": a, "b": b})
+    for name, a, b in product(BINOPS, sorted(base), sorted(base)):
+        image = alg.op(name)[a][b]
+        if image in base and (completed.op(name)[index[a]][index[b]]
+                              != index[image]):
+            report.append({"kind": "embeddability", "op": name,
+                           "a": a, "b": b})
     return completed, inclusion, report
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -341,7 +342,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         run = RunResult(args.command, "error", EXIT_INTERNAL, {
             "message": f"internal error: {type(exc).__name__}: {exc}"})
     run.elapsed = time.monotonic() - started
-    run.emit(args.json)
+    try:
+        run.emit(args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:  # nobody reads: let the flush at exit pass
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     return run.exit_code
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .formula import Formula
-from .relational import (Evaluator, IntLayeredFrame, closure_pairs,
+from .relational import (Evaluator, IntLayeredFrame, bits, closure_pairs,
                          persistence_failures, upset_masks,
                          valuation_from_dict)
 
@@ -75,10 +75,6 @@ def compose(h: Subgraph, k: Subgraph,
 Part = Tuple[int, int]  # (vertex mask, edge mask) of a subgraph
 
 
-def _bits(mask: int) -> List[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 class GraphMasks:
     """A graph and its eset as bitmasks over its sorted vertices and
     edges: composition and decomposition on ``Part``s."""
@@ -118,8 +114,8 @@ class GraphMasks:
                 sum(self._ebit[e] for e in sg.edges))
 
     def subgraph(self, part: Part) -> Subgraph:
-        return Subgraph(frozenset(self.vertices[v] for v in _bits(part[0])),
-                        frozenset(self.edges[e] for e in _bits(part[1])),
+        return Subgraph(frozenset(self.vertices[v] for v in bits(part[0])),
+                        frozenset(self.edges[e] for e in bits(part[1])),
                         self.graph)
 
     def compose(self, h: Part, k: Part) -> Optional[Part]:
@@ -141,8 +137,8 @@ class GraphMasks:
         vm, em = member
         if not em & self.eset:  # every composition holds an eset edge
             return []
-        up = {1 << v: 1 << v for v in _bits(vm)}
-        for e in _bits(em | self.inner(vm) & self.eset):
+        up = {1 << v: 1 << v for v in bits(vm)}
+        for e in bits(em | self.inner(vm) & self.eset):
             u, v = self.ends[e]
             up[v] |= u
             if (em ^ self.eset) >> e & 1:

@@ -26,6 +26,14 @@ from .formula import (And, Atom, Bot, Contains, Exists, Forall, Formula, Imp,
 Triple = Tuple[int, int, int]
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def closure_pairs(pairs, domain) -> Set[Tuple]:
     """Reflexive-transitive closure of ``pairs`` over ``domain``."""
     bit = {d: 1 << k for k, d in enumerate(domain)}

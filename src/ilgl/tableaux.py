@@ -20,6 +20,7 @@ from . import graph as graphmod
 from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
                       LayerConj, Or, Top, render)
 from .graph import DirectedGraph, LayeredGraphModel, OrderedScaffold, Subgraph
+from .relational import bits
 
 Label = Tuple[int, ...]
 SignedFormula = Tuple[bool, Formula, Label]  # sign True = asserted
@@ -34,14 +35,6 @@ def sublabels(x: Label) -> List[Label]:
     if len(x) == 1:
         return [x]
     return [(x[0],), (x[1],), x]
-
-
-def _bits(mask: int) -> Iterable[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class ConstraintSet:
@@ -66,7 +59,7 @@ class ConstraintSet:
     @property
     def closure(self) -> Set[Constraint]:
         return {(x, self.labels[j]) for x, i in self.domain.items()
-                for j in _bits(self.up[i])}
+                for j in bits(self.up[i])}
 
     def add(self, constraint: Constraint) -> List[Constraint]:
         """Add a constraint; returns the pairs it added to the closure:
@@ -81,13 +74,13 @@ class ConstraintSet:
                 self.down.append(1 << i)
                 new.append((lab, lab))
         above, below = self.up[self.domain[b]], self.down[self.domain[a]]
-        for i in _bits(below):
+        for i in bits(below):
             gained = above & ~self.up[i]
             if gained:
                 self.up[i] |= gained
                 new += [(self.labels[i], self.labels[j])
-                        for j in _bits(gained)]
-        for j in _bits(above):
+                        for j in bits(gained)]
+        for j in bits(above):
             self.down[j] |= below
         return new
 

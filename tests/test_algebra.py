@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from ilgl.algebra import (AlgebraInterpretation, FiniteLayeredHeytingAlgebra,
+import algebra_reference
+from ilgl.algebra import (BINOPS, AlgebraInterpretation,
+                          FiniteLayeredHeytingAlgebra,
                           algebra_from_dict, algebra_satisfaction_agrees,
                           algebra_to_dict, complex_algebra,
                           complex_algebra_with_elements, fep_complete,
@@ -309,6 +311,53 @@ class TestRepresentation:
             alg = complex_algebra(random_frame(rng, rng.randrange(1, 4)))
             _, report = representation_embed(alg)
             assert report == []
+
+
+def corrupted(rng):
+    """The complex algebra of a random frame of 1 to 4 worlds with up to
+    three entries changed at random, each to an in-range value: of
+    ``leq``, of ``top`` or ``bot``, or of an operation table."""
+    alg = complex_algebra(random_frame(rng, rng.randrange(1, 5)))
+    n = alg.size
+    for _ in range(rng.randrange(4)):
+        what = rng.choice(("leq", "top", "bot") + BINOPS)
+        if what == "leq":
+            row, b = alg.leq[rng.randrange(n)], rng.randrange(n)
+            row[b] = not row[b]
+        elif what in ("top", "bot"):
+            setattr(alg, what, rng.randrange(n))
+        else:
+            alg.op(what)[rng.randrange(n)][rng.randrange(n)] = \
+                rng.randrange(n)
+    return alg
+
+
+class TestAgainstReference:
+    """The bit-row laws, prime filters, filter frame and embedding give
+    what the element scans of ``algebra_reference`` give."""
+
+    def test_validate_same_violation_list(self):
+        rng = random.Random(17)
+        invalid = capped = 0
+        for _ in range(1200):
+            alg = corrupted(rng)
+            want = algebra_reference.validate_algebra(alg)
+            assert validate_algebra(alg) == want
+            invalid += bool(want)
+            capped += len(want) == 20
+        assert invalid > 600 and capped > 50
+
+    def test_prime_filters_frame_and_embedding(self):
+        rng = random.Random(18)
+        algebras = [two_chain(), diamond(), crossed_pair()] + [
+            complex_algebra(random_frame(rng, rng.randrange(1, 6)))
+            for _ in range(400)]
+        for alg in algebras:
+            assert prime_filters(alg) == algebra_reference.prime_filters(alg)
+            assert (prime_filter_frame(alg)
+                    == algebra_reference.prime_filter_frame(alg))
+            assert (representation_embed(alg)
+                    == algebra_reference.representation_embed(alg))
 
 
 class TestFep:

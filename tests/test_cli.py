@@ -487,6 +487,21 @@ class TestSubprocess:
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
 
+    def test_closed_stdout_keeps_exit_code(self):
+        """A reader that is gone before the output is written does not turn
+        a proof into exit 1 or print a traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ilgl.cli", "prove", "p -> p",
+                 "--trace"], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env=cli_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+
     def test_persistence_suite_ignores_hash_seed(self):
         cmd = [sys.executable, "-m", "ilgl.cli", "--json", "crosscheck",
                "persistence", "--seed", "7", "--budget", "30"]
@@ -542,7 +557,8 @@ class TestSubprocess:
 
 # Each case: argv, its exit code, and whether it loads numpy.  Only the
 # table builders of complex algebras and the oracle import numpy; the
-# last two cases are controls that show the test would see it loaded.
+# ``algebra complex`` and ``crosscheck`` cases are controls that show the
+# test would see it loaded.
 NUMPY_CASES = [
     (["prove", "p -> p"], 0, False),
     (["prove", REFUTABLE, "--emit-countermodel", "out.json", "--dot",
@@ -558,6 +574,7 @@ NUMPY_CASES = [
     (["hilbert", "deriv.json"], 0, False),
     (["algebra", "complex", "frame.json"], 0, True),
     (["crosscheck", "residuation", "--budget", "1"], 0, True),
+    (["algebra", "primefilters", "alg.json"], 0, False),
 ]
 
 
