@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import merge
 from itertools import islice, product, repeat
-from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .formula import Formula, InputError, postfix
 from .relational import (MAX_ALGEBRA_SIZE, OP_NAME, Evaluator,
                          IntLayeredFrame, RelationalModel, bits, fold_tables,
-                         frame_tables)
+                         frame_tables, preimages)
 
 BINOPS = tuple(OP_NAME.values())
 
@@ -59,9 +58,10 @@ def interpret(interp: AlgebraInterpretation, f: Formula) -> int:
 
 def validate_algebra(alg: FiniteLayeredHeytingAlgebra) -> List[dict]:
     """Check the lattice, Heyting, and residuation axioms; empty iff valid.
-    Stops at the 20th violation.  Needs size x size tables whose entries,
-    like top and bot, are element ids: ``algebra_from_dict`` refuses other
-    input, and ``complex_algebra`` and ``fep_complete`` build such tables."""
+    Stops at the 20th violation.  Needs at most MAX_ALGEBRA_SIZE elements
+    and size x size tables whose entries, like top and bot, are element
+    ids: ``algebra_from_dict`` refuses other input, and ``complex_algebra``
+    and ``fep_complete`` build such tables."""
     return list(islice(_violations(alg), 20))
 
 
@@ -76,6 +76,9 @@ def _violations(alg: FiniteLayeredHeytingAlgebra) -> Iterator[dict]:
     down = [sum(1 << b for b in rng if alg.leq[b][a]) for a in rng]
     pairs = list(product(rng, repeat=2))
     meet, join, lconj = alg.meet, alg.join, alg.lconj
+    # The c with meet[a][c] <= b, with a <= rres[b][c], with b <= lres[a][c].
+    below, above_r, above_l = (preimages(meet, down), preimages(alg.rres, up),
+                               preimages(alg.lres, up))
     groups = [
         [("order reflexivity", ((a,) for a in rng if not up[a] >> a & 1)),
          ("order antisymmetry", ((a, b) for a in rng
@@ -94,23 +97,16 @@ def _violations(alg: FiniteLayeredHeytingAlgebra) -> Iterator[dict]:
          ("join least upper bound", ((a, b, c) for a, b in pairs for c in
                                      bits(up[a] & up[b] & ~up[join[a][b]])))],
         [("Heyting adjunction", ((a, b, c) for a, b in pairs for c in bits(
-            down[alg.himp[a][b]] ^ _preimage(meet[a], down[b])))),
+            down[alg.himp[a][b]] ^ below[a][b]))),
          ("residuation (right)", ((a, b, c) for a, b in pairs for c in bits(
-             up[lconj[a][b]] ^ _preimage(alg.rres[b], up[a])))),
+             up[lconj[a][b]] ^ above_r[b][a]))),
          ("residuation (left)", ((a, b, c) for a, b in pairs for c in bits(
-             up[lconj[a][b]] ^ _preimage(alg.lres[a], up[b]))))]]
+             up[lconj[a][b]] ^ above_l[a][b])))]]
     for group in groups:
         ranked = (zip(witnesses, repeat(rank), repeat(law))
                   for rank, (law, witnesses) in enumerate(group))
         for witness, _, law in merge(*ranked):
             yield {"law": law, **dict(zip("abc", witness))}
-
-
-def _preimage(row: Sequence[int], mask: int) -> int:
-    """The c with row[c] in ``mask``, as a bitmask: the row's entries,
-    highest c first, read in a string with "1" at each x of ``mask``."""
-    member = format(mask, f"0{len(row)}b")[::-1]
-    return int("".join(itemgetter(*reversed(row))(member)), 2)
 
 
 # -- complex algebras -----------------------------------------------------
@@ -119,11 +115,9 @@ def complex_algebra_with_elements(
         frame: IntLayeredFrame) -> Tuple[FiniteLayeredHeytingAlgebra, list]:
     """Complex algebra of a frame plus its elements as world bitmasks."""
     ups, ops = frame_tables(frame)
-    u = len(ups)
-    leq = [[ups[a] & ~ups[b] == 0 for b in range(u)] for a in range(u)]
-    alg = FiniteLayeredHeytingAlgebra(
-        size=u, leq=leq, top=u - 1, bot=0, **ops)
-    return alg, ups
+    leq = [[ma & ~mb == 0 for mb in ups] for ma in ups]
+    return FiniteLayeredHeytingAlgebra(size=len(ups), leq=leq,
+                                       top=len(ups) - 1, bot=0, **ops), ups
 
 
 def complex_algebra(frame: IntLayeredFrame) -> FiniteLayeredHeytingAlgebra:
@@ -260,7 +254,6 @@ def fep_complete(alg: FiniteLayeredHeytingAlgebra,
         carrier |= extra
     elems = sorted(carrier)
     index = {a: i for i, a in enumerate(elems)}
-    k = len(elems)
 
     def close_up(a: int) -> int:
         return _fold(alg.meet, (c for c in elems if alg.le(a, c)), alg.top)
@@ -268,23 +261,19 @@ def fep_complete(alg: FiniteLayeredHeytingAlgebra,
     def close_down(a: int) -> int:
         return _fold(alg.join, (c for c in elems if alg.le(c, a)), alg.bot)
 
-    leq = [[alg.le(elems[i], elems[j]) for j in range(k)] for i in range(k)]
-    meet = [[index[alg.meet[elems[i]][elems[j]]] for j in range(k)]
-            for i in range(k)]
-    join = [[index[alg.join[elems[i]][elems[j]]] for j in range(k)]
-            for i in range(k)]
-    himp = [[index[_fold(alg.join, (c for c in elems if alg.le(
-                alg.meet[elems[i]][c], elems[j])), alg.bot)]
-             for j in range(k)] for i in range(k)]
-    lconj = [[index[close_up(alg.lconj[elems[i]][elems[j]])]
-              for j in range(k)] for i in range(k)]
-    rres = [[index[close_down(alg.rres[elems[i]][elems[j]])]
-             for j in range(k)] for i in range(k)]
-    lres = [[index[close_down(alg.lres[elems[i]][elems[j]])]
-             for j in range(k)] for i in range(k)]
+    def table(entry) -> List[List[int]]:
+        return [[index[entry(a, b)] for b in elems] for a in elems]
+
     completed = FiniteLayeredHeytingAlgebra(
-        size=k, leq=leq, meet=meet, join=join, himp=himp, lconj=lconj,
-        rres=rres, lres=lres, top=index[alg.top], bot=index[alg.bot])
+        size=len(elems), leq=[[alg.le(a, b) for b in elems] for a in elems],
+        meet=table(lambda a, b: alg.meet[a][b]),
+        join=table(lambda a, b: alg.join[a][b]),
+        himp=table(lambda a, b: _fold(alg.join, (
+            c for c in elems if alg.le(alg.meet[a][c], b)), alg.bot)),
+        lconj=table(lambda a, b: close_up(alg.lconj[a][b])),
+        rres=table(lambda a, b: close_down(alg.rres[a][b])),
+        lres=table(lambda a, b: close_down(alg.lres[a][b])),
+        top=index[alg.top], bot=index[alg.bot])
     inclusion = {a: index[a] for a in sorted(base)}
 
     report = [dict(kind="algebra", **v) for v in validate_algebra(completed)]

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import or_
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple)
 
@@ -244,8 +246,8 @@ def enumerate_preorders(n: int) -> List[FrozenSet[Tuple[int, int]]]:
     deduplicated; ordered by (size, sorted pairs)."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     seen = set()
-    for bits in range(2 ** len(pairs)):
-        base = [p for b, p in enumerate(pairs) if bits >> b & 1]
+    for chosen in range(2 ** len(pairs)):
+        base = [p for b, p in enumerate(pairs) if chosen >> b & 1]
         seen.add(frozenset(closure_pairs(base, range(n))))
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
@@ -253,19 +255,31 @@ def enumerate_preorders(n: int) -> List[FrozenSet[Tuple[int, int]]]:
 DEFAULT_REL_CAPS = {1: None, 2: None, 3: 2, 4: 2}
 
 
-# Complex-algebra operation tables, used both by the algebra module and by
-# the oracle below (frames sharing tables are interchangeable for validity).
-# Only their builders import numpy: proving and checking never load it.
+# Complex-algebra operation tables: one frame's on bit rows, and the
+# oracle's below folded from per-triple tables (frames sharing tables are
+# interchangeable for validity).  Only the oracle's functions import numpy.
 
 # The operation each binary connective denotes in an algebra.
 OP_NAME = {And: "meet", Or: "join", Imp: "himp", LayerConj: "lconj",
            ImpRight: "rres", ImpLeft: "lres"}
 
 
+def preimages(rows, masks) -> List[List[int]]:
+    """``preimages(rows, masks)[r][m]``: the c with ``rows[r][c]`` in
+    ``masks[m]``, as a bitmask.  Each distinct row of ids, all below
+    MAX_ALGEBRA_SIZE = 256, is read as bytes through a table per mask."""
+    tables = [format(m, "0256b")[::-1].encode() for m in masks]
+    read = cache(lambda key: [int(key.translate(t) or b"0", 2)
+                              for t in tables])
+    return [read(bytes(reversed(row))) for row in rows]
+
+
 def _order_tables(n: int, order) -> tuple:
-    """Order-only part of the complex algebra: up-sets, principal up-set
-    masks, and the meet/join/himp tables.  Raises InputError before the
-    tables when there are more than MAX_ALGEBRA_SIZE up-sets."""
+    """Order-only part of the complex algebra: up-sets, their ids,
+    principal up-set masks, the meet/join/himp tables, and ``residual``,
+    which maps the table of a union-preserving product to its residual:
+    entry (a, b) holds the x with ``product[a][↑x]`` in ``down[b]``.
+    Raises InputError first if there are over MAX_ALGEBRA_SIZE up-sets."""
     up_of = principal_upsets(n, order)
     ups = upset_masks(up_of)
     if len(ups) > MAX_ALGEBRA_SIZE:
@@ -274,10 +288,34 @@ def _order_tables(n: int, order) -> tuple:
     index = {m: i for i, m in enumerate(ups)}
     meet = [[index[ma & mb] for mb in ups] for ma in ups]
     join = [[index[ma | mb] for mb in ups] for ma in ups]
-    himp = [[index[sum(1 << x for x in range(n)
-                       if up_of[x] & ma & ~mb == 0)]
-             for mb in ups] for ma in ups]
-    return ups, index, up_of, meet, join, himp
+    at = [index[m] for m in up_of]
+    down = [sum(1 << e for e, m in enumerate(ups) if m & ~mb == 0)
+            for mb in ups]
+
+    def residual(product) -> List[List[int]]:
+        return [list(map(index.__getitem__, masks)) for masks in
+                preimages([[row[p] for p in at] for row in product], down)]
+    return ups, index, up_of, meet, join, residual(meet), residual
+
+
+def frame_tables(frame: IntLayeredFrame) -> tuple:
+    """(upsets, ops) where upsets are bitmasks and ops maps each binary
+    operation name to a square table over up-set indices.  lconj[a] is
+    the OR over the y in a of ``hits[y]``, where ``hits[y][b]`` is the
+    union of the ``↑x`` over the triples (y, z, x) with z in b; rres and
+    lres are its residuals, with ``↑x`` on the left and on the right."""
+    ups, index, up_of, meet, join, himp, residual = _order_tables(
+        frame.worlds, frame.order)
+    hits: Dict[int, list] = {}
+    for y, z, x in frame.rel:
+        hits[y] = [h | up_of[x] if mb >> z & 1 else h
+                   for h, mb in zip(hits.get(y, [0] * len(ups)), ups)]
+    lconj = [list(map(index.__getitem__, reduce(
+                 lambda row, more: list(map(or_, row, more)),
+                 (hits[y] for y in bits(a) if y in hits), [0] * len(ups))))
+             for a in ups]
+    layer = (lconj, residual(list(zip(*lconj))), residual(lconj))
+    return ups, dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
 
 
 def _triple_tables(n: int, ups: list, up_of: list, triples) -> tuple:
@@ -302,23 +340,6 @@ def _triple_tables(n: int, ups: list, up_of: list, triples) -> tuple:
     return (np.where(a0 & b1, np.array(up_of, dtype)[t[:, 2], None, None], 0),
             np.where(a1 & ~b2, not_down[t[:, 0], None, None], full),
             np.where(a0 & ~b2, not_down[t[:, 1], None, None], full))
-
-
-def frame_tables(frame: IntLayeredFrame) -> tuple:
-    """(upsets, ops) where upsets are bitmasks and ops maps each binary
-    operation name to a square table over up-set indices."""
-    import numpy as np
-    n = frame.worlds
-    full = (1 << n) - 1
-    ups, index, up_of, meet, join, himp = _order_tables(n, frame.order)
-    lconj, rres, lres = (np.full((len(ups),) * 2, v, np.min_scalar_type(full))
-                         for v in (0, full, full))
-    for triple in frame.rel:  # one at a time: memory stays O(u^2)
-        lc, rr, lr = _triple_tables(n, ups, up_of, [triple])
-        lconj, rres, lres = lconj | lc[0], rres & rr[0], lres & lr[0]
-    layer = tuple([[index[m] for m in row] for row in t.tolist()]
-                  for t in (lconj, rres, lres))
-    return ups, dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
 
 
 def fold_tables(nodes: list, apply: Callable, valuation: dict, bot, top):
@@ -373,8 +394,8 @@ def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
     # of triples; permutations() yields the identity first.
     perms = list(itertools.permutations(range(n)))
     moved = np.array(perms)[:, np.array(triples)] @ np.array([n * n, n, 1])
-    bits = np.left_shift(np.uint64(1), moved.astype(np.uint64))
-    masks = np.concatenate([np.bitwise_or.reduce(bits[:, c], axis=-1)
+    singles = np.left_shift(np.uint64(1), moved.astype(np.uint64))
+    masks = np.concatenate([np.bitwise_or.reduce(singles[:, c], axis=-1)
                             for c in combos], axis=-1)
     by_mask = np.argsort(masks[0])
     orders = enumerate_preorders(n)
@@ -385,7 +406,7 @@ def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
                            for w in perms])
         if images.min() < p:
             continue
-        ups, index, up_of, meet, join, himp = _order_tables(n, order)
+        ups, index, up_of, meet, join, himp, _ = _order_tables(n, order)
         lc, rr, lr = _triple_tables(n, ups, up_of, triples)
         lut = np.zeros(1 << n, dtype=np.int16)
         lut[ups] = np.arange(len(ups))
@@ -435,21 +456,11 @@ class _StackedStep:
                 for name in OP_NAME.values()}
 
 
-class _OracleCache:
-    """The oracle's steps by (worlds, relation cap), built on first use
+@cache
+def _stacked_step(n: int, cap: Optional[int]) -> _StackedStep:
+    """The oracle's step by (worlds, relation cap), built on first use
     and kept for the process's life: 18,186 algebras at most by default."""
-
-    def __init__(self):
-        self.stacked: Dict[tuple, _StackedStep] = {}
-
-    def stacked_step(self, n: int, cap: Optional[int]) -> _StackedStep:
-        key = (n, cap)
-        if key not in self.stacked:
-            self.stacked[key] = _StackedStep(_preorder_chunks(n, cap))
-        return self.stacked[key]
-
-
-_CACHE = _OracleCache()
+    return _StackedStep(_preorder_chunks(n, cap))
 
 
 def _scan_stacked(nodes: list, names: list, step: _StackedStep
@@ -517,7 +528,7 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
     if rel_caps:
         caps.update(rel_caps)
     for n in range(1, max_worlds + 1):
-        hit = _scan_stacked(nodes, names, _CACHE.stacked_step(n, caps[n]))
+        hit = _scan_stacked(nodes, names, _stacked_step(n, caps[n]))
         if hit is not None:
             return hit
     return None

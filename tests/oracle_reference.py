@@ -8,6 +8,11 @@ every world permutation.  The tests hold the reduced oracle steps against
 both.  ``enumerate_frames`` lists every labelled frame up to a world
 count, relations in (size, lex) order: the family before any reduction.
 
+``frame_tables_reference`` builds one frame's complex-algebra tables as
+the oracle's numpy builder does, one triple at a time, with the order
+tables of ``order_tables_reference``, whose himp scans every world: the
+builder ``relational.frame_tables`` replaced.
+
 ``closure_reference`` closes a relation by composing it with itself
 until nothing is added.  ``check_assignment`` checks that a resource
 assignment takes values in the predicate quantifiers' domain, the
@@ -19,9 +24,12 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from ilgl.formula import InputError
 from ilgl.predicate import ResourceAssignment, ResourceModel
-from ilgl.relational import (OP_NAME, IntLayeredFrame, _order_tables,
-                             _triple_tables, enumerate_preorders)
+from ilgl.relational import (MAX_ALGEBRA_SIZE, OP_NAME, IntLayeredFrame,
+                             _order_tables, _triple_tables,
+                             enumerate_preorders, principal_upsets,
+                             upset_masks)
 
 LAYER_OPS = ("lconj", "rres", "lres")
 
@@ -60,7 +68,7 @@ def unreduced_chunks(n: int, cap: Optional[int], ranks=None):
     for p, order in enumerate(enumerate_preorders(n)):
         if ranks is not None and p not in ranks:
             continue
-        ups, index, up_of, meet, join, himp = _order_tables(n, order)
+        ups, index, up_of, meet, join, himp, _ = _order_tables(n, order)
         lc, rr, lr = _triple_tables(n, ups, up_of, triples)
         lut = np.zeros(1 << n, dtype=np.int16)
         lut[ups] = np.arange(len(ups))
@@ -107,6 +115,41 @@ def class_minima(n: int, chunks) -> Dict[tuple, int]:
         for (position, _, _), key in zip(entries, keys):
             least[key] = min(position, least.get(key, position))
     return least
+
+
+def order_tables_reference(n: int, order) -> tuple:
+    """Order-only part of the complex algebra: up-sets, principal up-set
+    masks, and the meet/join/himp tables.  Raises InputError before the
+    tables when there are more than MAX_ALGEBRA_SIZE up-sets."""
+    up_of = principal_upsets(n, order)
+    ups = upset_masks(up_of)
+    if len(ups) > MAX_ALGEBRA_SIZE:
+        raise InputError(f"{len(ups)} up-sets exceed the algebra bound "
+                         f"{MAX_ALGEBRA_SIZE}")
+    index = {m: i for i, m in enumerate(ups)}
+    meet = [[index[ma & mb] for mb in ups] for ma in ups]
+    join = [[index[ma | mb] for mb in ups] for ma in ups]
+    himp = [[index[sum(1 << x for x in range(n)
+                       if up_of[x] & ma & ~mb == 0)]
+             for mb in ups] for ma in ups]
+    return ups, index, up_of, meet, join, himp
+
+
+def frame_tables_reference(frame: IntLayeredFrame) -> tuple:
+    """(upsets, ops) where upsets are bitmasks and ops maps each binary
+    operation name to a square table over up-set indices."""
+    n = frame.worlds
+    full = (1 << n) - 1
+    ups, index, up_of, meet, join, himp = order_tables_reference(
+        n, frame.order)
+    lconj, rres, lres = (np.full((len(ups),) * 2, v, np.min_scalar_type(full))
+                         for v in (0, full, full))
+    for triple in frame.rel:  # one at a time: memory stays O(u^2)
+        lc, rr, lr = _triple_tables(n, ups, up_of, [triple])
+        lconj, rres, lres = lconj | lc[0], rres & rr[0], lres & lr[0]
+    layer = tuple([[index[m] for m in row] for row in t.tolist()]
+                  for t in (lconj, rres, lres))
+    return ups, dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
 
 
 def closure_reference(pairs, domain) -> set:

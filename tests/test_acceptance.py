@@ -23,7 +23,7 @@ from ilgl.gen import (random_formula, random_frame, random_graph_model,
 from ilgl.hilbert import check_derivation
 from ilgl.graph import scaffold_to_frame
 from ilgl.predicate import enumerate_upsets, pred_satisfies
-from ilgl.relational import (_CACHE, DEFAULT_REL_CAPS, RelationalModel,
+from ilgl.relational import (DEFAULT_REL_CAPS, RelationalModel, _stacked_step,
                              rel_satisfies, rel_valid_upto)
 from ilgl.tableaux import prove
 
@@ -44,7 +44,7 @@ def small_algebra_family():
     with a representative frame each."""
     return [(frame, complex_algebra(frame))
             for n in (1, 2, 3)
-            for pos, frame, ups in _CACHE.stacked_step(
+            for pos, frame, ups in _stacked_step(
                 n, DEFAULT_REL_CAPS[n]).entries]
 
 

@@ -434,12 +434,13 @@ class TestDecisionProcedureAgreement:
         # frame family, under every valuation"; the satisfaction bridge
         # makes them the same search, asserted here on both code paths.
         # Both take one algebra per isomorphism class of the family.
-        from ilgl.relational import _CACHE, DEFAULT_REL_CAPS, rel_valid_upto
+        from ilgl.relational import (DEFAULT_REL_CAPS, _stacked_step,
+                                     rel_valid_upto)
         from ilgl.formula import atoms as formula_atoms
 
         family = [complex_algebra(frame)
                   for n in (1, 2, 3)
-                  for pos, frame, ups in _CACHE.stacked_step(
+                  for pos, frame, ups in _stacked_step(
                       n, DEFAULT_REL_CAPS[n]).entries]
 
         def algebra_side_valid(f):

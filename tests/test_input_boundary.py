@@ -5,6 +5,7 @@ it into exit 2 without a traceback; any other exception exits 4."""
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
@@ -177,6 +178,23 @@ def test_complex_algebra_beyond_algebra_bound_exit_two(capsys, tmp_path,
     assert (body["payload"]["message"]
             == f"512 up-sets exceed the algebra bound {MAX_ALGEBRA_SIZE}")
     assert not (tmp_path / "alg.json").exists()
+
+
+def test_complex_algebra_of_chain_with_many_triples(capsys, tmp_path):
+    """The 256-element complex algebra of a 255-world chain frame with
+    1,000 seeded triples is built well within a CPU-time bound."""
+    n, rng = 255, random.Random(7)
+    rel = [[t // n // n, t // n % n, t % n]
+           for t in rng.sample(range(n ** 3), 1000)]
+    content = json.dumps({"worlds": n, "rel": rel, "valuation": {},
+                          "order": [[i, i + 1] for i in range(n - 1)]})
+    start = time.process_time()
+    code, body, err = run(capsys, tmp_path, content, "algebra", "complex",
+                          "{}", "-o", str(tmp_path / "alg.json"))
+    assert time.process_time() - start < 10.0
+    assert code == 0 and body["status"] == "ok" and "Traceback" not in err
+    kind, alg = files.read(str(tmp_path / "alg.json"), "algebra")
+    assert kind == "algebra" and alg.size == 256
 
 
 def test_algebra_file_beyond_algebra_bound_exit_two(capsys, tmp_path):

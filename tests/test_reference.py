@@ -7,6 +7,7 @@ sentences come from the benchmark's own seeded generators in
 ``perfbench/inputs.py``.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -18,8 +19,9 @@ import graph_reference
 from ilgl.graph import (OrderedScaffold, check_admissible, model_evaluator,
                         model_from_dict)
 from ilgl.predicate import resource_evaluator, resource_model_from_dict
-from ilgl.relational import DEFAULT_REL_CAPS
-from oracle_reference import unreduced_chunks
+from ilgl.relational import (DEFAULT_REL_CAPS, IntLayeredFrame, closure_pairs,
+                             frame_tables)
+from oracle_reference import frame_tables_reference, unreduced_chunks
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -107,11 +109,12 @@ def _check_layer_tables(frame, ups, tables):
 
 
 def test_oracle_layer_tables_agree_with_the_clauses():
-    # The oracle and the complex algebra build their lconj/rres/lres
-    # tables with one builder, so each is checked against the reference
-    # clauses here, on the family before its reduction to isomorphism
-    # classes: every distinct algebra per preorder up to 3 worlds, and a
-    # seeded sample of the 4-world cap-1 step and of cap-2 preorders.
+    # The oracle folds per-triple numpy tables and the complex algebra
+    # reads its tables from bit rows.  The oracle's are checked against
+    # the reference clauses here, on the family before its reduction to
+    # isomorphism classes: every distinct algebra per preorder up to 3
+    # worlds, and a seeded sample of the 4-world cap-1 step and of cap-2
+    # preorders, where the complex algebra's must equal them.
     checked = 0
     for n in (1, 2, 3):
         for frame, ups, tables in _algebras(
@@ -132,6 +135,37 @@ def test_oracle_layer_tables_agree_with_the_clauses():
             assert {name: alg.op(name) for name in LAYER_TAGS} == tables
             checked += 1
     assert len(four) > 30 and checked > 5778 + 1000
+
+
+def _random_frame(rng, n, max_triples):
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(0, 2 * n))] if n else []
+    triples = list(itertools.product(range(n), repeat=3))
+    return IntLayeredFrame(n, frozenset(closure_pairs(pairs, range(n))),
+                           frozenset(rng.sample(triples, rng.randint(
+                               0, min(max_triples, len(triples))))))
+
+
+def test_frame_tables_equal_the_numpy_reference():
+    # Seeded frames of 0-6 worlds with random preorders, cyclic ones
+    # included, and up to 3n^2 triples; then a 70-world chain, above the
+    # 64 worlds a machine word holds, with 200 triples.
+    rng = random.Random(18)
+    cyclic = 0
+    for _ in range(2000):
+        n = rng.randint(0, 6)
+        frame = _random_frame(rng, n, 3 * n * n)
+        cyclic += any(i != j and (j, i) in frame.order
+                      for i, j in frame.order)
+        assert frame_tables(frame) == frame_tables_reference(frame), frame
+    assert cyclic > 300
+    n = 70
+    triples = list(itertools.product(range(n), repeat=3))
+    chain = IntLayeredFrame(
+        n, frozenset(closure_pairs([(i, i + 1) for i in range(n - 1)],
+                                   range(n))),
+        frozenset(rng.sample(triples, 200)))
+    assert frame_tables(chain) == frame_tables_reference(chain)
 
 
 def test_benchmark_tracer_finds_every_traced_function():

@@ -18,8 +18,8 @@ from ilgl.formula import atoms, parse, postfix
 from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
 from ilgl.graph import scaffold_to_frame
-from ilgl.relational import (_CACHE, MAX_UPSETS, OP_NAME, IntLayeredFrame,
-                             RelationalModel, closure_pairs,
+from ilgl.relational import (MAX_UPSETS, OP_NAME, IntLayeredFrame,
+                             RelationalModel, _stacked_step, closure_pairs,
                              enumerate_preorders, frame_from_dict,
                              frame_to_dict, rel_satisfies, rel_valid_upto,
                              upset_masks)
@@ -213,7 +213,9 @@ class TestValidityOracle:
         assert cex is not None
         assert cex.frame.worlds == 4
         assert not rel_satisfies(cex.model(), cex.world, f)
-        step = _CACHE.stacked[(4, 2)]
+        built = _stacked_step.cache_info().misses
+        step = _stacked_step(4, 2)
+        assert _stacked_step.cache_info().misses == built
 
         def rebuild(n, cap):
             raise AssertionError(f"step ({n}, {cap}) rebuilt")
@@ -221,7 +223,7 @@ class TestValidityOracle:
         monkeypatch.setattr(relmod, "_preorder_chunks", rebuild)
         again = rel_valid_upto(f, 4, 2, rel_caps=caps)
         assert frame_to_dict(again.model()) == frame_to_dict(cex.model())
-        assert _CACHE.stacked_step(4, 2) is step
+        assert _stacked_step(4, 2) is step
 
     def test_more_than_four_worlds_rejected(self):
         with pytest.raises(ValueError, match="4"):
@@ -286,7 +288,7 @@ class TestIsomorphismClasses:
     # entry per isomorphism class, at the class's least position.
 
     def test_step_sizes(self):
-        sizes = [len(_CACHE.stacked_step(n, cap).entries) for n, cap in
+        sizes = [len(_stacked_step(n, cap).entries) for n, cap in
                  ((1, None), (2, None), (3, 2), (4, 1), (4, 2))]
         assert sizes == [2, 158, 974, 951, 18186]
 
@@ -298,7 +300,7 @@ class TestIsomorphismClasses:
                                         in tables.items()})
                      for entries, tables in chunks
                      for row, (pos, frame, ups) in enumerate(entries)}
-        step = _CACHE.stacked_step(n, cap)
+        step = _stacked_step(n, cap)
         positions = [pos for pos, _, _ in step.entries]
         assert positions == sorted(class_minima(n, chunks).values())
         for group in step.groups.values():
@@ -317,7 +319,7 @@ class TestIsomorphismClasses:
                  for p, order in enumerate(orders)}
         lowest = sorted({min(ranks) for ranks in orbit.values()})
         assert len(lowest) == 33
-        step = _CACHE.stacked_step(4, 2)
+        step = _stacked_step(4, 2)
         relations = 1 + 64 + 64 * 63 // 2
         assert sorted({pos // relations for pos, _, _ in step.entries}) \
             == lowest
@@ -352,7 +354,7 @@ class TestScan:
         # the relational clauses refute the formula, at every step.
         f = parse(text)
         for n, cap in SCAN_STEPS:
-            step = _CACHE.stacked_step(n, cap)
+            step = _stacked_step(n, cap)
             expected = next(
                 ((frame, w) for _, frame, _ in step.entries
                  for w in range(n)
@@ -378,7 +380,7 @@ class TestScan:
         refuted = 0
         for n, cap in SCAN_STEPS:
             cex = relmod._scan_stacked(postfix(f), names,
-                                       _CACHE.stacked_step(n, cap))
+                                       _stacked_step(n, cap))
             if cex is not None:
                 refuted += 1
                 assert sorted(cex.valuation) == names
@@ -396,7 +398,7 @@ class TestScan:
         names = atoms(f)
         rng = random.Random(16)
         for n, cap in SCAN_STEPS:
-            step = _CACHE.stacked_step(n, cap)
+            step = _stacked_step(n, cap)
             assert relmod._scan_stacked(postfix(f), names, step) is None
             for _, frame, ups in rng.sample(step.entries,
                                             min(20, len(step.entries))):
@@ -431,7 +433,7 @@ def test_oracle_byte_identical():
     # frame per isomorphism class leaves every counterexample unchanged.
     lines = []
     for n, cap in ((1, None), (2, None), (3, 2), (4, 1), (4, 2)):
-        step = _CACHE.stacked_step(n, cap)
+        step = _stacked_step(n, cap)
         for pos, frame, ups in step.entries:
             lines.append(repr((pos, frame.worlds, sorted(frame.order),
                                sorted(frame.rel), list(ups))))
