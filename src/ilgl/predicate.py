@@ -3,9 +3,10 @@ models: Contains / points-to atoms and intuitionistic quantifiers ranging
 over up-closed vertex sets of the placement order.
 
 Formulas are parsed by ``formula.parse_pred`` and checked by the shared
-satisfaction clauses of ``relational.Evaluator`` on the scaffold's frame.
-The quantifier domain is fully enumerated, so models are capped at 14
-placement vertices (16384 up-sets worst case).
+satisfaction clauses of ``relational.Evaluator`` on the scaffold's frame,
+with vertices as bits and the quantifier domain as up-set masks.  The
+domain is fully enumerated, so models are capped at 14 placement
+vertices: 16,384 up-sets, where a whole-model ``forall`` takes about 2 s.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .formula import (BINARY_NODES, QUANT_NODES, Contains, Formula,
 from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                     OrderedScaffold, Subgraph, model_from_dict,
                     model_to_dict, scaffold_to_frame)
-from .relational import (Evaluator, closure_pairs, principal_upsets,
+from .relational import (Evaluator, bits, closure_pairs, principal_upsets,
                          upset_masks)
 
 MAX_PLACEMENT_VERTICES = 14
@@ -52,9 +53,10 @@ class ResourceModel:
 ResourceAssignment = Dict[str, FrozenSet[str]]
 
 
-def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]
-                     ) -> Iterator[FrozenSet[str]]:
-    """Every up-closed vertex set of the placement preorder, exactly once."""
+def placement_upsets(placement: FrozenSet[Tuple[str, str]]
+                     ) -> Tuple[List[str], List[int]]:
+    """The placement vertices, sorted, and every up-closed set of them
+    once, as a mask over that order."""
     domain = sorted({v for pair in placement for v in pair})
     if len(domain) > MAX_PLACEMENT_VERTICES:
         raise InputError(
@@ -62,16 +64,40 @@ def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]
             f"of {MAX_PLACEMENT_VERTICES}; shrink the model")
     pos = {v: j for j, v in enumerate(domain)}
     order = {(pos[u], pos[v]) for u, v in closure_pairs(placement, domain)}
-    for mask in upset_masks(principal_upsets(len(domain), order)):
-        yield frozenset(v for j, v in enumerate(domain) if mask >> j & 1)
+    return domain, upset_masks(principal_upsets(len(domain), order))
+
+
+def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]
+                     ) -> Iterator[FrozenSet[str]]:
+    """Every up-closed vertex set of the placement preorder, exactly once."""
+    domain, masks = placement_upsets(placement)
+    return (frozenset(domain[j] for j in bits(mask)) for mask in masks)
+
+
+def _vertex_index(rm: ResourceModel) -> Dict[str, int]:
+    """Each vertex's bit: the placement vertices first, in the sorted order
+    of ``placement_upsets``, then the other graph vertices, sorted."""
+    domain = sorted({v for pair in rm.placement for v in pair})
+    rest = sorted(rm.model.scaffold.graph.vertices - set(domain))
+    return {v: i for i, v in enumerate(domain + rest)}
+
+
+def _mask(index: Dict[str, int], block) -> int:
+    """A vertex set as a mask; vertices outside the model are dropped."""
+    return sum(1 << index[v] for v in block if v in index)
 
 
 def resource_evaluator(rm: ResourceModel) -> Evaluator:
-    """One evaluator for every predicate query on ``rm``; its quantifiers
-    range over the up-sets of the placement order."""
-    sc = rm.model.scaffold
+    """One evaluator for every predicate query on ``rm``: the quantifier
+    domain is the placement order's up-set masks as they are."""
+    sc, index = rm.model.scaffold, _vertex_index(rm)
+    succ = [[0] * len(index) for _ in sc.subgraphs]
+    for row, sg in zip(succ, sc.subgraphs):
+        for u, v in sg.edges:
+            row[index[u]] |= 1 << index[v]
     return Evaluator(scaffold_to_frame(sc), rm.model.valuation,
-                     sc.subgraphs, list(enumerate_upsets(rm.placement)))
+                     [_mask(index, sg.vertices) for sg in sc.subgraphs],
+                     succ, placement_upsets(rm.placement)[1])
 
 
 def pred_satisfies(rm: ResourceModel, s: ResourceAssignment, world: int,
@@ -80,7 +106,9 @@ def pred_satisfies(rm: ResourceModel, s: ResourceAssignment, world: int,
     missing = free_resources(f) - set(s)
     if missing:
         raise KeyError(f"unbound resources: {sorted(missing)}")
-    return resource_evaluator(rm).sat(world, f, frozenset(s.items()))
+    index = _vertex_index(rm)
+    return resource_evaluator(rm).sat(world, f, frozenset(
+        (r, _mask(index, block)) for r, block in s.items()))
 
 
 def pred_valid_in_model(rm: ResourceModel, f: Formula) -> bool:
@@ -210,7 +238,14 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
 
 def resource_model_from_dict(data: dict) -> ResourceModel:
     model = model_from_dict(data)
-    placement = frozenset((u, v) for u, v in data.get("placement", []))
+    # Placement ids are vertex ids, normalized to strings in the same way.
+    placement = frozenset((str(u), str(v))
+                          for u, v in data.get("placement", []))
+    outside = ({v for pair in placement for v in pair}
+               - model.scaffold.graph.vertices)
+    if outside:
+        raise InputError(f"placement vertex {min(outside)!r} is not a "
+                         "vertex of the graph")
     return ResourceModel(model, placement,
                          frozenset(data.get("resources", [])))
 

@@ -52,10 +52,12 @@ def closure_pairs(pairs, domain) -> Set[Tuple]:
 
 
 def principal_upsets(n: int, order) -> List[int]:
-    """The up-set of each world 0..n-1 under the closed preorder ``order``,
-    as bitmasks."""
-    return [sum(1 << y for y in range(n) if (x, y) in order)
-            for x in range(n)]
+    """The up-set of each world 0..n-1 under the closed preorder ``order``
+    on them, as bitmasks."""
+    up = [0] * n
+    for x, y in order:
+        up[x] |= 1 << y
+    return up
 
 
 # The most up-sets ``upset_masks`` builds; above the 16,384 of the
@@ -149,90 +151,103 @@ def persistence_failures(valuation: Dict[str, FrozenSet[int]], n: int,
     return bad
 
 
-def _has_path(sg, sources: FrozenSet, targets: FrozenSet) -> bool:
-    """Non-empty directed path inside the subgraph from a source vertex to
-    a target vertex (at least one edge)."""
-    seen: Set = set()
-    frontier = {v for u, v in sg.edges if u in sources}
-    while frontier:
-        if frontier & targets:
-            return True
-        seen |= frontier
-        frontier = {v for u, v in sg.edges if u in frontier} - seen
-    return False
-
-
 class Evaluator:
     """The satisfaction clauses of the relational, layered-graph and
-    predicate semantics, memoised per (world, formula, assignment).
-
-    The propositional clauses read the frame (worlds, order, triples) and
-    the valuation of the atoms.  Layered-graph satisfaction is this run on
-    the scaffold's frame.  The predicate clauses also read ``subgraphs``
-    (the admissible subgraph each world names, for ``Contains`` and
-    ``~>``), ``upsets`` (the quantifier domain) and an assignment of
-    resource names to blocks, given as a frozenset of (name, block) pairs.
+    predicate semantics, one per connective in ``CLAUSES``, memoised per
+    (world, formula, assignment).  Layered-graph satisfaction is this run
+    on the scaffold's frame.  Worlds are bits: ``up[w]`` holds the
+    order-successors of world w.  So are vertices in the predicate
+    clauses: ``places[w]`` holds those of the admissible subgraph that
+    world w names and ``succ[w][i]`` vertex i's successors inside it.
+    ``upsets``, the quantifier domain, and the blocks of an assignment (a
+    frozenset of (name, block) pairs) are vertex masks.
     """
 
     def __init__(self, frame: IntLayeredFrame,
                  valuation: Dict[str, FrozenSet[int]],
-                 subgraphs=(), upsets=()):
+                 places=(), succ=(), upsets=()):
         self.n = frame.worlds
-        self.order = frame.order
+        self.up = principal_upsets(self.n, frame.order)
         self.rel = frame.rel
         self.valuation = valuation
-        self.subgraphs = subgraphs
-        self.upsets = upsets
-        self.memo: Dict[tuple, bool] = {}
+        self.places, self.succ, self.upsets = places, succ, upsets
+        # Satisfaction, ``reach`` and ``extensions``, each found once.
+        self.memo, self.reached, self.bound = {}, {}, {}
 
     def sat(self, w: int, f: Formula, s: FrozenSet = frozenset()) -> bool:
         key = (w, f, s)
         value = self.memo.get(key)
         if value is None:
-            value = self.memo[key] = self._sat(w, f, s)
+            clause = self.CLAUSES.get(type(f))
+            if clause is None:
+                raise TypeError(f"not a formula: {f!r}")
+            value = self.memo[key] = clause(self, w, f, s)
         return value
 
-    def _sat(self, w: int, f: Formula, s: FrozenSet) -> bool:
-        sat, order = self.sat, self.order
-        if isinstance(f, Atom):
-            return w in self.valuation.get(f.name, frozenset())
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, And):
-            return sat(w, f.left, s) and sat(w, f.right, s)
-        if isinstance(f, Or):
-            return sat(w, f.left, s) or sat(w, f.right, s)
-        if isinstance(f, Imp):
-            return all(sat(v, f.right, s) for v in range(self.n)
-                       if (w, v) in order and sat(v, f.left, s))
-        if isinstance(f, LayerConj):
-            return any((x, w) in order
-                       and sat(y, f.left, s) and sat(z, f.right, s)
-                       for y, z, x in self.rel)
-        if isinstance(f, ImpRight):
-            return all(sat(x, f.right, s) for y, z, x in self.rel
-                       if (w, y) in order and sat(z, f.left, s))
-        if isinstance(f, ImpLeft):
-            return all(sat(x, f.right, s) for z, y, x in self.rel
-                       if (w, y) in order and sat(z, f.left, s))
-        if isinstance(f, Contains):
-            return bool(dict(s)[f.resource] & self.subgraphs[w].vertices)
-        if isinstance(f, PointsTo):
-            env = dict(s)
-            return _has_path(self.subgraphs[w], env[f.source],
-                             env[f.target])
-        if isinstance(f, (Exists, Forall)):
-            rest = frozenset((r, b) for r, b in s if r != f.var)
-            bound = [rest | {(f.var, block)} for block in self.upsets]
-            if isinstance(f, Exists):
-                return any(sat(w, f.body, t) for t in bound)
-            # World and domain quantification combined, as the semantics
-            # states it: every extension at every order-successor.
-            return all(sat(v, f.body, t) for t in bound
-                       for v in range(self.n) if (w, v) in order)
-        raise TypeError(f"not a formula: {f!r}")
+    def reach(self, w: int, src: int) -> int:
+        """The vertices at the end of a path of at least one edge inside
+        world w from ``src``, found once per set of sources in w."""
+        src &= self.places[w]
+        if (w, src) not in self.reached:
+            row, got, frontier = self.succ[w], 0, src
+            while frontier:
+                step = reduce(or_, map(row.__getitem__, bits(frontier)), 0)
+                frontier, got = step & ~got, got | step
+            self.reached[w, src] = got
+        return self.reached[w, src]
+
+    def extensions(self, f, s: FrozenSet) -> List[FrozenSet]:
+        """``s`` with the quantifier's variable bound to each up-set."""
+        if (f.var, s) not in self.bound:
+            rest = frozenset(pair for pair in s if pair[0] != f.var)
+            self.bound[f.var, s] = [rest | {(f.var, m)} for m in self.upsets]
+        return self.bound[f.var, s]
+
+    def _imp(self, w, f, s):
+        sat = self.sat
+        return all(sat(v, f.right, s) for v in bits(self.up[w])
+                   if sat(v, f.left, s))
+
+    def _layer_conj(self, w, f, s):
+        sat, up = self.sat, self.up
+        return any(up[x] >> w & 1 and sat(y, f.left, s)
+                   and sat(z, f.right, s) for y, z, x in self.rel)
+
+    def _imp_right(self, w, f, s):
+        sat, up = self.sat, self.up[w]
+        return all(sat(x, f.right, s) for y, z, x in self.rel
+                   if up >> y & 1 and sat(z, f.left, s))
+
+    def _imp_left(self, w, f, s):
+        sat, up = self.sat, self.up[w]
+        return all(sat(x, f.right, s) for z, y, x in self.rel
+                   if up >> y & 1 and sat(z, f.left, s))
+
+    def _points_to(self, w, f, s):
+        env = dict(s)
+        return self.reach(w, env[f.source]) & env[f.target] != 0
+
+    def _exists(self, w, f, s):
+        return any(self.sat(w, f.body, t) for t in self.extensions(f, s))
+
+    def _forall(self, w, f, s):
+        # World and domain quantification combined, as the semantics
+        # states it: every extension at every order-successor.
+        above = list(bits(self.up[w]))
+        return all(self.sat(v, f.body, t) for t in self.extensions(f, s)
+                   for v in above)
+
+    CLAUSES = {
+        Atom: lambda ev, w, f, s: w in ev.valuation.get(f.name, ()),
+        Top: lambda ev, w, f, s: True,
+        Bot: lambda ev, w, f, s: False,
+        And: lambda ev, w, f, s: (ev.sat(w, f.left, s)
+                                  and ev.sat(w, f.right, s)),
+        Or: lambda ev, w, f, s: ev.sat(w, f.left, s) or ev.sat(w, f.right, s),
+        Imp: _imp, LayerConj: _layer_conj, ImpRight: _imp_right,
+        ImpLeft: _imp_left, PointsTo: _points_to, Exists: _exists,
+        Contains: lambda ev, w, f, s: dict(s)[f.resource] & ev.places[w] != 0,
+        Forall: _forall}
 
 
 def rel_satisfies(model: RelationalModel, world: int, f: Formula) -> bool:
@@ -310,10 +325,16 @@ def frame_tables(frame: IntLayeredFrame) -> tuple:
     for y, z, x in frame.rel:
         hits[y] = [h | up_of[x] if mb >> z & 1 else h
                    for h, mb in zip(hits.get(y, [0] * len(ups)), ups)]
-    lconj = [list(map(index.__getitem__, reduce(
-                 lambda row, more: list(map(or_, row, more)),
-                 (hits[y] for y in bits(a) if y in hits), [0] * len(ups))))
-             for a in ups]
+    down = principal_upsets(frame.worlds, {(x, y) for y, x in frame.order})
+    # Each up-set's row is that of the smaller up-set left when the class
+    # of a minimal world y is removed, ORed with the class's hits.
+    rows = {0: [0] * len(ups)}
+    for a in ups[1:]:
+        y = next(y for y in bits(a) if down[y] & a & ~up_of[y] == 0)
+        rows[a] = reduce(lambda row, more: list(map(or_, row, more)),
+                         (hits[x] for x in bits(up_of[y] & down[y])
+                          if x in hits), rows[a & ~down[y]])
+    lconj = [list(map(index.__getitem__, rows[a])) for a in ups]
     layer = (lconj, residual(list(zip(*lconj))), residual(lconj))
     return ups, dict(zip(OP_NAME.values(), (meet, join, himp) + layer))
 

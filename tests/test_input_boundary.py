@@ -214,6 +214,34 @@ def test_algebra_at_algebra_bound_fits_file_bound():
     assert len(text.encode()) < files.MAX_FILE_BYTES
 
 
+PLACED = {**MODEL, "placement": [["a", "b"]], "resources": []}
+SENTENCE_ARGVS = [("check", "{}", "exists s. Contains(s)", "--world", "0"),
+                  ("validate", "{}")]
+
+
+@pytest.mark.parametrize("placement, vertex", [
+    ([[5, "a"]], "5"), ([["zz", "zz"]], "zz")], ids=["number", "unknown"])
+def test_placement_vertex_outside_graph_exit_two(capsys, tmp_path,
+                                                  placement, vertex):
+    # A number among string ids once stopped the sentence check with a
+    # TypeError (exit 4), and an unknown vertex was accepted silently.
+    content = json.dumps({**PLACED, "placement": placement})
+    for argv in SENTENCE_ARGVS:
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message and "Traceback" not in err, argv
+        assert f"placement vertex '{vertex}' is not a vertex" in message
+
+
+def test_numeric_placement_vertex_is_a_string_id(capsys, tmp_path):
+    # Vertex 5 is written as a number everywhere: it is the vertex "5".
+    content = json.dumps(PLACED).replace('"a"', "5")
+    for argv, status in zip(SENTENCE_ARGVS, ("sat", "ok")):
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert code == 0 and body["status"] == status, argv
+
+
 def test_missing_field_named(capsys, tmp_path):
     data = algebra_to_dict(complex_algebra(FRAME))
     del data["meet"]

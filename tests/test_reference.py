@@ -12,13 +12,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 from ilgl.algebra import complex_algebra
 from ilgl.formula import parse, parse_pred
 import graph_reference
 from ilgl.graph import (OrderedScaffold, check_admissible, model_evaluator,
                         model_from_dict)
-from ilgl.predicate import resource_evaluator, resource_model_from_dict
+from ilgl.predicate import (pred_satisfies, pred_valid_in_model,
+                            resource_evaluator, resource_model_from_dict)
 from ilgl.relational import (DEFAULT_REL_CAPS, IntLayeredFrame, closure_pairs,
                              frame_tables)
 from oracle_reference import frame_tables_reference, unreduced_chunks
@@ -50,8 +52,10 @@ def test_graph_models_agree_at_every_world():
 
 
 def test_predicate_sentences_agree_at_every_world():
+    # Up to the (8, 1) and (10, 1) models, whose 192 and 768 up-sets set
+    # the benchmark's tail.
     rng = random.Random(4)
-    for places, links in ((2, 0), (3, 1), (4, 1), (6, 1)):
+    for places, links in ((2, 0), (3, 1), (4, 1), (6, 1), (8, 1), (10, 1)):
         data = inputs.random_resource_model(rng, places, links)
         ref = refcheck.ResourceModel(data)
         ev = resource_evaluator(resource_model_from_dict(data))
@@ -62,6 +66,51 @@ def test_predicate_sentences_agree_at_every_world():
             for w in range(ev.n):
                 assert ev.sat(w, g) == bool(mask >> w & 1), \
                     (places, inputs.render(f), w)
+
+
+def test_open_predicate_formulas_agree_under_random_assignments():
+    # The bodies of nested sentences, free in s or in s and t, under
+    # assignments of arbitrary vertex sets, up-sets or not.
+    rng = random.Random(19)
+    checked = 0
+    for places, links in ((2, 0), (4, 1), (6, 1), (10, 1)):
+        data = inputs.random_resource_model(rng, places, links)
+        ref = refcheck.ResourceModel(data)
+        rm = resource_model_from_dict(data)
+        vertices = sorted(rm.model.scaffold.graph.vertices)
+        for _ in range(4):
+            sentence = inputs.random_sentence(
+                rng, rng.choice(("exists", "forall")), True)
+            for f in (sentence[2], sentence[2][2][2]):
+                g = parse_pred(inputs.render(f))
+                env = {r: frozenset(rng.sample(vertices, rng.randint(
+                    0, len(vertices)))) for r in ("s", "t")}
+                mask = ref.pred_mask(f, tuple(sorted(env.items())))
+                for w in range(rm.model.world_count()):
+                    assert pred_satisfies(rm, env, w, g) == bool(
+                        mask >> w & 1), (places, inputs.render(f), env, w)
+                    checked += 1
+    assert checked > 200
+
+
+def test_predicate_checks_at_the_placement_cap_within_cpu_bounds():
+    # 14 place vertices, no links: 16,384 up-sets.  The bounds are about
+    # twice the CPU time of each check (2.0 s and 0.14 s) on the machine
+    # that set them; the one-world check is made at the largest world.
+    rm = resource_model_from_dict(inputs.random_resource_model(
+        random.Random(14), 14, 0))
+    subgraphs = rm.model.scaffold.subgraphs
+    world = max(range(len(subgraphs)),
+                key=lambda w: len(subgraphs[w].vertices))
+    start = time.process_time()
+    assert pred_valid_in_model(
+        rm, parse_pred("forall s. Contains(s) -> Contains(s)"))
+    assert time.process_time() - start < 4.0
+    start = time.process_time()
+    # The reference checker answers False at this world too.
+    assert not pred_satisfies(
+        rm, {}, world, parse_pred("exists s. Contains(s) |> (s ~> s)"))
+    assert time.process_time() - start < 0.3
 
 
 def test_admissibility_on_resource_models_matches_reference():
@@ -195,3 +244,32 @@ def test_tracer_wraps_and_unwraps_in_process():
     for m, names in zip(modules, before):
         assert vars(m).keys() == names.keys()
         assert all(vars(m)[k] is v for k, v in names.items()), m.__name__
+
+
+def test_traced_sentence_check_reports_every_layer_metric(tmp_path):
+    # A sentence check under the installed tracer records its spans, and
+    # the per-layer metrics read from them are those BENCHMARK.json names.
+    import contextlib
+    import io
+    import json
+
+    import ilgl
+    import worker
+    from ilgl.crosscheck import _bigraph_fixture
+    from ilgl.predicate import resource_model_to_dict
+    path = tmp_path / "rm.json"
+    path.write_text(json.dumps(resource_model_to_dict(_bigraph_fixture())))
+    tracer = worker.install_tracer(ilgl)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ilgl.cli.main(["--json", "check", str(path),
+                                  "exists s. Contains(s)", "--world", "0"])
+    finally:
+        tracer.unwrap()
+    assert code == 0
+    counts = {name: t["count"] for name, t in tracer.totals().items()}
+    assert counts["cli.check"] == counts["predicate.pred_satisfies"] == 1
+    with open(os.path.join(os.path.dirname(PERFBENCH),
+                           "BENCHMARK.json")) as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    assert sorted(worker.layer_metrics(tracer, 1)) == sorted(names)
