@@ -4,8 +4,9 @@ Hintikka checking, and countermodel extraction.
 
 Labels are words of one or two atomic-label indices; a two-letter word
 stands for a graph layered from its letters.  Proof search is a
-breadth-first aging queue over (branch, rule instance) pairs; exhausting
-the step, label, or time budget yields Unknown rather than a verdict.
+breadth-first queue of open branches, each expanded by its first rule
+instance within the label budget; exhausting the step, label, or time
+budget yields Unknown rather than a verdict.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Set, Tuple, Union)
 
@@ -112,8 +114,7 @@ class CSS:
 
     def __init__(self, formulas: Iterable[SignedFormula] = (),
                  constraints: Iterable[Constraint] = ()):
-        self.formula_order: List[SignedFormula] = []
-        self.formulas: Set[SignedFormula] = set()
+        self.formulas: Dict[SignedFormula, None] = {}  # in the order added
         self.cset = ConstraintSet(constraints)
         self.applied: Set[RuleInstance] = set()
         self.branch_id = 0  # assigned by the owning tableau
@@ -134,8 +135,7 @@ class CSS:
     def add_formula(self, slf: SignedFormula) -> None:
         if slf in self.formulas:
             return
-        self.formulas.add(slf)
-        self.formula_order.append(slf)
+        self.formulas[slf] = None
         sign, f, x = slf
         ts, fs = self.signed.get(f, ((), ()))
         holds = self.cset.holds
@@ -167,8 +167,7 @@ class CSS:
 
     def copy(self) -> "CSS":
         dup = CSS.__new__(CSS)
-        dup.formula_order = list(self.formula_order)
-        dup.formulas = set(self.formulas)
+        dup.formulas = dict(self.formulas)
         dup.cset = self.cset.copy()
         dup.applied = set(self.applied)
         dup.branch_id = 0
@@ -268,7 +267,7 @@ class Rule:
         """The fact tuples of the rule's instances at ``x``."""
         return self.over(cset, x, labels) if self.ranged else [()]
 
-    def met(self, present: Set[SignedFormula], f: Formula, x: Label,
+    def met(self, present: Dict[SignedFormula, None], f: Formula, x: Label,
             facts: Tuple[Label, ...]) -> bool:
         """Some child's conclusions are all present."""
         return any(all(slf in present for slf in child)
@@ -353,7 +352,7 @@ def applicable_rules(css: CSS) -> List[RuleInstance]:
     since if one of them is among the new formulas.
     """
     cset = css.cset
-    added = css.formula_order[css.scanned:]
+    added = list(islice(css.formulas, css.scanned, None))
     operands = {f for (_, f, _) in added}
     new = sorted(css.new_labels)
     agenda: Dict[SignedFormula, List[RuleInstance]] = {}
@@ -375,7 +374,7 @@ def applicable_rules(css: CSS) -> List[RuleInstance]:
         if rule is not None:
             agenda[slf] = _instances(css, rule, slf, every)
     css.agenda, css.scanned, css.new_labels = (
-        agenda, len(css.formula_order), set())
+        agenda, len(css.formulas), set())
     return [inst for insts in agenda.values() for inst in insts]
 
 
@@ -505,7 +504,7 @@ def check_hintikka(css: CSS) -> List[dict]:
         fails.append({"condition": cond, "formula": _format_slf(slf),
                       **extra})
 
-    for slf in css.formula_order:
+    for slf in css.formulas:
         sign, f, x = slf
         if sign and isinstance(f, Bot):
             fail(3, slf)
@@ -555,7 +554,7 @@ def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
                       for (a, b) in cset.closure)
     scaffold = OrderedScaffold(graph, eset, subgraphs, order)
     valuation: Dict[str, Set[int]] = {}
-    for (sign, f, y) in css.formula_order:
+    for (sign, f, y) in css.formulas:
         if sign and isinstance(f, Atom):
             valuation.setdefault(f.name, set()).update(
                 label_map[x] for x in labels if cset.holds(y, x))
@@ -622,55 +621,47 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
 
     Proved carries a closed tableau; a countermodel is extracted from the
     first saturated open branch and is re-checked against the satisfaction
-    relation before being returned; exhausted budgets yield Unknown.
+    relation before being returned; exhausted budgets yield Unknown.  A
+    popped branch none of whose instances fits the label budget is
+    starved: it is never expanded, and the search can then only answer
+    Unknown.  The step and time budgets are checked just before an
+    expansion, so they are named only when some branch could go on.
     """
     limits = limits or Limits()
     start = time.monotonic()
     tableau = initial_tableau(f)
-    live: Dict[int, CSS] = {}
-    queue: deque = deque()
-
-    def over_budget(inst: RuleInstance) -> bool:
-        return tableau.next_fresh + _rule(inst).fresh > limits.max_labels
+    queue: deque = deque()  # (open branch, its instances), oldest first
+    starved = False
 
     def admit(branch: CSS) -> Optional[CSS]:
-        """Register an open branch; returns it when saturated."""
+        """Queue an open branch; returns it when saturated."""
         if is_closed(branch):
             return None
-        live[branch.branch_id] = branch
         insts = applicable_rules(branch)
         if not insts:
             return branch
-        queue.extend((branch.branch_id, inst) for inst in insts
-                     if not over_budget(inst))
+        queue.append((branch, insts))
         return None
 
     saturated_branch = admit(tableau.leaves[1])
     if saturated_branch is not None:
         return _certify_countermodel(f, saturated_branch, tableau)
-    if not live:
-        return Proved(tableau)
-
     while queue:
+        branch, insts = queue.popleft()
+        inst = next((inst for inst in insts if tableau.next_fresh
+                     + _rule(inst).fresh <= limits.max_labels), None)
+        if inst is None:
+            starved = True
+            continue
         if tableau.steps >= limits.max_rule_applications:
             return UnknownResult("rule application budget exhausted", tableau)
         if time.monotonic() - start > limits.timeout:
             return UnknownResult("time budget exhausted", tableau)
-        branch_id, inst = queue.popleft()
-        # A live branch has not changed since admit scanned its agenda,
-        # so each of its queued instances is still live.
-        branch = live.get(branch_id)
-        if branch is None or over_budget(inst):
-            continue
-        del live[branch_id]
         expand(tableau, branch, inst)
         for child_id in tableau.steps_taken[-1].children:
             sat = admit(tableau.leaves[child_id])
             if sat is not None:
                 return _certify_countermodel(f, sat, tableau)
-        if not live:
-            return Proved(tableau)
-    # Queue drained: remaining live branches are starved (label budget).
-    if live:
+    if starved:
         return UnknownResult("label budget exhausted", tableau)
     return Proved(tableau)

@@ -1,5 +1,6 @@
 """References for tableau branches: the branch invariants checked in full,
-and the realization of a branch in a layered graph model.
+the realization of a branch in a layered graph model, and the proof search
+over (branch, rule instance) pairs.
 
 ``css_check`` rescans a whole branch for the Ref, Contra and Freshness
 invariants; the tests hold the prover's per-step check against it.
@@ -8,19 +9,27 @@ worlds realizes the branch: every label is mapped, a composite label goes
 to the composition of its parts' worlds, every constraint holds in the
 order, and every signed formula has its sign in the model.  The tests
 hold extracted countermodels against it.
+``prove_by_pairs`` queues every rule instance of an admitted branch as its
+own entry and skips the entries of branches already expanded; the tests
+hold ``tableaux.prove``, which queues each open branch once, against it.
 """
 
-from typing import Dict, List
+import time
+from collections import deque
+from typing import Dict, List, Optional
 
 from ilgl import graph as graphmod
+from ilgl import tableaux
+from ilgl.formula import Formula
 from ilgl.graph import LayeredGraphModel
-from ilgl.tableaux import CSS, Label, _format_slf, label_str
+from ilgl.tableaux import (CSS, Label, Limits, Proved, RuleInstance,
+                           UnknownResult, _format_slf, label_str)
 
 
 def css_check(css: CSS) -> List[dict]:
     """Violations of the Ref / Contra / Freshness branch invariants."""
     problems = []
-    for (_, _, x) in css.formula_order:
+    for (_, _, x) in css.formulas:
         if not css.cset.holds(x, x):
             problems.append({"property": "Ref", "label": label_str(x)})
     twos = css.cset.two_letter()
@@ -65,7 +74,7 @@ def realize_check(css: CSS, model: LayeredGraphModel,
                                  "constraint": f"{label_str(a)} <= "
                                                f"{label_str(b)}"})
     ev = graphmod.model_evaluator(model)
-    for slf in css.formula_order:
+    for slf in css.formulas:
         sign, f, x = slf
         if x not in assignment:
             continue
@@ -74,3 +83,55 @@ def realize_check(css: CSS, model: LayeredGraphModel,
             problems.append({"clause": "satisfaction",
                              "formula": _format_slf(slf)})
     return problems
+
+
+def prove_by_pairs(f: Formula, limits: Optional[Limits] = None):
+    """Decide ``f`` by a breadth-first queue of (branch, rule instance)
+    pairs: a popped pair whose branch was expanded already, or whose
+    instance no longer fits the label budget, is skipped."""
+    limits = limits or Limits()
+    start = time.monotonic()
+    tableau = tableaux.initial_tableau(f)
+    live: Dict[int, CSS] = {}
+    queue: deque = deque()
+
+    def over_budget(inst: RuleInstance) -> bool:
+        return (tableau.next_fresh + tableaux._rule(inst).fresh
+                > limits.max_labels)
+
+    def admit(branch: CSS) -> Optional[CSS]:
+        """Register an open branch; returns it when saturated."""
+        if tableaux.is_closed(branch):
+            return None
+        live[branch.branch_id] = branch
+        insts = tableaux.applicable_rules(branch)
+        if not insts:
+            return branch
+        queue.extend((branch.branch_id, inst) for inst in insts
+                     if not over_budget(inst))
+        return None
+
+    saturated_branch = admit(tableau.leaves[1])
+    if saturated_branch is not None:
+        return tableaux._certify_countermodel(f, saturated_branch, tableau)
+    if not live:
+        return Proved(tableau)
+    while queue:
+        if tableau.steps >= limits.max_rule_applications:
+            return UnknownResult("rule application budget exhausted", tableau)
+        if time.monotonic() - start > limits.timeout:
+            return UnknownResult("time budget exhausted", tableau)
+        branch_id, inst = queue.popleft()
+        branch = live.get(branch_id)
+        if branch is None or over_budget(inst):
+            continue
+        del live[branch_id]
+        tableaux.expand(tableau, branch, inst)
+        for child_id in tableau.steps_taken[-1].children:
+            sat = admit(tableau.leaves[child_id])
+            if sat is not None:
+                return tableaux._certify_countermodel(f, sat, tableau)
+        if not live:
+            return Proved(tableau)
+    # Queue drained: the live branches left are starved (label budget).
+    return UnknownResult("label budget exhausted", tableau)

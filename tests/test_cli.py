@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,11 +11,14 @@ import pytest
 
 from hilbert_corpus import corpus, mutated
 
+from ilgl import crosscheck, tableaux
+from ilgl import relational as relmod
 from ilgl.algebra import algebra_to_dict, complex_algebra
 from ilgl.cli import main
 from ilgl.crosscheck import SUITES
 from ilgl.graph import load_model, satisfies
-from ilgl.formula import MAX_DEPTH, parse
+from ilgl.formula import MAX_DEPTH, parse, subformulas
+from ilgl.gen import random_formula
 from ilgl.hilbert import derivation_to_dict
 from ilgl.predicate import resource_model_to_dict
 from ilgl.relational import IntLayeredFrame, RelationalModel, frame_to_dict
@@ -87,6 +92,34 @@ class TestProveCommand:
         _, first = run(capsys, "--json", "prove", FIGURE, "--trace")
         _, second = run(capsys, "--json", "prove", FIGURE, "--trace")
         assert first == second
+
+    def test_trace_as_text(self, capsys):
+        code, out = run(capsys, "prove", "--trace", "p -> p")
+        assert code == 0
+        assert "  [0] branch 1 F-> on F p -> p : c0\n" in out
+        assert "trace:" not in out
+
+    @pytest.mark.parametrize("valuation, message", [
+        # Without atoms p -> q holds at the root.
+        (lambda root: {}, "fails to falsify the formula at the root world"),
+        # p at the root only is lost going up to the F-> witness.
+        (lambda root: {"p": frozenset({root})}, "extracted model invalid")])
+    def test_bad_countermodel_refused(self, capsys, tmp_path, monkeypatch,
+                                      valuation, message):
+        extract = tableaux.extract_model
+
+        def corrupted(css):
+            model, label_map = extract(css)
+            return (dataclasses.replace(
+                model, valuation=valuation(label_map[(0,)])), label_map)
+
+        monkeypatch.setattr(tableaux, "extract_model", corrupted)
+        with pytest.raises(RuntimeError, match=message):
+            tableaux.prove(parse("p -> q"))
+        target = tmp_path / "cm.json"
+        code, _ = run(capsys, "--json", "prove", "p -> q",
+                      "--emit-countermodel", str(target))
+        assert code == 4 and not target.exists()
 
     def test_dot_output(self, capsys, tmp_path):
         target = tmp_path / "cm.dot"
@@ -271,6 +304,17 @@ class TestDeepFormulas:
             assert code == 2 and body["status"] == "error", text[:20]
             assert "nested deeper" in body["payload"]["message"]
 
+    def test_predicate_check_rejects_deep_quantified_chain(self, capsys,
+                                                           tmp_path):
+        from test_predicate import DEEP_QUANTIFIED, composed_bigraphs
+        path = tmp_path / "rm.json"
+        path.write_text(json.dumps(resource_model_to_dict(
+            composed_bigraphs())))
+        code, body = run_json(capsys, "check", str(path), DEEP_QUANTIFIED)
+        assert code == 2 and body["status"] == "error"
+        assert "nested deeper" in body["payload"]["message"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_at_the_limit_runs(self, capsys, tmp_path):
         path = TestCheckCommand().model_file(tmp_path)
         capsys.readouterr()
@@ -367,6 +411,14 @@ class TestAlgebraCommand:
         code, body = run_json(capsys, "algebra", "complex", str(fpath))
         assert code == 2 and "up-sets" in body["payload"]["message"]
         assert time.monotonic() - start < 5.0
+
+    def test_complex_on_invalid_frame_exit_two(self, capsys, tmp_path):
+        fpath = tmp_path / "frame.json"
+        fpath.write_text(json.dumps({"worlds": 2, "order": [],
+                                     "rel": [[0, 0, 5]], "valuation": {}}))
+        code, body = run_json(capsys, "algebra", "complex", str(fpath))
+        assert code == 2 and body["status"] == "error"
+        assert body["payload"]["message"].startswith("invalid frame")
 
 
     def test_complex_worlds_not_a_count_exit_two(self, capsys, tmp_path):
@@ -467,6 +519,32 @@ class TestCrosscheckCommand:
                               "--budget", "-3")
         assert code == 2 and body["status"] == "error"
         assert "--budget" in body["payload"]["message"]
+
+    def test_soundness_meets_proofs(self):
+        ok, summary, repro = crosscheck.suite_soundness(1, 5)
+        assert ok and repro is None and summary["proved"] >= 1
+
+    def test_soundness_violation_shrunk_and_written(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # An oracle that refutes every formula: the suite's first proof
+        # fails, shrunk to a subformula that the prover still proves.
+        cex = relmod.rel_valid_upto(parse("p"), 1, 1)
+        monkeypatch.setattr(relmod, "rel_valid_upto", lambda *args: cex)
+        ok, _, repro = crosscheck.suite_soundness(1, 5)
+        assert not ok and repro["suite"] == "soundness"
+        assert repro["formula"] == "bot <|- p"
+        rng = random.Random(1)
+        first = next(f for f in iter(lambda: random_formula(rng, 4), None)
+                     if tableaux.prove(f).status == "proved")
+        bad = parse(repro["formula"])
+        assert bad in subformulas(first) and bad != first
+        assert tableaux.prove(bad).status == "proved"
+        target = tmp_path / "out.json"
+        code, body = run_json(capsys, "crosscheck", "soundness", "--seed",
+                              "1", "--budget", "5", "--repro", str(target))
+        assert code == 1 and body["status"] == "violations"
+        assert body["paths"] == [str(target)]
+        assert json.loads(target.read_text()) == repro
 
 
 class TestSubprocess:

@@ -26,6 +26,12 @@ def tiny_model():
                          frozenset(["r", "r2"]))
 
 
+# 60 quantifiers over a chain of 50 atoms: the parser nests 60 levels, and
+# the formula's height counts the chain below the quantifiers too.
+DEEP_QUANTIFIED = ("".join(f"forall s{i}. " for i in range(60))
+                   + " -> ".join(f"Contains(s{i})" for i in range(50)))
+
+
 class TestParser:
     def test_contains(self):
         assert parse_pred("Contains(r)") == Contains("r")
@@ -46,6 +52,11 @@ class TestParser:
         assert isinstance(inner, Exists)
         assert inner.var != f.var
         assert inner.body == Contains(inner.var)
+
+    def test_quantified_chain_too_deep(self):
+        with pytest.raises(PredParseError,
+                           match="nested deeper than 100 levels"):
+            parse_pred(DEEP_QUANTIFIED)
 
     def test_no_propositional_atoms(self):
         with pytest.raises(PredParseError):

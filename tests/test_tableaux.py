@@ -18,7 +18,7 @@ from ilgl.tableaux import (CSS, RULES, ConstraintSet, Limits, RuleInstance,
                            extract_model, initial_tableau, is_closed,
                            label_str, prove)
 
-from tableau_reference import css_check, realize_check
+from tableau_reference import css_check, prove_by_pairs, realize_check
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
 
@@ -27,7 +27,7 @@ def closed_by_rescan(css):
     """The closure test by a scan of the whole branch: the reference for
     the branch's incremental one."""
     by_formula = {}
-    for (sign, f, x) in css.formula_order:
+    for (sign, f, x) in css.formulas:
         if isinstance(f, Top) and not sign:
             return True
         if isinstance(f, Bot) and sign:
@@ -47,7 +47,7 @@ def rules_from_scratch(css):
     whole domain: the reference for the inherited agenda."""
     labels = sorted(css.cset.domain)
     out = []
-    for slf in css.formula_order:
+    for slf in css.formulas:
         sign, f, x = slf
         rule = RULES.get((type(f), sign))
         if rule is None:
@@ -164,8 +164,7 @@ class TestCssCheck:
 
     def test_ref_violation(self):
         css = CSS.__new__(CSS)
-        css.formula_order = [(True, Atom("p"), c0)]
-        css.formulas = set(css.formula_order)
+        css.formulas = {(True, Atom("p"), c0): None}
         css.cset = ConstraintSet()
         css.applied = set()
         css.branch_id = 0
@@ -389,6 +388,9 @@ class TestClosed:
 
 
 FIGURE = "q <|- (q |> (p -> (p | q)))"
+# After five steps every open branch is starved at 2 labels.
+STARVED_AT_STEP_BUDGET = ("(r <|- (p -|> r)) | ((p -|> q) -> r) | "
+                          "((bot | q) & (q | p) -> (q -|> p) |> (r -|> r))")
 
 
 class TestProve:
@@ -492,6 +494,37 @@ class TestProve:
         result = prove(f)
         assert result.status == "unknown"
         assert relmod.rel_valid_upto(f, 2, 1) is not None
+
+    def test_branch_queue_matches_pair_queue_on_budget_grid(self):
+        # Both searches expand the same branches with the same instances.
+        # An unknown names the step budget exactly when some open branch
+        # could still take a step within the label budget.  The pair queue
+        # checks the step budget before it skips a pair, so it names the
+        # step budget too when every open branch is starved.
+        step, label = ("rule application budget exhausted",
+                       "label budget exhausted")
+        rng = random.Random(5)  # its 127th formula is the quoted one
+        changed = set()
+        for f in [random_formula(rng, 4) for _ in range(300)]:
+            for steps in (0, 1, 2, 3, 5, 8, 13):
+                for labels in (1, 2, 3, 4, 6, 9):
+                    limits = Limits(steps, labels)
+                    old, new = prove_by_pairs(f, limits), prove(f, limits)
+                    t = new.tableau
+                    assert (new.status, t.steps, t.steps_taken) == (
+                        old.status, old.tableau.steps,
+                        old.tableau.steps_taken)
+                    if new.status != "unknown":
+                        continue
+                    can_step = any(
+                        t.next_fresh + tableaux._rule(inst).fresh <= labels
+                        for css in t.leaves.values() if not is_closed(css)
+                        for inst in rules_from_scratch(css))
+                    assert (new.reason == step) == can_step
+                    if new.reason != old.reason:
+                        assert (old.reason, new.reason) == (step, label)
+                        changed.add((render(f), steps, labels))
+        assert (STARVED_AT_STEP_BUDGET, 5, 2) in changed
 
 
 class TestHintikka:
