@@ -167,20 +167,17 @@ def prime_filters(alg: FiniteLayeredHeytingAlgebra) -> List[FrozenSet[int]]:
             for a in _join_irreducibles(alg)]
 
 
-def prime_filter_frame(alg: FiniteLayeredHeytingAlgebra) -> IntLayeredFrame:
-    """Worlds are prime filters ordered by inclusion; R holds when the
-    layering product of the first two filters lands in the third.  The
-    algebra must be valid, as for ``prime_filters``."""
-    return _filter_frame(alg)[0]
-
-
 def _filter_frame(alg: FiniteLayeredHeytingAlgebra
                   ) -> Tuple[IntLayeredFrame, List[int]]:
     """The prime filter frame, and for each element the worlds whose
-    filter holds it.  World i is the filter of the i-th join-irreducible
-    g[i], which holds a iff g[i] <= a.  So filter i lies in filter j iff
-    g[j] <= g[i], and, the layering product being monotone, the products
-    of filters i and j land in filter m iff g[m] <= lconj[g[i]][g[j]]."""
+    filter holds it.  Worlds are prime filters ordered by inclusion; R
+    holds when the layering product of the first two filters lands in the
+    third.  The algebra must be valid, as for ``prime_filters``.
+
+    World i is the filter of the i-th join-irreducible g[i], which holds
+    a iff g[i] <= a.  So filter i lies in filter j iff g[j] <= g[i], and,
+    the layering product being monotone, the products of filters i and j
+    land in filter m iff g[m] <= lconj[g[i]][g[j]]."""
     g = _join_irreducibles(alg)
     k = range(len(g))
     holds = [sum(1 << i for i in k if alg.le(g[i], a))

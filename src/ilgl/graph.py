@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .formula import Formula
-from .relational import (Evaluator, IntLayeredFrame, bits, closure_pairs,
-                         persistence_failures, upset_masks,
+from .formula import Formula, InputError
+from .relational import (MAX_FRAME_WORLDS, Evaluator, IntLayeredFrame, bits,
+                         closure_pairs, persistence_failures, upset_masks,
                          valuation_from_dict)
 
 Edge = Tuple[str, str]
@@ -45,31 +45,6 @@ class Subgraph:
                 raise ValueError(f"edge ({u},{v}) leaves the subgraph")
             if (u, v) not in self.parent.edges:
                 raise ValueError(f"edge ({u},{v}) not in parent")
-
-
-def _check_parents(h: Subgraph, k: Subgraph) -> None:
-    if h.parent is not k.parent and h.parent != k.parent:
-        raise ValueError("subgraphs have different parent graphs")
-
-
-def reaches(h: Subgraph, k: Subgraph, eset: FrozenSet[Edge]) -> bool:
-    """True iff some eset edge runs from a vertex of h to one of k."""
-    _check_parents(h, k)
-    return any(u in h.vertices and v in k.vertices for u, v in eset)
-
-
-def compose(h: Subgraph, k: Subgraph,
-            eset: FrozenSet[Edge]) -> Optional[Subgraph]:
-    """Layering composition; None when undefined.
-
-    Defined iff h and k are vertex-disjoint, h reaches k through eset, and
-    k does not reach h.  The result is the union of both subgraphs plus the
-    eset edges running h-to-k.
-    """
-    _check_parents(h, k)
-    masks = GraphMasks(h.parent, eset)
-    out = masks.compose(masks.part(h), masks.part(k))
-    return None if out is None else masks.subgraph(out)
 
 
 Part = Tuple[int, int]  # (vertex mask, edge mask) of a subgraph
@@ -119,7 +94,11 @@ class GraphMasks:
                         self.graph)
 
     def compose(self, h: Part, k: Part) -> Optional[Part]:
-        """``compose`` on parts."""
+        """Layering composition of two parts; None when undefined.
+
+        Defined iff h and k are vertex-disjoint, h reaches k through eset,
+        and k does not reach h.  The result is the union of both parts
+        plus the eset edges running h-to-k."""
         (hv, he), (kv, ke) = h, k
         (h_out, h_in), (k_out, k_in) = self.sums(hv), self.sums(kv)
         between = h_out & k_in & self.eset
@@ -181,10 +160,6 @@ class OrderedScaffold:
 
     def leq(self, i: int, j: int) -> bool:
         return (i, j) in self.order
-
-    def composition_index(self, i: int, j: int) -> Optional[int]:
-        """Index of X[i] @ X[j]; None when undefined or outside X."""
-        return self._comp.get((i, j))
 
 
 @dataclass
@@ -279,6 +254,11 @@ def model_to_dict(model: LayeredGraphModel) -> dict:
 
 
 def model_from_dict(data: dict) -> LayeredGraphModel:
+    # The scaffold composes every pair of members of X, so their number
+    # is held to the frame bound before any subgraph is built.
+    if len(data["X"]) > MAX_FRAME_WORLDS:
+        raise InputError(f"{len(data['X'])} members of X exceed the frame "
+                         f"bound {MAX_FRAME_WORLDS}")
     # Vertex ids are strings; numeric ids in hand-written files are
     # normalized on load.
     def edge(e) -> Edge:

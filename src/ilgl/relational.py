@@ -121,10 +121,6 @@ class IntLayeredFrame:
                              for l in rng if missing >> l & 1]
         return problems
 
-    def upsets(self) -> List[int]:
-        """All up-closed world sets as bitmasks, ascending."""
-        return upset_masks(principal_upsets(self.worlds, self.order))
-
 
 @dataclass
 class RelationalModel:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Set, Tuple, Union)
 
@@ -27,6 +26,10 @@ from .relational import bits
 Label = Tuple[int, ...]
 SignedFormula = Tuple[bool, Formula, Label]  # sign True = asserted
 Constraint = Tuple[Label, Label]
+
+# Where a rule's conclusion sits: the slice of its witness w that is all
+# of w, its first letter, or its second letter.
+W, FIRST, SECOND = slice(None), slice(0, 1), slice(1, 2)
 
 
 def label_str(x: Label) -> str:
@@ -44,10 +47,12 @@ class ConstraintSet:
 
     The closure adds reflexivity for every sub-label in the domain and
     closes under transitivity; it never enlarges the domain.  It is kept
-    as bit rows: ``domain`` gives each label a bit, in the order the
-    labels entered, ``labels`` lists them by bit, and ``up[i]`` holds the
-    bits of the labels above the label with bit i, ``down[i]`` those
-    below it.
+    as bit rows: ``domain`` gives each label a bit, ``labels`` lists them
+    by bit, ``up[i]`` (``down[i]``) holds the labels above (below) the
+    label with bit i, ``firsts[i]`` (``seconds[i]``) the two-letter labels
+    with it as first (second) letter, and ``two`` all two-letter labels.
+    New labels enter sorted and fresh letters are the largest, so on a
+    prover's branch bit order is sorted label order.
     """
 
     def __init__(self, constraints: Iterable[Constraint] = ()):
@@ -55,6 +60,9 @@ class ConstraintSet:
         self.labels: List[Label] = []
         self.up: List[int] = []
         self.down: List[int] = []
+        self.firsts: List[int] = []
+        self.seconds: List[int] = []
+        self.two = 0
         for c in constraints:
             self.add(c)
 
@@ -63,25 +71,27 @@ class ConstraintSet:
         return {(x, self.labels[j]) for x, i in self.domain.items()
                 for j in bits(self.up[i])}
 
-    def add(self, constraint: Constraint) -> List[Constraint]:
-        """Add a constraint; returns the pairs it added to the closure:
-        each label at or below ``a`` gains those at or above ``b``."""
+    def add(self, constraint: Constraint) -> List[Label]:
+        """Add a constraint; returns the labels it added to the domain.
+        Each label at or below ``a`` gains those at or above ``b``."""
         a, b = constraint
-        new = []
-        for lab in sublabels(a) + sublabels(b):
-            if lab not in self.domain:
-                self.domain[lab] = i = len(self.labels)
-                self.labels.append(lab)
-                self.up.append(1 << i)
-                self.down.append(1 << i)
-                new.append((lab, lab))
+        new = sorted({*sublabels(a), *sublabels(b)} - self.domain.keys())
+        for lab in new:
+            self.domain[lab] = i = len(self.labels)
+            self.labels.append(lab)
+            self.up.append(1 << i)
+            self.down.append(1 << i)
+            self.firsts.append(0)
+            self.seconds.append(0)
+        for lab in new:
+            if len(lab) == 2:
+                bit = 1 << self.domain[lab]
+                self.firsts[self.domain[lab[:1]]] |= bit
+                self.seconds[self.domain[lab[1:]]] |= bit
+                self.two |= bit
         above, below = self.up[self.domain[b]], self.down[self.domain[a]]
         for i in bits(below):
-            gained = above & ~self.up[i]
-            if gained:
-                self.up[i] |= gained
-                new += [(self.labels[i], self.labels[j])
-                        for j in bits(gained)]
+            self.up[i] |= above
         for j in bits(above):
             self.down[j] |= below
         return new
@@ -90,45 +100,52 @@ class ConstraintSet:
         i, j = self.domain.get(a), self.domain.get(b)
         return i is not None and j is not None and self.up[i] >> j & 1 == 1
 
-    def two_letter(self) -> List[Label]:
-        return sorted(x for x in self.domain if len(x) == 2)
+    def lift(self, mask: int, place: slice) -> int:
+        """The witnesses whose label at ``place`` lies in ``mask``."""
+        if place == W:
+            return mask
+        rows = self.firsts if place == FIRST else self.seconds
+        out = 0
+        for i in bits(mask):
+            out |= rows[i]
+        return out
+
+    def witnesses(self, over: Tuple[bool, slice], i: int) -> int:
+        """The witnesses of the range ``over`` at the label with bit i."""
+        upward, place = over
+        return (self.lift(self.up[i], place) if upward
+                else self.down[i] & self.two)
 
     def copy(self) -> "ConstraintSet":
         dup = ConstraintSet.__new__(ConstraintSet)
         dup.domain, dup.labels = dict(self.domain), list(self.labels)
         dup.up, dup.down = list(self.up), list(self.down)
+        dup.firsts, dup.seconds = list(self.firsts), list(self.seconds)
+        dup.two = self.two
         return dup
 
 
 class CSS:
     """One branch: signed labelled formulas plus a constraint set.
 
-    The closure test is kept up to date as the branch grows: ``signed``
-    maps each formula to the labels it is asserted (T) and denied (F) at,
-    ``asserted`` each label to the formulas asserted there, and ``clash``
-    is set as soon as a new formula or a new closure pair makes a T-label
-    lie below an F-label of the same formula, or when ``T bot`` or
-    ``F top`` is added.  Add constraints through ``add_constraint`` so
-    that this test and the agenda see them.
+    ``formulas`` keeps them in the order added, ``at[(sign, f)]`` the
+    labels a signed formula sits at as a mask, ``premises`` the formulas
+    with a rule that may have unspent instances, and ``applied[premise]``
+    the witnesses used.  A formula off the domain waits in ``unplaced``
+    until its label enters.  ``clash`` is set once a T-label lies below
+    an F-label of the same formula, or ``T bot`` or ``F top`` is added.
     """
 
     def __init__(self, formulas: Iterable[SignedFormula] = (),
                  constraints: Iterable[Constraint] = ()):
-        self.formulas: Dict[SignedFormula, None] = {}  # in the order added
+        self.formulas: Dict[SignedFormula, None] = {}
         self.cset = ConstraintSet(constraints)
-        self.applied: Set[RuleInstance] = set()
-        self.branch_id = 0  # assigned by the owning tableau
-        self.signed: Dict[Formula, Tuple[Tuple[Label, ...],
-                                         Tuple[Label, ...]]] = {}
-        self.asserted: Dict[Label, Tuple[Formula, ...]] = {}
+        self.at: Dict[Tuple[bool, Formula], int] = {}
+        self.premises: Dict[SignedFormula, Rule] = {}
+        self.applied: Dict[SignedFormula, int] = {}
+        self.unplaced: List[SignedFormula] = []
         self.clash = False
-        # What applicable_rules found at its last scan, which covered the
-        # first ``scanned`` formulas: the unspent instances of each formula
-        # that can still have some, and the labels added to the domain
-        # since.
-        self.agenda: Dict[SignedFormula, List[RuleInstance]] = {}
-        self.scanned = 0
-        self.new_labels: Set[Label] = set()
+        self.branch_id = 0  # assigned by the owning tableau
         for slf in formulas:
             self.add_formula(slf)
 
@@ -136,47 +153,48 @@ class CSS:
         if slf in self.formulas:
             return
         self.formulas[slf] = None
+        sign, f, _ = slf
+        if isinstance(f, Bot if sign else Top):
+            self.clash = True
+        self._place(slf)
+
+    def _place(self, slf: SignedFormula) -> None:
         sign, f, x = slf
-        ts, fs = self.signed.get(f, ((), ()))
-        holds = self.cset.holds
-        if sign:
-            self.clash = (self.clash or isinstance(f, Bot)
-                          or any(holds(x, y) for y in fs))
-            self.signed[f] = (ts + (x,), fs)
-            self.asserted[x] = self.asserted.get(x, ()) + (f,)
-        else:
-            self.clash = (self.clash or isinstance(f, Top)
-                          or any(holds(y, x) for y in ts))
-            self.signed[f] = (ts, fs + (x,))
+        cset = self.cset
+        i = cset.domain.get(x)
+        if i is None:
+            self.unplaced.append(slf)
+            return
+        self.at[sign, f] = self.at.get((sign, f), 0) | 1 << i
+        rows = cset.up if sign else cset.down
+        if self.at.get((not sign, f), 0) & rows[i]:
+            self.clash = True
+        rule = RULES.get((type(f), sign))
+        if rule is not None:
+            self.premises[slf] = rule
 
     def add_constraint(self, constraint: Constraint) -> List[Label]:
         """Add a constraint; returns the labels it added to the domain."""
-        new = self.cset.add(constraint)
-        # A label enters the domain with its reflexive pair.
-        labels = [x for x, y in new if x == y]
-        self.new_labels.update(labels)
-        if any(x not in self.new_labels and y not in self.new_labels
-               for x, y in new):
-            # Old ranges changed: the next scan starts from scratch.
-            self.agenda, self.scanned = {}, 0
+        labels = self.cset.add(constraint)
+        if labels and self.unplaced:
+            waiting, self.unplaced = self.unplaced, []
+            for slf in waiting:
+                self._place(slf)
         if not self.clash:
-            self.clash = any((False, f, y) in self.formulas
-                             for x, y in new
-                             for f in self.asserted.get(x, ()))
+            # Every pair the constraint adds runs from below a to above b.
+            cset, at = self.cset, self.at
+            a, b = constraint
+            below, above = cset.down[cset.domain[a]], cset.up[cset.domain[b]]
+            self.clash = any(mask & below and at.get((False, f), 0) & above
+                             for (sign, f), mask in at.items() if sign)
         return labels
 
     def copy(self) -> "CSS":
         dup = CSS.__new__(CSS)
-        dup.formulas = dict(self.formulas)
-        dup.cset = self.cset.copy()
-        dup.applied = set(self.applied)
-        dup.branch_id = 0
-        dup.signed = dict(self.signed)
-        dup.asserted = dict(self.asserted)
-        dup.clash = self.clash
-        dup.agenda = self.agenda
-        dup.scanned = self.scanned
-        dup.new_labels = set(self.new_labels)
+        dup.formulas, dup.at = dict(self.formulas), dict(self.at)
+        dup.premises, dup.applied = dict(self.premises), dict(self.applied)
+        dup.cset, dup.unplaced = self.cset.copy(), list(self.unplaced)
+        dup.clash, dup.branch_id = self.clash, 0
         return dup
 
 
@@ -205,113 +223,84 @@ def is_closed(css: CSS) -> bool:
 # -- the rule table -------------------------------------------------------
 #
 # One entry per (connective, sign): the twelve expansion rules, each with
-# its Hintikka condition (4-15).  The two rules of each of ->, |>, -|> and
-# <|- share a range of existing labels, listed as fact tuples whose last
-# label is the witness w that the conclusions sit on.  The rule without
-# fresh labels has one instance per fact tuple in range, and its condition
-# asks that each one is met.  The rule with fresh labels has one instance;
-# ``create`` makes its witness from the first unused letter n, with the
-# constraints that put the witness in range, and its condition asks for
-# some met witness in range.  Condition 9 therefore takes its witness from
-# the whole label domain although F-> creates an atomic label.  & and |
-# range over nothing and conclude at the premise's label x.
+# its Hintikka condition (4-15) and, for each child, its conclusions as
+# data: (sign, operand, place), the premise's left or right operand at a
+# place read off the witness w.  The two rules of each of ->, |>, -|> and
+# <|- share a range of witnesses at the premise's label x.  The rule
+# without fresh labels has one instance per witness in range, and each
+# must be met.  The rule with fresh labels has one instance; ``create``
+# makes its witness from the first unused letter n, with the constraints
+# that put it in range, and some witness in range must be met: condition 9
+# takes it from the whole domain although F-> creates an atomic label.
+# & and | range over nothing: their witness is x.
 
-# A range is listed in the order of ``labels``, a sorted list of the labels
-# to look at: the whole domain, or the labels that are new since a scan.
-
-def _above(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
-    """Labels y with x <= y."""
-    return [(y,) for y in labels if cs.holds(x, y)]
-
-
-def _layered_below(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
-    """Two-letter labels yz with yz <= x."""
-    return [(yz,) for yz in labels if len(yz) == 2 and cs.holds(yz, x)]
-
-
-def _first_above(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
-    """Facts (y, yz) for the two-letter labels yz with x <= y."""
-    return [(yz[:1], yz) for yz in labels
-            if len(yz) == 2 and cs.holds(x, yz[:1])]
-
-
-def _second_above(cs: ConstraintSet, x: Label, labels: List[Label]) -> list:
-    """Facts (y, zy) for the two-letter labels zy with x <= y."""
-    return [(zy[1:], zy) for zy in labels
-            if len(zy) == 2 and cs.holds(x, zy[1:])]
-
-
-def _witness(x: Label, facts: Tuple[Label, ...]) -> Label:
-    return facts[-1] if facts else x
+# Ranges as (upward, place): the witnesses whose label at ``place`` lies
+# at or above x, or the two-letter labels below x.
+ABOVE, LAYERED_BELOW = (True, W), (False, W)
+FIRST_ABOVE, SECOND_ABOVE = (True, FIRST), (True, SECOND)
+LEFT, RIGHT = "left", "right"
 
 
 @dataclass(frozen=True)
 class Rule:
     name: str       # as it appears in traces
     condition: int  # its Hintikka condition
-    # (formula, x, w) -> the signed formulas added to each child branch
-    children: Callable[[Formula, Label, Label], List[List[SignedFormula]]]
-    over: Optional[Callable[[ConstraintSet, Label, List[Label]],
-                            list]] = None
+    children: List[List[Tuple[bool, str, slice]]]
+    over: Optional[Tuple[bool, slice]] = None
     fresh: int = 0  # atomic labels the rule creates
     create: Optional[Callable[[int, Label],
                               Tuple[Label, List[Constraint]]]] = None
 
     @property
     def ranged(self) -> bool:
-        """One instance per fact tuple in range."""
+        """One instance per witness in range."""
         return self.over is not None and not self.fresh
 
-    def instances(self, cset: ConstraintSet, x: Label,
-                  labels: List[Label]) -> list:
-        """The fact tuples of the rule's instances at ``x``."""
-        return self.over(cset, x, labels) if self.ranged else [()]
+    def conclude(self, f: Formula, w: Label) -> List[List[SignedFormula]]:
+        """The signed formulas added to each child at witness ``w``."""
+        return [[(sign, getattr(f, operand), w[place])
+                 for sign, operand, place in child]
+                for child in self.children]
 
-    def met(self, present: Dict[SignedFormula, None], f: Formula, x: Label,
-            facts: Tuple[Label, ...]) -> bool:
-        """Some child's conclusions are all present."""
-        return any(all(slf in present for slf in child)
-                   for child in self.children(f, x, _witness(x, facts)))
+    def facts(self, w: Label) -> Tuple[Label, ...]:
+        """The labels an instance at witness ``w`` is traced with."""
+        if not self.ranged:
+            return ()
+        return (w,) if self.over[1] == W else (w[self.over[1]], w)
 
 
 RULES: Dict[Tuple[type, bool], Rule] = {
-    (And, True): Rule("T&", 4, lambda f, x, w: [
-        [(True, f.left, x), (True, f.right, x)]]),
-    (And, False): Rule("F&", 5, lambda f, x, w: [
-        [(False, f.left, x)], [(False, f.right, x)]]),
-    (Or, True): Rule("T|", 6, lambda f, x, w: [
-        [(True, f.left, x)], [(True, f.right, x)]]),
-    (Or, False): Rule("F|", 7, lambda f, x, w: [
-        [(False, f.left, x), (False, f.right, x)]]),
-    (Imp, True): Rule("T->", 8, lambda f, x, w: [
-        [(False, f.left, w)], [(True, f.right, w)]], over=_above),
-    (Imp, False): Rule("F->", 9, lambda f, x, w: [
-        [(True, f.left, w), (False, f.right, w)]], over=_above,
-        fresh=1, create=lambda n, x: ((n,), [(x, (n,))])),
-    (LayerConj, True): Rule("T|>", 10, lambda f, x, w: [
-        [(True, f.left, w[:1]), (True, f.right, w[1:])]],
-        over=_layered_below,
-        fresh=2, create=lambda n, x: ((n, n + 1), [((n, n + 1), x)])),
-    (LayerConj, False): Rule("F|>", 11, lambda f, x, w: [
-        [(False, f.left, w[:1])], [(False, f.right, w[1:])]],
-        over=_layered_below),
-    (ImpRight, True): Rule("T-|>", 12, lambda f, x, w: [
-        [(False, f.left, w[1:])], [(True, f.right, w)]], over=_first_above),
-    (ImpRight, False): Rule("F-|>", 13, lambda f, x, w: [
-        [(True, f.left, w[1:]), (False, f.right, w)]], over=_first_above,
-        fresh=2, create=lambda n, x: (
+    (And, True): Rule("T&", 4, [[(True, LEFT, W), (True, RIGHT, W)]]),
+    (And, False): Rule("F&", 5, [[(False, LEFT, W)], [(False, RIGHT, W)]]),
+    (Or, True): Rule("T|", 6, [[(True, LEFT, W)], [(True, RIGHT, W)]]),
+    (Or, False): Rule("F|", 7, [[(False, LEFT, W), (False, RIGHT, W)]]),
+    (Imp, True): Rule("T->", 8, [[(False, LEFT, W)], [(True, RIGHT, W)]],
+                      ABOVE),
+    (Imp, False): Rule("F->", 9, [[(True, LEFT, W), (False, RIGHT, W)]],
+                       ABOVE, 1, lambda n, x: ((n,), [(x, (n,))])),
+    (LayerConj, True): Rule(
+        "T|>", 10, [[(True, LEFT, FIRST), (True, RIGHT, SECOND)]],
+        LAYERED_BELOW, 2, lambda n, x: ((n, n + 1), [((n, n + 1), x)])),
+    (LayerConj, False): Rule(
+        "F|>", 11, [[(False, LEFT, FIRST)], [(False, RIGHT, SECOND)]],
+        LAYERED_BELOW),
+    (ImpRight, True): Rule("T-|>", 12, [[(False, LEFT, SECOND)],
+                                        [(True, RIGHT, W)]], FIRST_ABOVE),
+    (ImpRight, False): Rule(
+        "F-|>", 13, [[(True, LEFT, SECOND), (False, RIGHT, W)]],
+        FIRST_ABOVE, 2, lambda n, x: (
             (n, n + 1), [(x, (n,)), ((n, n + 1), (n, n + 1))])),
-    (ImpLeft, True): Rule("T<|-", 14, lambda f, x, w: [
-        [(False, f.left, w[:1])], [(True, f.right, w)]], over=_second_above),
-    (ImpLeft, False): Rule("F<|-", 15, lambda f, x, w: [
-        [(True, f.left, w[:1]), (False, f.right, w)]], over=_second_above,
-        fresh=2, create=lambda n, x: (
+    (ImpLeft, True): Rule("T<|-", 14, [[(False, LEFT, FIRST)],
+                                       [(True, RIGHT, W)]], SECOND_ABOVE),
+    (ImpLeft, False): Rule(
+        "F<|-", 15, [[(True, LEFT, FIRST), (False, RIGHT, W)]],
+        SECOND_ABOVE, 2, lambda n, x: (
             (n + 1, n), [(x, (n,)), ((n + 1, n), (n + 1, n))])),
 }
 
 
 class RuleInstance(NamedTuple):
-    """A rule on a premise over a fact tuple; ``CSS.applied`` holds it."""
+    """A rule on a premise at a witness, traced with its fact labels."""
 
     rule: str
     premise: SignedFormula
@@ -319,73 +308,55 @@ class RuleInstance(NamedTuple):
 
 
 def _rule(inst: RuleInstance) -> Optional[Rule]:
-    sign, f, _ = inst.premise
-    return RULES.get((type(f), sign))
+    return RULES.get((type(inst.premise[1]), inst.premise[0]))
+
+
+def _met(css: CSS, rule: Rule, f: Formula) -> int:
+    """The witnesses at which some child's conclusions are all present."""
+    lift, at = css.cset.lift, css.at
+    out = 0
+    for child in rule.children:
+        mask = -1
+        for sign, operand, place in child:
+            mask &= lift(at.get((sign, getattr(f, operand)), 0), place)
+        out |= mask
+    return out
+
+
+def _unspent(css: CSS, rule: Rule, slf: SignedFormula) -> int:
+    """The witnesses of the premise's unspent instances: in range (the
+    premise's label for a rule without one), not applied here, and not
+    met (conclusions on fresh labels never are)."""
+    cset = css.cset
+    i = cset.domain[slf[2]]
+    todo = ((cset.witnesses(rule.over, i) if rule.ranged else 1 << i)
+            & ~css.applied.get(slf, 0))
+    if todo and not rule.fresh:
+        todo &= ~_met(css, rule, slf[1])
+    return todo
 
 
 def _live(css: CSS, inst: RuleInstance) -> bool:
     """The instance would still add something to the branch: its premise
     is present and it is unspent."""
-    rule = _rule(inst)
-    return (rule is not None and rule.name == inst.rule
-            and inst.premise in css.formulas and _unspent(css, rule, inst))
-
-
-def _unspent(css: CSS, rule: Rule, inst: RuleInstance) -> bool:
-    """No child's conclusions are present already (those on fresh labels
-    never are), and the instance has not been applied here."""
-    _, f, x = inst.premise
-    return ((rule.fresh > 0 or not rule.met(css.formulas, f, x, inst.facts))
-            and inst not in css.applied)
+    rule = css.premises.get(inst.premise)
+    i = css.cset.domain.get(inst.facts[-1] if inst.facts else inst.premise[2])
+    return (rule is not None and rule.name == inst.rule and i is not None
+            and _unspent(css, rule, inst.premise) >> i & 1 == 1)
 
 
 def applicable_rules(css: CSS) -> List[RuleInstance]:
-    """Every unspent rule instance of the branch, in formula order.
-
-    The scan starts from the branch's previous one, which a child inherits
-    from its parent.  A formula scanned then keeps its instances that are
-    still unspent (a spent one stays spent) and gains those on the labels
-    new since then; a new formula is scanned over the whole domain.  New
-    labels carry the largest letters, so they sort after the others and
-    the order is that of a scan from scratch.  The conclusions of a rule
-    are its premise's two operands, so an instance can only have been met
-    since if one of them is among the new formulas.
-    """
-    cset = css.cset
-    added = list(islice(css.formulas, css.scanned, None))
-    operands = {f for (_, f, _) in added}
-    new = sorted(css.new_labels)
-    agenda: Dict[SignedFormula, List[RuleInstance]] = {}
-    for slf, insts in css.agenda.items():
-        sign, f, x = slf
-        rule = RULES[type(f), sign]
-        if f.left in operands or f.right in operands:
-            insts = [inst for inst in insts if _unspent(css, rule, inst)]
-        else:
-            insts = [inst for inst in insts if inst not in css.applied]
-        if rule.ranged and new:
-            insts += _instances(css, rule, slf, new)
-        if insts or rule.ranged:
-            agenda[slf] = insts
-    every = sorted(cset.domain)
-    for slf in added:
-        sign, f, _ = slf
-        rule = RULES.get((type(f), sign))
-        if rule is not None:
-            agenda[slf] = _instances(css, rule, slf, every)
-    css.agenda, css.scanned, css.new_labels = (
-        agenda, len(css.formulas), set())
-    return [inst for insts in agenda.values() for inst in insts]
-
-
-def _instances(css: CSS, rule: Rule, slf: SignedFormula,
-               labels: List[Label]) -> List[RuleInstance]:
-    """The unspent instances of ``rule`` on ``slf`` over ``labels``."""
+    """Every unspent rule instance of the branch, in formula order and
+    then in label order.  A premise without a range that is spent never
+    revives, so it leaves the branch's premises."""
     out = []
-    for facts in rule.instances(css.cset, slf[2], labels):
-        inst = RuleInstance(rule.name, slf, facts)
-        if _unspent(css, rule, inst):
-            out.append(inst)
+    labels = css.cset.labels
+    for slf, rule in list(css.premises.items()):
+        todo = _unspent(css, rule, slf)
+        if not todo and not rule.ranged:
+            del css.premises[slf]
+        out += [RuleInstance(rule.name, slf, rule.facts(labels[w]))
+                for w in bits(todo)]
     return out
 
 
@@ -457,24 +428,26 @@ def expand(tableau: Tableau, branch: CSS, inst: RuleInstance) -> Tableau:
     if (tableau.leaves.get(branch.branch_id) is not branch
             or not _live(branch, inst)):
         raise ValueError(f"instance {inst} is stale")
-    _, f, x = inst.premise
+    _, f, x = slf = inst.premise
     rule = _rule(inst)
+    w = inst.facts[-1] if inst.facts else x  # the witness
+    used = 1 << branch.cset.domain[w]
     if rule.fresh:
         w, new_constraints = rule.create(tableau.next_fresh, x)
         tableau.next_fresh += rule.fresh
     else:
-        w, new_constraints = _witness(x, inst.facts), []
+        new_constraints = []
     children = []
-    conclusions = rule.children(f, x, w)
+    conclusions = rule.conclude(f, w)
     for new_formulas in conclusions:
         child = branch.copy()
         child.branch_id = tableau.next_branch
         tableau.next_branch += 1
-        child.applied.add(inst)
+        child.applied[slf] = child.applied.get(slf, 0) | used
         labels = [lab for c in new_constraints
                   for lab in child.add_constraint(c)]
-        for slf in new_formulas:
-            child.add_formula(slf)
+        for new in new_formulas:
+            child.add_formula(new)
         bad = _step_problems(child, new_formulas, labels)
         if bad:
             raise RuntimeError(f"rule {inst.rule} broke CSS invariants: "
@@ -483,8 +456,8 @@ def expand(tableau: Tableau, branch: CSS, inst: RuleInstance) -> Tableau:
     del tableau.leaves[branch.branch_id]
     tableau.leaves.update((child.branch_id, child) for child in children)
     tableau.steps_taken.append(Step(
-        tableau.steps, branch.branch_id, inst.rule, inst.premise,
-        inst.facts, [child.branch_id for child in children], conclusions,
+        tableau.steps, branch.branch_id, inst.rule, slf, inst.facts,
+        [child.branch_id for child in children], conclusions,
         new_constraints))
     tableau.steps += 1
     return tableau
@@ -494,11 +467,13 @@ def expand(tableau: Tableau, branch: CSS, inst: RuleInstance) -> Tableau:
 
 def check_hintikka(css: CSS) -> List[dict]:
     """The fifteen saturation conditions: 1-3 are closure, 4-15 are the
-    rule table's."""
+    rule table's.  A premise off the label domain fails its condition."""
     fails = []
     cset = css.cset
-    present = css.formulas
-    labels = sorted(cset.domain)
+    denied: Dict[Formula, List[Label]] = {}
+    for sign, f, x in css.formulas:
+        if not sign:
+            denied.setdefault(f, []).append(x)
 
     def fail(cond: int, slf: SignedFormula, **extra) -> None:
         fails.append({"condition": cond, "formula": _format_slf(slf),
@@ -511,21 +486,24 @@ def check_hintikka(css: CSS) -> List[dict]:
         if not sign and isinstance(f, Top):
             fail(2, slf)
         if sign:
-            for y in css.signed[f][1]:
+            for y in denied.get(f, ()):
                 if cset.holds(x, y):
                     fail(1, slf, other=_format_slf((False, f, y)))
         rule = RULES.get((type(f), sign))
         if rule is None:
             continue
-        if rule.fresh:
-            if not any(rule.met(present, f, x, facts)
-                       for facts in rule.over(cset, x, labels)):
+        i = cset.domain.get(x)
+        if i is None:
+            fail(rule.condition, slf)
+        elif rule.fresh:
+            if not cset.witnesses(rule.over, i) & _met(css, rule, f):
                 fail(rule.condition, slf)
-            continue
-        for facts in rule.instances(cset, x, labels):
-            if not rule.met(present, f, x, facts):
-                where = {"label": label_str(facts[-1])} if facts else {}
-                fail(rule.condition, slf, **where)
+        elif rule.ranged:
+            for w in bits(cset.witnesses(rule.over, i)
+                          & ~_met(css, rule, f)):
+                fail(rule.condition, slf, label=label_str(cset.labels[w]))
+        elif not _met(css, rule, f) >> i & 1:
+            fail(rule.condition, slf)
     return fails
 
 
@@ -541,7 +519,8 @@ def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
         raise ValueError(f"not a Hintikka branch: {fails[:3]}")
     cset = css.cset
     vertices = frozenset(f"c{i}" for lab in cset.domain for i in lab)
-    eset = frozenset((f"c{i}", f"c{j}") for (i, j) in cset.two_letter())
+    eset = frozenset((f"c{x[0]}", f"c{x[1]}") for x in cset.domain
+                     if len(x) == 2)
     graph = DirectedGraph(vertices, eset)
     labels = sorted(cset.domain, key=lambda x: (len(x), x))
     label_map = {lab: idx for idx, lab in enumerate(labels)}
@@ -553,14 +532,11 @@ def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
     order = frozenset((label_map[a], label_map[b])
                       for (a, b) in cset.closure)
     scaffold = OrderedScaffold(graph, eset, subgraphs, order)
-    valuation: Dict[str, Set[int]] = {}
-    for (sign, f, y) in css.formulas:
-        if sign and isinstance(f, Atom):
-            valuation.setdefault(f.name, set()).update(
-                label_map[x] for x in labels if cset.holds(y, x))
-    model = LayeredGraphModel(
-        scaffold, {p: frozenset(ws) for p, ws in valuation.items()})
-    return model, label_map
+    valuation = {f.name: frozenset(label_map[x] for x in labels
+                                   if cset.down[cset.domain[x]] & mask)
+                 for (sign, f), mask in css.at.items()
+                 if sign and isinstance(f, Atom)}
+    return LayeredGraphModel(scaffold, valuation), label_map
 
 
 # -- proof search ---------------------------------------------------------

@@ -7,11 +7,44 @@ vertices, and every brute-force decomposition of each member of X
 up to 20 vertices).  With ``exhaustive`` the pool holds every subgraph of the
 ambient graph (``all_subgraphs``).  The tests hold ``graph.check_admissible``
 and ``GraphMasks.decompositions`` against it.
+
+``reaches`` and ``compose`` are the edge test and the layering
+composition on ``Subgraph`` objects, and ``composition_index`` reads a
+scaffold's composition table: the tests state facts about graphs and
+models through them.
 """
+
+from typing import FrozenSet, Optional
 
 import numpy as np
 
-from ilgl.graph import Subgraph, compose
+from ilgl.graph import GraphMasks, OrderedScaffold, Subgraph
+
+
+def _check_parents(h: Subgraph, k: Subgraph) -> None:
+    if h.parent is not k.parent and h.parent != k.parent:
+        raise ValueError("subgraphs have different parent graphs")
+
+
+def reaches(h: Subgraph, k: Subgraph, eset: FrozenSet) -> bool:
+    """True iff some eset edge runs from a vertex of h to one of k."""
+    _check_parents(h, k)
+    return any(u in h.vertices and v in k.vertices for u, v in eset)
+
+
+def compose(h: Subgraph, k: Subgraph, eset: FrozenSet) -> Optional[Subgraph]:
+    """Layering composition; None when undefined (see
+    ``GraphMasks.compose``)."""
+    _check_parents(h, k)
+    masks = GraphMasks(h.parent, eset)
+    out = masks.compose(masks.part(h), masks.part(k))
+    return None if out is None else masks.subgraph(out)
+
+
+def composition_index(scaffold: OrderedScaffold, i: int,
+                      j: int) -> Optional[int]:
+    """Index of X[i] @ X[j]; None when undefined or outside X."""
+    return scaffold._comp.get((i, j))
 
 
 def all_decompositions(member: Subgraph, eset):

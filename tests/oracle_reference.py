@@ -6,7 +6,8 @@ before it kept one frame per isomorphism class.  ``class_minima`` groups
 its frames into isomorphism classes by relabelling their tables under
 every world permutation.  The tests hold the reduced oracle steps against
 both.  ``enumerate_frames`` lists every labelled frame up to a world
-count, relations in (size, lex) order: the family before any reduction.
+count, relations in (size, lex) order: the family before any reduction,
+and ``upsets`` the up-sets of a frame, the valuations of each atom.
 
 ``frame_tables_reference`` builds one frame's complex-algebra tables as
 the oracle's numpy builder does, one triple at a time, with the order
@@ -52,6 +53,11 @@ def enumerate_frames(max_worlds: int,
             for size in range(top + 1):  # (size, lex) order
                 for rel in itertools.combinations(triples, size):
                     yield IntLayeredFrame(n, order, frozenset(rel))
+
+
+def upsets(frame: IntLayeredFrame) -> List[int]:
+    """All up-closed world sets of a frame as bitmasks, ascending."""
+    return upset_masks(principal_upsets(frame.worlds, frame.order))
 
 
 def unreduced_chunks(n: int, cap: Optional[int], ranks=None):

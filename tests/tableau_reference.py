@@ -18,6 +18,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
+from graph_reference import composition_index
 from ilgl import graph as graphmod
 from ilgl import tableaux
 from ilgl.formula import Formula
@@ -32,7 +33,7 @@ def css_check(css: CSS) -> List[dict]:
     for (_, _, x) in css.formulas:
         if not css.cset.holds(x, x):
             problems.append({"property": "Ref", "label": label_str(x)})
-    twos = css.cset.two_letter()
+    twos = sorted(x for x in css.cset.domain if len(x) == 2)
     for (i, j) in twos:
         if (j, i) in css.cset.domain:
             problems.append({"property": "Contra",
@@ -63,7 +64,7 @@ def realize_check(css: CSS, model: LayeredGraphModel,
                 problems.append({"clause": "composition",
                                  "label": label_str(x)})
                 continue
-            m = sc.composition_index(assignment[i], assignment[j])
+            m = composition_index(sc, assignment[i], assignment[j])
             if m is None or m != assignment[x]:
                 problems.append({"clause": "composition",
                                  "label": label_str(x)})

@@ -5,12 +5,12 @@ import pytest
 
 import algebra_reference
 from ilgl.algebra import (BINOPS, AlgebraInterpretation,
-                          FiniteLayeredHeytingAlgebra,
+                          FiniteLayeredHeytingAlgebra, _filter_frame,
                           algebra_from_dict, algebra_satisfaction_agrees,
                           algebra_to_dict, complex_algebra,
                           complex_algebra_with_elements, fep_complete,
-                          interpret, prime_filter_frame, prime_filters,
-                          representation_embed, validate_algebra)
+                          interpret, prime_filters, representation_embed,
+                          validate_algebra)
 from ilgl.formula import parse
 from ilgl.gen import random_formula, random_frame, random_relational_model
 from ilgl.relational import IntLayeredFrame, closure_pairs
@@ -272,6 +272,11 @@ class TestPrimeFilters:
 
     def test_top_filter_not_prime_in_diamond(self):
         assert frozenset([3]) not in prime_filters(diamond())
+
+
+def prime_filter_frame(alg):
+    """The frame that ``representation_embed`` builds on."""
+    return _filter_frame(alg)[0]
 
 
 class TestPrimeFilterFrame:

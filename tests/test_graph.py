@@ -7,11 +7,11 @@ import graph_reference
 from ilgl.crosscheck import _bigraph_fixture
 from ilgl.formula import parse
 from ilgl.gen import _try_scaffold, random_formula, random_graph_model
+from graph_reference import compose, reaches
 from ilgl.graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                         OrderedScaffold, Subgraph, check_admissible,
-                        check_persistent, compose, model_from_dict,
-                        model_to_dict, reaches, satisfies, valid_in_model,
-                        validate_model)
+                        check_persistent, model_from_dict, model_to_dict,
+                        satisfies, valid_in_model, validate_model)
 
 
 def g(vertices, edges):

@@ -120,6 +120,26 @@ def test_frame_beyond_world_bound_exit_two(capsys, tmp_path, worlds):
         assert "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("extra", [{}, {"placement": []}],
+                         ids=["model", "resource-model"])
+def test_model_beyond_world_bound_exit_two(capsys, tmp_path, extra):
+    # Single-vertex members without edges: the scaffold would compose all
+    # of their pairs.
+    n = MAX_FRAME_WORLDS + 1
+    names = [f"v{i}" for i in range(n)]
+    content = json.dumps({"vertices": names, "edges": [], "eset": [],
+                          "X": [{"vertices": [v], "edges": []}
+                                for v in names], **extra})
+    for argv in MODEL_ARGVS:
+        start = time.monotonic()
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message and "frame bound" in message, argv
+        assert "Traceback" not in err, argv
+
+
 def test_chain_frame_at_world_bound_validates(capsys, tmp_path):
     n = MAX_FRAME_WORLDS
     content = json.dumps({"worlds": n, "rel": [[0, 0, n - 1]],

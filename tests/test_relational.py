@@ -23,8 +23,9 @@ from ilgl.relational import (MAX_UPSETS, OP_NAME, IntLayeredFrame,
                              enumerate_preorders, frame_from_dict,
                              frame_to_dict, rel_satisfies, rel_valid_upto,
                              upset_masks)
+from graph_reference import composition_index
 from oracle_reference import (class_minima, closure_reference,
-                              enumerate_frames, unreduced_chunks)
+                              enumerate_frames, unreduced_chunks, upsets)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -44,7 +45,7 @@ class TestScaffoldToFrame:
                     assert (i, j, m) in frame.rel
                     found = True
             for (y, z, x) in frame.rel:
-                assert model.scaffold.composition_index(y, z) == x
+                assert composition_index(model.scaffold, y, z) == x
         assert found
 
     def test_no_compositions_empty_rel(self):
@@ -240,7 +241,7 @@ class TestValidityOracle:
         def brute(f):
             names = atoms(f)
             for frame in enumerate_frames(2):
-                ups = frame.upsets()
+                ups = upsets(frame)
                 n = frame.worlds
                 for combo in itertools.product(ups, repeat=len(names)):
                     valuation = {

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from ilgl import graph as graphmod
 from ilgl import relational as relmod
 from ilgl import tableaux
-from ilgl.formula import And, Atom, Bot, LayerConj, Top, parse, render
+from ilgl.formula import (Atom, Bot, Imp, LayerConj, Top, parse, render,
+                          subformulas)
 from ilgl.gen import random_formula
 from ilgl.tableaux import (CSS, RULES, ConstraintSet, Limits, RuleInstance,
                            applicable_rules, check_hintikka, expand,
                            extract_model, initial_tableau, is_closed,
                            label_str, prove)
 
+from graph_reference import composition_index
 from tableau_reference import css_check, prove_by_pairs, realize_check
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
@@ -42,26 +44,71 @@ def closed_by_rescan(css):
     return False
 
 
+# The ranges of the rules with one instance per witness, as scans of the
+# sorted label domain: each gives the fact tuples of the instances at x,
+# whose last label is the witness.
+
+def _above(cs, x, labels):
+    """Labels y with x <= y."""
+    return [(y,) for y in labels if cs.holds(x, y)]
+
+
+def _layered_below(cs, x, labels):
+    """Two-letter labels yz with yz <= x."""
+    return [(yz,) for yz in labels if len(yz) == 2 and cs.holds(yz, x)]
+
+
+def _first_above(cs, x, labels):
+    """Facts (y, yz) for the two-letter labels yz with x <= y."""
+    return [(yz[:1], yz) for yz in labels
+            if len(yz) == 2 and cs.holds(x, yz[:1])]
+
+
+def _second_above(cs, x, labels):
+    """Facts (y, zy) for the two-letter labels zy with x <= y."""
+    return [(zy[1:], zy) for zy in labels
+            if len(zy) == 2 and cs.holds(x, zy[1:])]
+
+
+RANGES = {"T->": _above, "F|>": _layered_below, "T-|>": _first_above,
+          "T<|-": _second_above}
+
+
 def rules_from_scratch(css):
     """Every unspent rule instance by a scan of the whole branch over the
-    whole domain: the reference for the inherited agenda."""
-    labels = sorted(css.cset.domain)
+    sorted domain, one instance at a time: the reference for the agenda.
+    An instance is spent when its witness is applied, or when some child's
+    conclusions are all present already (those on fresh labels never are).
+    A formula off the domain has no instances."""
+    cset = css.cset
+    labels = sorted(cset.domain)
     out = []
     for slf in css.formulas:
         sign, f, x = slf
         rule = RULES.get((type(f), sign))
-        if rule is None:
+        if rule is None or x not in cset.domain:
             continue
-        for facts in rule.instances(css.cset, x, labels):
-            inst = RuleInstance(rule.name, slf, facts)
-            if tableaux._unspent(css, rule, inst):
-                out.append(inst)
+        over = RANGES.get(rule.name)
+        for facts in over(cset, x, labels) if over else [()]:
+            w = facts[-1] if facts else x
+            met = not rule.fresh and any(
+                all(c in css.formulas for c in child)
+                for child in rule.conclude(f, w))
+            used = css.applied.get(slf, 0) >> cset.domain[w] & 1
+            if not met and not used:
+                out.append(RuleInstance(rule.name, slf, facts))
     return out
 
 
 # One- and two-letter labels over six letters.
 LABELS = st.one_of(st.tuples(st.integers(0, 5)),
                    st.tuples(st.integers(0, 5), st.integers(0, 5)))
+# The same with two-letter labels of adjacent letters, as the prover makes
+# them: entered in sorted order, they get their bits in that order.
+PROVER_LABELS = st.one_of(
+    st.tuples(st.integers(0, 5)),
+    st.builds(lambda i, rising: (i, i + 1) if rising else (i + 1, i),
+              st.integers(0, 4), st.booleans()))
 
 
 def naive_closure(constraints):
@@ -136,10 +183,10 @@ class TestClosure:
     def test_matches_naive_fixpoint(self, constraints):
         cs = ConstraintSet()
         for i, con in enumerate(constraints):
-            _, before = naive_closure(constraints[:i])
+            before, _ = naive_closure(constraints[:i])
             added = cs.add(con)
             domain, closure = naive_closure(constraints[:i + 1])
-            assert sorted(added) == sorted(closure - before)
+            assert added == sorted(domain - before)
             assert cs.closure == closure
             assert set(cs.domain) == domain
         domain, closure = naive_closure(constraints)
@@ -188,12 +235,12 @@ class TestCssCheck:
             prove(f)
         assert children[0] > 5000
 
-    # Rules that break one invariant each: a conclusion off the domain, a
-    # two-letter label together with its reverse, and two two-letter
-    # labels sharing a letter.
+    # Rules that break one invariant each: a fresh label left out of the
+    # domain, a two-letter label together with its reverse, and two
+    # two-letter labels sharing a letter.
     BROKEN = [
-        ("Ref", (And, True), "p & q",
-         dict(children=lambda f, x, w: [[(True, f.left, (9,))]])),
+        ("Ref", (Imp, False), "p -> q",
+         dict(create=lambda n, x: ((n,), []))),
         ("Contra", (LayerConj, True), "p |> q",
          dict(create=lambda n, x: ((n, n + 1), [
              ((n, n + 1), x), ((n + 1, n), (n + 1, n))]))),
@@ -208,7 +255,7 @@ class TestCssCheck:
                                 change):
         rule = dataclasses.replace(RULES[key], **change)
         monkeypatch.setitem(RULES, key, rule)
-        css = CSS([(True, parse(text), c0)], [(c0, c0)])
+        css = CSS([(key[1], parse(text), c0)], [(c0, c0)])
         tableau = tableaux.Tableau(leaves={1: css})
         css.branch_id = 1
         (inst,) = applicable_rules(css)
@@ -232,8 +279,11 @@ class TestApplicableRules:
         css = CSS([(False, parse("p -|> q"), c0)], [(c0, c0)])
         insts = applicable_rules(css)
         assert [i.rule for i in insts] == ["F-|>"]
-        css.applied.add(insts[0])
-        assert applicable_rules(css) == []
+        css.branch_id = 1
+        tableau = tableaux.Tableau(leaves={1: css})
+        expand(tableau, css, insts[0])
+        (child,) = tableau.branches
+        assert applicable_rules(child) == []
 
     def test_saturation_empty(self):
         css = CSS([(True, Atom("p"), c0)], [(c0, c0)])
@@ -252,7 +302,7 @@ class TestApplicableRules:
 
     def test_rescan_after_constraint_between_old_labels(self):
         # c0 <= c1 between two labels already scanned widens the range
-        # of an old formula in the middle, so the next scan starts over.
+        # of an old premise: the next scan sees its new witness.
         css = CSS([(True, parse("p -> q"), c0)], [(c0, c0), (c1, c1)])
         assert [i.facts for i in applicable_rules(css)] == [(c0,)]
         css.add_constraint((c0, c1))
@@ -274,6 +324,72 @@ class TestApplicableRules:
         for f in sweep():
             prove(f)
         assert checked[0] > 5000
+
+
+    def test_bit_order_is_label_order_on_sweep(self, monkeypatch):
+        # Instances come out in bit order, which must be sorted label
+        # order on every branch the prover builds.
+        step = tableaux.expand
+        children = [0]
+
+        def compare(tableau, branch, inst):
+            step(tableau, branch, inst)
+            for child_id in tableau.steps_taken[-1].children:
+                labels = tableau.leaves[child_id].cset.labels
+                assert labels == sorted(labels)
+                children[0] += 1
+            return tableau
+
+        monkeypatch.setattr(tableaux, "expand", compare)
+        for f in sweep():
+            prove(f)
+        assert children[0] > 5000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(PROVER_LABELS, PROVER_LABELS), min_size=1,
+                    max_size=8),
+           st.integers(0, 10 ** 6), st.data())
+    def test_random_branch_matches_reference(self, constraints, seed,
+                                             data):
+        # The labels enter sorted, as on a prover's branch; then the
+        # constraints and some signed subformulas of a random formula come
+        # in a random order, and some instances are marked applied.  Some
+        # premises come with one child's conclusions at a drawn witness,
+        # often their own label.
+        domain = sorted({lab for pair in constraints for end in pair
+                         for lab in tableaux.sublabels(end)})
+        css = CSS([], [(lab, lab) for lab in domain])
+        assert css.cset.labels == domain
+        parts = subformulas(random_formula(random.Random(seed), 3))
+        formulas = data.draw(st.lists(st.tuples(
+            st.booleans(), st.sampled_from(parts), st.sampled_from(domain)),
+            max_size=10))
+        for sign, f, x in list(formulas):
+            rule = RULES.get((type(f), sign))
+            if rule is None or not data.draw(st.booleans()):
+                continue
+            w = data.draw(st.one_of(st.just(x), st.sampled_from(domain)))
+            child = data.draw(st.sampled_from(rule.conclude(f, w)))
+            if all(x in css.cset.domain for _, _, x in child):
+                formulas += child
+        steps = [("c", con) for con in constraints] + [
+            ("f", slf) for slf in formulas]
+        for kind, item in data.draw(st.permutations(steps)):
+            if kind == "c":
+                css.add_constraint(item)
+            else:
+                css.add_formula(item)
+            assert is_closed(css) == closed_by_rescan(css)
+            assert applicable_rules(css) == rules_from_scratch(css)
+        insts = rules_from_scratch(css)
+        for inst in data.draw(st.lists(st.sampled_from(insts), max_size=3)
+                              if insts else st.just([])):
+            w = inst.facts[-1] if inst.facts else inst.premise[2]
+            css.applied[inst.premise] = (css.applied.get(inst.premise, 0)
+                                         | 1 << css.cset.domain[w])
+        expected = rules_from_scratch(css)
+        assert applicable_rules(css) == expected
+        assert applicable_rules(css) == expected
 
 
 class TestExpand:
@@ -601,8 +717,8 @@ class TestExtractModel:
         assert sg.vertices == frozenset(["c1", "c2"])
         assert sg.edges == frozenset([("c1", "c2")])
         assert model.scaffold.leq(comp, label_map[c0])
-        assert model.scaffold.composition_index(
-            label_map[(1,)], label_map[(2,)]) == comp
+        assert composition_index(
+            model.scaffold, label_map[(1,)], label_map[(2,)]) == comp
 
     def test_valuation_persistence_rule(self):
         css = CSS([(True, Atom("p"), c0), (False, Atom("q"), c1)],
