@@ -17,122 +17,117 @@ deeper than ``MAX_DEPTH`` levels is a ParseError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
 from typing import Union
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+_KEYWORDS = ("top", "bot")
+_PRED_KEYWORDS = _KEYWORDS + ("exists", "forall", "Contains")
 
 
 class _Node:
-    """Base of the formula nodes.  A node is immutable, so it hashes once,
-    when it is built, from its kind and its fields (whose hashes are cached
-    in turn); equality compares the cached hashes before the fields."""
+    """Base of the formula nodes, hash-consed: building a node returns the
+    live node of the same kind and fields if there is one, so equal
+    formulas are one object and ``==`` is ``is``.  The table holds nodes
+    weakly.  Building nodes is not thread-safe: a race on one miss could
+    make two equal nodes that compare unequal.  Each kind declares its
+    fields as ``__slots__``; a name field matches ``ATOM_RE`` and is none
+    of the kind's ``_keywords``, so that it reads back."""
 
+    __slots__ = ("__weakref__",)
+    _keywords = _PRED_KEYWORDS
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields, strict=True):
+                if not isinstance(value, _Node) and (
+                        not ATOM_RE.match(value) or value in cls._keywords):
+                    raise ValueError(f"bad {cls.__name__} {name}: {value!r}")
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, n)) for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+_NODES = weakref.WeakValueDictionary()
+
+
+class Atom(_Node):
+    __slots__ = ("name",)
+    _keywords = _KEYWORDS
+
+
+class Top(_Node):
     __slots__ = ()
 
-    def __post_init__(self) -> None:
-        fields = self.__dict__  # written directly: the node is frozen
-        fields["_hash"] = hash((type(self).__name__, *fields.values()))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._hash == other._hash and vars(self) == vars(other)
-
-
-@dataclass(frozen=True, eq=False)
-class Atom(_Node):
-    name: str
-
-    def __post_init__(self) -> None:
-        if not ATOM_RE.match(self.name):
-            raise ValueError(f"bad atom name: {self.name!r}")
-        super().__post_init__()
-
-
-@dataclass(frozen=True, eq=False)
-class Top(_Node):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
 class Bot(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class And(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Imp(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class LayerConj(_Node):
     """The layering conjunction: non-commutative, non-associative."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class ImpRight(_Node):
     """Right residual of layering: receiver composes on the left."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class ImpLeft(_Node):
     """Left residual of layering: receiver composes on the right."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Contains(_Node):
     """Predicate atom: the world has a vertex of the resource's block."""
 
-    resource: str
+    __slots__ = ("resource",)
 
 
-@dataclass(frozen=True, eq=False)
 class PointsTo(_Node):
     """Predicate atom: a non-empty path inside the world runs from the
     source's block to the target's."""
 
-    source: str
-    target: str
+    __slots__ = ("source", "target")
 
 
-@dataclass(frozen=True, eq=False)
 class Exists(_Node):
-    var: str
-    body: "Formula"
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True, eq=False)
 class Forall(_Node):
-    var: str
-    body: "Formula"
+    __slots__ = ("var", "body")
 
 
 # Propositional formulas use the first nine node kinds; predicate formulas
@@ -168,9 +163,7 @@ class ParseError(InputError):
 # fixed tokens, "ident" for names, "end" at EOF.  Predicate mode adds its
 # tokens to both lists; "~>" must precede "~".
 _FIXED = ("-|>", "<|-", "|>", "->", "&", "|", "~", "(", ")")
-_KEYWORDS = ("top", "bot")
 _PRED_FIXED = ("~>",) + _FIXED + (".",)
-_PRED_KEYWORDS = _KEYWORDS + ("exists", "forall", "Contains")
 
 
 def _token_re(fixed: tuple) -> re.Pattern:
@@ -208,8 +201,8 @@ def _tokenize(text: str, pred: bool) -> list:
 
 
 # The deepest nesting a formula may have: of parentheses, ~ and quantifiers
-# while parsing, and of the tree parsed.  The parser, the printer, equality
-# and the evaluators recurse once or more per level.
+# while parsing, and of the tree parsed.  The parser, the printer and the
+# evaluators recurse once or more per level.
 MAX_DEPTH = 100
 
 _IMP_OPS = ("->", "-|>", "<|-")
@@ -290,8 +283,12 @@ class _Parser:
         self.expect(".")
         real = var
         if any(surface == var for surface, _ in self.scope):
-            self.renamed += 1
-            real = f"{var}_{self.renamed}"
+            # The new name is no identifier of the input, so it captures
+            # no free name.
+            taken = {text for k, text, _ in self.tokens if k == "ident"}
+            while real in taken:
+                self.renamed += 1
+                real = f"{var}_{self.renamed}"
         self.scope.append((var, real))
         body = self.nested(self.form, off)
         self.scope.pop()
@@ -462,6 +459,8 @@ def postfix(f: Formula) -> list:
         if isinstance(g, BINARY_NODES):
             walk(g.left)
             walk(g.right)
+        elif isinstance(g, QUANT_NODES):
+            walk(g.body)
         out.append(g)
 
     walk(f)

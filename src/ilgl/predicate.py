@@ -6,7 +6,8 @@ Formulas are parsed by ``formula.parse_pred`` and checked by the shared
 satisfaction clauses of ``relational.Evaluator`` on the scaffold's frame,
 with vertices as bits and the quantifier domain as up-set masks.  The
 domain is fully enumerated, so models are capped at 14 placement
-vertices: 16,384 up-sets, where a whole-model ``forall`` takes about 2 s.
+vertices: 16,384 up-sets, where a whole-model ``forall`` takes about
+1.4 s.
 """
 
 from __future__ import annotations

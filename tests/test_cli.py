@@ -222,6 +222,18 @@ class TestCheckCommand:
         code, _ = run(capsys, "check", str(path), "Contains(r1)")
         assert code == 2
 
+    def test_renamed_binder_captures_no_free_name(self, capsys, tmp_path):
+        from test_predicate import composed_bigraphs
+        path = tmp_path / "rm.json"
+        path.write_text(json.dumps(resource_model_to_dict(
+            composed_bigraphs())))
+        for text in ("exists s. (exists s. Contains(s_1))",
+                     "exists s. (exists t. Contains(s_1))"):
+            code, body = run_json(capsys, "check", str(path), text)
+            assert code == 2 and body["status"] == "error", text
+            assert ("free resources ['s_1']"
+                    in body["payload"]["message"]), text
+
     def frame_file(self, tmp_path, valuation):
         """A two-world frame, 0 <= 1, with one triple."""
         frame = IntLayeredFrame(2, frozenset([(0, 0), (1, 1), (0, 1)]),

@@ -1,13 +1,18 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilgl.formula import (_FIXED, _KEYWORDS, _PRED_FIXED, _PRED_KEYWORDS,
-                          ATOM_RE, And, Atom, Bot, Imp, ImpLeft, ImpRight,
-                          LayerConj, Or, ParseError, Top, _tokenize, atoms,
-                          parse, render, subformulas)
+from ilgl.formula import (_FIXED, _KEYWORDS, _NODES, _PRED_FIXED,
+                          _PRED_KEYWORDS, ATOM_RE, And, Atom, Bot, Contains,
+                          Exists, Forall, Imp, ImpLeft, ImpRight, LayerConj,
+                          Or, ParseError, PointsTo, Top, _tokenize, atoms,
+                          parse, parse_pred, render, subformulas)
 from ilgl.gen import random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -100,6 +105,61 @@ class TestRender:
         assert parse(render(f)) == f
 
 
+class TestInterning:
+    def test_equal_formulas_are_one_node(self):
+        text = "q <|- (q |> (p -> (p | q)))"
+        assert parse(text) is parse(text)
+        assert And(p, q) is And(p, q)
+        assert parse_pred("exists s. Contains(s)") is Exists("s",
+                                                             Contains("s"))
+
+    def test_copy_and_pickle_give_the_same_node(self):
+        f = parse("(p -> q) |> ~r & top")
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_unheld_node_leaves_the_table(self):
+        f = parse("gone1 -> gone2 & top")
+        ref = weakref.ref(f)
+        assert (Atom, "gone1") in _NODES
+        del f
+        gc.collect()
+        assert ref() is None
+        assert (Atom, "gone1") not in _NODES
+        assert (Atom, "gone2") not in _NODES
+
+    def test_fields_cannot_be_set(self):
+        f = And(p, q)
+        with pytest.raises(AttributeError):
+            f.left = r
+        with pytest.raises(AttributeError):
+            del f.right
+        with pytest.raises(AttributeError):
+            p.name = "q"
+        assert f.left is p and p.name == "p"
+
+    def test_repr_reads_as_a_constructor(self):
+        assert repr(Imp(p, Top())) == "Imp(Atom('p'), Top())"
+        assert repr(PointsTo("a", "b")) == "PointsTo('a', 'b')"
+
+    @pytest.mark.parametrize("build", [
+        lambda: Atom("top"), lambda: Atom("bot"), lambda: Atom("P"),
+        lambda: Atom("a b"), lambda: Contains("top"),
+        lambda: Contains("exists"), lambda: Contains("Contains"),
+        lambda: PointsTo("a b", "c"), lambda: PointsTo("c", "forall"),
+        lambda: Exists("forall", Top()), lambda: Forall("bot", Top()),
+        lambda: Exists("1s", Top())])
+    def test_names_that_do_not_read_back_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_refused_name_leaves_no_node(self):
+        with pytest.raises(ValueError):
+            Contains("top")
+        assert (Contains, "top") not in _NODES
+
+
 class TestSubformulas:
     def test_atom(self):
         assert subformulas(p) == [p]
@@ -122,6 +182,15 @@ class TestSubformulas:
                 return 1
 
             assert len(subformulas(f)) <= nodes(f)
+
+    def test_quantifier_bodies(self):
+        f = parse_pred("exists s. Contains(s) -> s ~> t")
+        body = f.body
+        assert subformulas(f) == [body.left, body.right, body, f]
+        g = parse_pred("forall s. (exists t. t ~> s) & Contains(s)")
+        inner = g.body.left
+        assert subformulas(g) == [inner.body, inner, Contains("s"), g.body,
+                                  g]
 
     def test_atoms(self):
         assert atoms(parse("p -> q | p")) == ["p", "q"]

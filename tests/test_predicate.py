@@ -54,6 +54,18 @@ class TestParser:
         assert inner.var != f.var
         assert inner.body == Contains(inner.var)
 
+    def test_renamed_binder_is_fresh(self):
+        # The inner binder must not take the free name s_1.
+        f = parse_pred("exists s. (exists s. Contains(s_1))")
+        inner = f.body
+        assert isinstance(inner, Exists)
+        assert inner.var not in ("s", "s_1")
+        assert inner.body == Contains("s_1")
+        assert free_resources(f) == {"s_1"}
+        g = parse_pred("exists s. (exists s. (Contains(s) & s_1 ~> s_2))")
+        assert g.body.var not in ("s", "s_1", "s_2")
+        assert free_resources(g) == {"s_1", "s_2"}
+
     def test_quantified_chain_too_deep(self):
         with pytest.raises(PredParseError,
                            match="nested deeper than 100 levels"):
