@@ -269,9 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide a formula by tableau search")
     p.add_argument("formula")
-    p.add_argument("--max-steps", type=int, default=5000)
-    p.add_argument("--max-labels", type=int, default=64)
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--max-steps", type=int,
+                   default=tableaux.Limits.max_rule_applications)
+    p.add_argument("--max-labels", type=int,
+                   default=tableaux.Limits.max_labels)
+    p.add_argument("--timeout", type=float, default=tableaux.Limits.timeout)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--emit-countermodel", metavar="PATH")
     p.add_argument("--dot", metavar="PATH")

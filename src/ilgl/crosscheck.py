@@ -11,13 +11,15 @@ derived laws of residuated structures follow from them.
 
 Each suite runs a seeded sweep and returns (ok, summary, repro): on
 failure ``repro`` is a JSON-ready reproduction of the first (shrunk where
-possible) failing instance.
+possible) failing instance, with the formula, model, frame, algebra or
+assignment it was checked on.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterator, Optional, Tuple
 
 from . import algebra as algmod
 from . import gen
@@ -27,7 +29,8 @@ from . import tableaux
 from .formula import (Contains, Exists, Forall, Formula, InputError, PointsTo,
                       render, subformulas)
 from .predicate import (LinkGraphSpec, build_bigraph_scaffold,
-                        resource_evaluator)
+                        placement_upsets, resource_evaluator,
+                        resource_model_to_dict)
 
 
 def _shrink_formula(f: Formula, failing: Callable[[Formula], bool]) -> Formula:
@@ -90,145 +93,129 @@ def _bigraph_fixture():
                                   resources=["r1", "r2"])
 
 
-def suite_persistence(seed: int, budget: int
-                      ) -> Tuple[bool, dict, Optional[dict]]:
-    """Satisfaction is upward closed along the order, in all three
-    semantics, each checked with one evaluator per model."""
+def _persistence_instances(seed: int, budget: int) -> Iterator[tuple]:
+    """The persistence suite's instances in drawing order: (semantics,
+    evaluator, formula, assignment, order, writer).  The assignment is the
+    evaluator's: (variable, vertex mask) pairs.  The writer gives the
+    repro's model and, in the predicate semantics, the assignment's blocks
+    as sorted vertex names."""
     rng = random.Random(seed)
-    checked = 0
-
-    def lost_going_up(n: int, leq, holds) -> Optional[Tuple[int, int]]:
-        # First (below, above) pair in row-major order where ``holds`` is
-        # lost; every pair looked at before it counts as checked.
-        nonlocal checked
-        for a in range(n):
-            for b in range(n):
-                if leq(a, b) and holds(a) and not holds(b):
-                    return a, b
-                checked += 1
-        return None
-
-    for i in range(budget):
+    for _ in range(budget):
         model = gen.random_graph_model(rng)
-        f = gen.random_formula(rng, 3)
-        ev = graphmod.model_evaluator(model)
-        bad = lost_going_up(model.world_count(), model.scaffold.leq,
-                            lambda w: ev.sat(w, f))
-        if bad:
-            return False, {"checked": checked}, {
-                "suite": "persistence", "semantics": "graph",
-                "formula": render(f), "below": bad[0], "above": bad[1],
-                "model": graphmod.model_to_dict(model)}
+        yield ("graph", graphmod.model_evaluator(model),
+               gen.random_formula(rng, 3), frozenset(), model.scaffold.leq,
+               lambda model=model: {"model": graphmod.model_to_dict(model)})
         rmodel = gen.random_relational_model(rng, rng.randrange(1, 5))
-        g = gen.random_formula(rng, 3)
-        ev = relmod.Evaluator(rmodel.frame, rmodel.valuation)
-        bad = lost_going_up(rmodel.frame.worlds, rmodel.frame.leq,
-                            lambda w: ev.sat(w, g))
-        if bad:
-            return False, {"checked": checked}, {
-                "suite": "persistence", "semantics": "relational",
-                "formula": render(g),
-                "model": relmod.frame_to_dict(rmodel),
-                "below": bad[0], "above": bad[1]}
+        yield ("relational", relmod.Evaluator(rmodel.frame, rmodel.valuation),
+               gen.random_formula(rng, 3), frozenset(), rmodel.frame.leq,
+               lambda rmodel=rmodel: {"model": relmod.frame_to_dict(rmodel)})
     rm = _bigraph_fixture()
     ev = resource_evaluator(rm)
+    domain = placement_upsets(rm.placement)[0]  # the upsets' bit order
     pformulas = [Contains("r1"), PointsTo("r1", "r2"),
                  Exists("s", Contains("s")),
                  Forall("s", Contains("s"))]
-    rng2 = random.Random(seed + 1)
+    rng = random.Random(seed + 1)
     for _ in range(min(budget, 60)):
-        s = frozenset({"r1": rng2.choice(ev.upsets),
-                       "r2": rng2.choice(ev.upsets)}.items())
-        pf = rng2.choice(pformulas)
-        bad = lost_going_up(rm.model.world_count(), rm.model.scaffold.leq,
-                            lambda w: ev.sat(w, pf, s))
-        if bad:
-            return False, {"checked": checked}, {
-                "suite": "persistence", "semantics": "predicate",
-                "world_below": bad[0], "world_above": bad[1]}
+        s = frozenset({"r1": rng.choice(ev.upsets),
+                       "r2": rng.choice(ev.upsets)}.items())
+        yield ("predicate", ev, rng.choice(pformulas), s,
+               rm.model.scaffold.leq, lambda s=s: {
+                   "model": resource_model_to_dict(rm),
+                   "assignment": {r: [domain[j] for j in relmod.bits(m)]
+                                  for r, m in s}})
+
+
+def suite_persistence(seed: int, budget: int
+                      ) -> Tuple[bool, dict, Optional[dict]]:
+    """Satisfaction is upward closed along the order, in all three
+    semantics, each checked with one evaluator per model.  Pairs of
+    worlds count as checked in row-major order, up to the least one
+    where the formula is lost going up."""
+    checked = 0
+    for semantics, ev, f, s, leq, write in _persistence_instances(seed,
+                                                                  budget):
+        # The formula's worlds, as the one atom of a valuation.
+        holds = frozenset(w for w in range(ev.n) if ev.sat(w, f, s))
+        lost = relmod.persistence_failures({"": holds}, ev.n, leq)
+        if lost:
+            a, b = min((i, j) for _, i, j in lost)
+            return False, {"checked": checked + a * ev.n + b}, {
+                "suite": "persistence", "semantics": semantics,
+                "formula": render(f), "below": a, "above": b, **write()}
+        checked += ev.n ** 2
     return True, {"pairs": checked}, None
 
 
-def suite_residuation(seed: int, budget: int
-                      ) -> Tuple[bool, dict, Optional[dict]]:
+def _rounds(check: Callable[[random.Random], Optional[dict]], key: str,
+            seed: int, budget: int) -> Tuple[bool, dict, Optional[dict]]:
+    """Draw and check one instance per round.  ``check`` returns the
+    repro of an instance that fails; the first one ends the suite."""
+    rng = random.Random(seed)
+    for i in range(budget):
+        repro = check(rng)
+        if repro is not None:
+            return False, {"checked": i}, repro
+    return True, {key: budget}, None
+
+
+def _residuation(rng: random.Random) -> Optional[dict]:
     """Complex algebras of random frames satisfy the algebra axioms,
     residuation among them.  The derived laws are not checked again: the
     layer product is a left adjoint in each argument, so it is monotone,
     absorbs bottom and distributes over joins, and the unit laws of the
     residuals follow from the adjunction at top and at bottom."""
-    rng = random.Random(seed)
-    for i in range(budget):
-        frame = gen.random_frame(rng, rng.randrange(1, 5))
-        alg = algmod.complex_algebra(frame)
-        issues = algmod.validate_algebra(alg)
-        if issues:
-            return False, {"checked": i}, {
-                "suite": "residuation", "frame": {
-                    "worlds": frame.worlds,
-                    "order": sorted(map(list, frame.order)),
-                    "rel": sorted(map(list, frame.rel))},
-                "issues": issues[:5]}
-    return True, {"algebras": budget}, None
+    frame = gen.random_frame(rng, rng.randrange(1, 5))
+    issues = algmod.validate_algebra(algmod.complex_algebra(frame))
+    if issues:
+        return {"suite": "residuation", "issues": issues[:5],
+                "frame": relmod.frame_to_dict(
+                    relmod.RelationalModel(frame, {}))}
+    return None
 
 
-def suite_representation(seed: int, budget: int
-                         ) -> Tuple[bool, dict, Optional[dict]]:
+def _representation(rng: random.Random) -> Optional[dict]:
     """The prime-filter embedding verifies on random complex algebras."""
-    rng = random.Random(seed)
-    for i in range(budget):
-        frame = gen.random_frame(rng, rng.randrange(1, 4))
-        alg = algmod.complex_algebra(frame)
-        _, report = algmod.representation_embed(alg)
-        if report:
-            return False, {"checked": i}, {
-                "suite": "representation", "size": alg.size,
-                "report": report[:5],
-                "algebra": algmod.algebra_to_dict(alg)}
-    return True, {"algebras": budget}, None
+    alg = algmod.complex_algebra(gen.random_frame(rng, rng.randrange(1, 4)))
+    report = algmod.representation_embed(alg)[1]
+    if report:
+        return {"suite": "representation", "size": alg.size,
+                "report": report[:5], "algebra": algmod.algebra_to_dict(alg)}
+    return None
 
 
-def suite_fep(seed: int, budget: int) -> Tuple[bool, dict, Optional[dict]]:
+def _fep(rng: random.Random) -> Optional[dict]:
     """Finite embeddability completions validate and embed."""
-    rng = random.Random(seed)
-    for i in range(budget):
-        frame = gen.random_frame(rng, rng.randrange(1, 4))
-        alg = algmod.complex_algebra(frame)
-        if alg.size > 8:
-            continue
-        size = rng.randrange(1, 5)
-        subset = sorted(rng.sample(range(alg.size),
-                                   min(size, alg.size)))
-        _, _, report = algmod.fep_complete(alg, subset)
-        if report:
-            return False, {"checked": i}, {
-                "suite": "fep", "subset": subset, "report": report[:5],
+    alg = algmod.complex_algebra(gen.random_frame(rng, rng.randrange(1, 4)))
+    subset = sorted(rng.sample(range(alg.size),
+                               min(rng.randrange(1, 5), alg.size)))
+    report = algmod.fep_complete(alg, subset)[2]
+    if report:
+        return {"suite": "fep", "subset": subset, "report": report[:5],
                 "algebra": algmod.algebra_to_dict(alg)}
-    return True, {"completions": budget}, None
+    return None
 
 
-def suite_oracle_agreement(seed: int, budget: int
-                           ) -> Tuple[bool, dict, Optional[dict]]:
+def _oracle_agreement(rng: random.Random) -> Optional[dict]:
     """Relational satisfaction == complex-algebra interpretation, two
     independent procedures."""
-    rng = random.Random(seed)
-    for i in range(budget):
-        small = gen.random_relational_model(rng, rng.randrange(1, 5))
-        g = gen.random_formula(rng, 3)
-        if not algmod.algebra_satisfaction_agrees(small, g):
-            return False, {"checked": i}, {
-                "suite": "oracle-agreement", "kind": "algebra/relational",
+    small = gen.random_relational_model(rng, rng.randrange(1, 5))
+    g = gen.random_formula(rng, 3)
+    if not algmod.algebra_satisfaction_agrees(small, g):
+        return {"suite": "oracle-agreement", "kind": "algebra/relational",
                 "formula": render(g), "model": relmod.frame_to_dict(small)}
-    return True, {"instances": budget}, None
+    return None
 
 
 # Each suite's runner and default budget.
 SUITES = {
     "soundness": (suite_soundness, 200),
     "persistence": (suite_persistence, 150),
-    "residuation": (suite_residuation, 60),
-    "representation": (suite_representation, 60),
-    "fep": (suite_fep, 60),
-    "oracle-agreement": (suite_oracle_agreement, 150),
+    "residuation": (partial(_rounds, _residuation, "algebras"), 60),
+    "representation": (partial(_rounds, _representation, "algebras"), 60),
+    "fep": (partial(_rounds, _fep, "completions"), 60),
+    "oracle-agreement": (partial(_rounds, _oracle_agreement, "instances"),
+                         150),
 }
 
 

@@ -146,6 +146,11 @@ class OrderedScaffold:
             closure_pairs(self.order, range(n)))
         self.parts = [self.masks.part(sg) for sg in self.subgraphs]
         index = {part: i for i, part in enumerate(self.parts)}
+        if len(index) < n:  # X is a set: a copy would be a second world
+            j = next(j for j, part in enumerate(self.parts)
+                     if index[part] != j)
+            raise ValueError(f"X[{j}] and X[{index[self.parts[j]]}] are "
+                             "the same subgraph")
         # Composition table over X: comp[(i, j)] = index of X[i] @ X[j]
         # when that lies in X; the (h, k, h @ k) leaving X are kept apart.
         self._comp: Dict[Tuple[int, int], int] = {}

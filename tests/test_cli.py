@@ -11,13 +11,15 @@ import pytest
 
 from hilbert_corpus import corpus, mutated
 
-from ilgl import crosscheck, tableaux
+from ilgl import algebra as algmod
+from ilgl import crosscheck, files, tableaux
+from ilgl import predicate as predmod
 from ilgl import relational as relmod
 from ilgl.algebra import algebra_to_dict, complex_algebra
 from ilgl.cli import main
 from ilgl.crosscheck import SUITES
 from ilgl.graph import load_model, satisfies
-from ilgl.formula import MAX_DEPTH, parse, subformulas
+from ilgl.formula import MAX_DEPTH, parse, render, subformulas
 from ilgl.gen import random_formula
 from ilgl.hilbert import derivation_to_dict
 from ilgl.predicate import resource_model_to_dict
@@ -557,6 +559,117 @@ class TestCrosscheckCommand:
         assert code == 1 and body["status"] == "violations"
         assert body["paths"] == [str(target)]
         assert json.loads(target.read_text()) == repro
+
+
+def force_failure(monkeypatch, name, forced, suite):
+    """Run ``suite`` with ``algebra.<name>`` answering ``forced`` on its
+    third call: (repro, arguments of the failing call)."""
+    real, calls = getattr(algmod, name), []
+
+    def check(*args):
+        calls.append(args)
+        return forced if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(algmod, name, check)
+    ok, summary, repro = crosscheck.run_suite(suite, 5)
+    assert not ok and summary == {"checked": 2} and repro["suite"] == suite
+    return repro, calls[-1]
+
+
+def read_back(tmp_path, data, kind):
+    """``data`` written as the CLI writes a repro, read as a ``kind``."""
+    path = tmp_path / "part.json"
+    path.write_text(files.json_text(data))
+    return files.read(str(path), kind)[1]
+
+
+class TestCrosscheckFailures:
+    """Each suite's failure path, forced by a monkeypatched property: the
+    repro holds the instance that failed, in a file the CLI reads."""
+
+    def test_residuation(self, monkeypatch, tmp_path):
+        repro, (alg,) = force_failure(monkeypatch, "validate_algebra",
+                                      [{"law": "forced"}], "residuation")
+        assert repro["issues"] == [{"law": "forced"}]
+        frame = read_back(tmp_path, repro["frame"], "frame").frame
+        assert algebra_to_dict(complex_algebra(frame)) == \
+            algebra_to_dict(alg)
+
+    def test_representation(self, monkeypatch, tmp_path):
+        repro, (alg,) = force_failure(monkeypatch, "representation_embed",
+                                      ({}, [{"forced": 1}]), "representation")
+        assert repro["report"] == [{"forced": 1}]
+        assert repro["size"] == alg.size
+        written = read_back(tmp_path, repro["algebra"], "algebra")
+        assert algebra_to_dict(written) == algebra_to_dict(alg)
+
+    def test_fep(self, monkeypatch, tmp_path):
+        repro, (alg, subset) = force_failure(
+            monkeypatch, "fep_complete", (None, {}, [{"forced": 1}]), "fep")
+        assert repro["report"] == [{"forced": 1}]
+        assert repro["subset"] == subset
+        written = read_back(tmp_path, repro["algebra"], "algebra")
+        assert algebra_to_dict(written) == algebra_to_dict(alg)
+
+    def test_oracle_agreement(self, monkeypatch, tmp_path):
+        repro, (model, f) = force_failure(
+            monkeypatch, "algebra_satisfaction_agrees", False,
+            "oracle-agreement")
+        assert parse(repro["formula"]) is f
+        written = read_back(tmp_path, repro["model"], "frame")
+        assert frame_to_dict(written) == frame_to_dict(model)
+
+    @pytest.mark.parametrize("semantics, kind", [
+        ("graph", "model"), ("relational", "frame"),
+        ("predicate", "resource model")])
+    def test_persistence(self, monkeypatch, tmp_path, semantics, kind):
+        # The evaluators of one semantics answer each instance's formula
+        # true exactly at the worlds with another world above them.  The
+        # first such instance where that is lost going up fails.
+        current = {}
+        draw = crosscheck._persistence_instances
+
+        def recorded(seed, budget):
+            for instance in draw(seed, budget):
+                current[instance[1]] = instance
+                yield instance
+
+        def lost(ev):  # the (below, above) pairs, row-major
+            return [(a, b) for a in range(ev.n)
+                    for b in relmod.bits(ev.up[a])
+                    if ev.up[a] != 1 << a and ev.up[b] == 1 << b]
+
+        real = relmod.Evaluator.sat
+
+        def sat(self, w, f, s=frozenset()):
+            kind_, _, formula, assignment, _, _ = current[self]
+            if kind_ == semantics and f is formula and s == assignment:
+                return self.up[w] != 1 << w
+            return real(self, w, f, s)
+
+        monkeypatch.setattr(crosscheck, "_persistence_instances", recorded)
+        monkeypatch.setattr(relmod.Evaluator, "sat", sat)
+        ok, summary, repro = crosscheck.run_suite("persistence", 3, 20)
+        checked = 0
+        for kind_, ev, f, s, _, write in draw(3, 20):
+            if kind_ == semantics and lost(ev):
+                break
+            checked += ev.n ** 2
+        a, b = lost(ev)[0]
+        assert not ok and summary == {"checked": checked + a * ev.n + b}
+        assert repro["semantics"] == semantics
+        assert (repro["formula"], repro["below"], repro["above"]) == \
+            (render(f), a, b)
+        assert repro["model"] == write()["model"]
+        written = read_back(tmp_path, repro["model"], kind)
+        if semantics != "predicate":
+            assert "assignment" not in repro
+            return
+        index = predmod._vertex_index(written)
+        assert frozenset((r, predmod._mask(index, names))
+                         for r, names in repro["assignment"].items()) == s
+        assert all(names == sorted(names)
+                   for names in repro["assignment"].values())
 
 
 class TestSubprocess:

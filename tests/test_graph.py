@@ -117,6 +117,12 @@ class TestAdmissibility:
         assert any(v["direction"] == "component missing from X"
                    for v in report)
 
+    def test_repeated_member_refused(self):
+        # X is a set: its part index would map H @ K to one copy only.
+        h, k, hk, eset = scaffold_hk()
+        with pytest.raises(ValueError, match=r"X\[2\] and X\[3\]"):
+            OrderedScaffold(PARENT, eset, [h, k, hk, hk], frozenset())
+
     def test_exhaustive_matches_default_on_small(self):
         # The reference's exhaustive pool holds every subgraph: the
         # all-subgraph definition of admissibility.

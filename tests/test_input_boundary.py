@@ -262,6 +262,20 @@ def test_numeric_placement_vertex_is_a_string_id(capsys, tmp_path):
         assert code == 0 and body["status"] == status, argv
 
 
+def test_repeated_member_of_x_exit_two(capsys, tmp_path):
+    # Before it was refused, "p |> q" was unsat at world 2 and sat at its
+    # copy, world 3, and validate accepted the file.
+    content = json.dumps({**MODEL, "X": MODEL["X"] + MODEL["X"][2:],
+                          "valuation": {"p": [0], "q": [1]}})
+    for argv in [("check", "{}", "p |> q", "--world", "2"),
+                 ("validate", "{}")]:
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert code == 2 and body["status"] == "error", argv
+        assert "input.json: X[2] and X[3] are the same subgraph" in \
+            body["payload"]["message"], argv
+        assert "Traceback" not in err, argv
+
+
 def test_missing_field_named(capsys, tmp_path):
     data = algebra_to_dict(complex_algebra(FRAME))
     del data["meet"]
