@@ -31,23 +31,32 @@ class _Node:
     formulas are one object and ``==`` is ``is``.  The table holds nodes
     weakly.  Building nodes is not thread-safe: a race on one miss could
     make two equal nodes that compare unequal.  Each kind declares its
-    fields as ``__slots__``; a name field matches ``ATOM_RE`` and is none
-    of the kind's ``_keywords``, so that it reads back."""
+    fields as ``__slots__``; a name field (any but ``left``, ``right`` and
+    ``body``) matches ``ATOM_RE`` and is none of the kind's ``_keywords``,
+    so that it reads back."""
 
     __slots__ = ("__weakref__",)
     _keywords = _PRED_KEYWORDS
 
+    def __init_subclass__(cls):
+        cls._setters = [getattr(cls, n).__set__ for n in cls.__slots__]
+        cls._names = [(i, n) for i, n in enumerate(cls.__slots__)
+                      if n not in ("left", "right", "body")]
+
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _NODES.get(key)
+        ref = _NODES.get(key)
+        node = ref and ref()
         if node is None:
             node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields, strict=True):
-                if not isinstance(value, _Node) and (
-                        not ATOM_RE.match(value) or value in cls._keywords):
-                    raise ValueError(f"bad {cls.__name__} {name}: {value!r}")
-                object.__setattr__(node, name, value)
-            _NODES[key] = node
+            for setter, value in zip(cls._setters, fields, strict=True):
+                setter(node, value)
+            for i, name in cls._names:
+                if not ATOM_RE.match(fields[i]) or fields[i] in cls._keywords:
+                    raise ValueError(f"bad {cls.__name__} {name}: "
+                                     f"{fields[i]!r}")
+            ref = _NODES[key] = _Ref(node, _drop)
+            ref.key = key
         return node
 
     def __setattr__(self, name, value=None):
@@ -63,7 +72,17 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
-_NODES = weakref.WeakValueDictionary()
+_NODES: dict = {}  # (kind, *fields) -> a weak reference to the live node
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the node's key in the table
+
+
+def _drop(ref: _Ref) -> None:
+    """A node died: forget it unless its key already names a newer one."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
 
 
 class Atom(_Node):
@@ -167,35 +186,34 @@ _PRED_FIXED = ("~>",) + _FIXED + (".",)
 
 
 def _token_re(fixed: tuple) -> re.Pattern:
-    """Whitespace, then a fixed token (the first in ``fixed`` that
-    matches), a word (``\\w`` is ``str.isalnum`` or "_") or any other
-    character."""
+    """Whitespace, then a token: a fixed one (the first in ``fixed`` that
+    matches), a name that ``ATOM_RE`` accepts (the third group), any other
+    word (``\\w`` is ``str.isalnum`` or "_") or any other character but
+    whitespace."""
     ops = "|".join(map(re.escape, fixed))
-    return re.compile(rf"\s+|({ops})|(\w+)|(.)", re.DOTALL)
+    return re.compile(rf"(\s*)({ops}|([a-z][a-zA-Z0-9_]*)(?!\w)|\w+|\S)")
 
 
 _TOKEN_RE = {False: _token_re(_FIXED), True: _token_re(_PRED_FIXED)}
+_TOKEN_KINDS = {False: frozenset(_FIXED + _KEYWORDS),
+                True: frozenset(_PRED_FIXED + _PRED_KEYWORDS)}
 
 
 def _tokenize(text: str, pred: bool) -> list:
-    keywords = _PRED_KEYWORDS if pred else _KEYWORDS
+    kinds = _TOKEN_KINDS[pred]
     tokens = []
-    for m in _TOKEN_RE[pred].finditer(text):
-        op, word, other = m.groups()
-        i = m.start()
-        if op:
-            tokens.append((op, op, i))
-        elif word and word[0].isalpha():
-            if word in keywords:
-                tokens.append((word, word, i))
-            elif ATOM_RE.match(word):
-                tokens.append(("ident", word, i))
-            else:
-                raise ParseError(
-                    f"bad identifier {word!r}", i, ("identifier",)
-                )
-        elif word or other:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
+    i = 0  # the offset of the next token
+    for space, tok, name in _TOKEN_RE[pred].findall(text):
+        i += len(space)
+        if tok in kinds:
+            tokens.append((tok, tok, i))
+        elif name:
+            tokens.append(("ident", tok, i))
+        elif tok[0].isalpha():
+            raise ParseError(f"bad identifier {tok!r}", i, ("identifier",))
+        else:
+            raise ParseError(f"unexpected character {tok[0]!r}", i)
+        i += len(tok)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -204,6 +222,7 @@ def _tokenize(text: str, pred: bool) -> list:
 # while parsing, and of the tree parsed.  The parser, the printer and the
 # evaluators recurse once or more per level.
 MAX_DEPTH = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
 
 _IMP_OPS = ("->", "-|>", "<|-")
 _IMP_CLASS = {"->": Imp, "-|>": ImpRight, "<|-": ImpLeft}
@@ -211,9 +230,9 @@ _UNIT_EXPECTED = ("identifier", "top", "bot", "~", "(")
 
 
 class _Parser:
-    """Recursive descent over the token list.  In predicate mode a name is
-    a resource, resolved through the binders in scope, and never an
-    atom."""
+    """Recursive descent over the token list, read at ``pos``.  In
+    predicate mode a name is a resource, resolved through the binders in
+    scope, and never an atom."""
 
     def __init__(self, tokens: list, pred: bool):
         self.tokens = tokens
@@ -223,25 +242,18 @@ class _Parser:
         self.renamed = 0
         self.depth = 0  # open parentheses, ~ and quantifiers
 
-    def peek(self) -> tuple:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str) -> str:
+        """Take a token of ``kind``; returns its text."""
+        got, text, off = self.tokens[self.pos]
+        if got != kind:
+            raise ParseError(f"unexpected {text!r}", off, (kind,))
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2], (kind,))
-        return self.take()
+        return text
 
     def nested(self, parse_inner, offset: int) -> Formula:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
-                             offset)
+            raise ParseError(_TOO_DEEP, offset)
         f = parse_inner()
         self.depth -= 1
         return f
@@ -253,33 +265,54 @@ class _Parser:
         return name
 
     def form(self) -> Formula:
-        if self.pred and self.peek()[0] in ("exists", "forall"):
+        """An implication chain of disjunctions of conjunctions of layers
+        in one loop: ``f`` is the conjunction being read, ``done`` the
+        disjunction, ``parts`` and ``ops`` the chain, which folds to the
+        right; a chain mixing two operator spellings is refused."""
+        tokens = self.tokens
+        if self.pred and tokens[self.pos][0] in ("exists", "forall"):
             return self.quantifier()
-        # Collect the whole implication chain, then fold right-associatively.
-        # A chain mixing two operator spellings is rejected outright.
-        parts = [self.disj()]
-        ops = []
-        while self.peek()[0] in _IMP_OPS:
-            ops.append(self.take())
-            parts.append(self.disj())
+        parts, ops, done, f = [], [], None, None
+        while True:
+            g = self.unit()
+            kind = tokens[self.pos][0]
+            if kind == "|>":
+                self.pos += 1
+                g = LayerConj(g, self.unit())
+                kind, _, off = tokens[self.pos]
+                if kind == "|>":
+                    raise ParseError("chained non-associative operator '|>'",
+                                     off)
+            f = g if f is None else And(f, g)
+            if kind == "&":
+                self.pos += 1
+                continue
+            done, f = f if done is None else Or(done, f), None
+            if kind == "|":
+                self.pos += 1
+                continue
+            parts.append(done)
+            if kind not in _IMP_OPS:
+                break
+            ops.append(tokens[self.pos])
+            self.pos += 1
+            done = None
         if not ops:
-            return parts[0]
+            return done
         if len({kind for kind, _, _ in ops}) > 1:
-            raise ParseError(
-                "mixing different implication operators requires parentheses",
-                ops[1][2],
-            )
-        cls = _IMP_CLASS[ops[0][0]]
-        f = parts[-1]
-        for g in reversed(parts[:-1]):
-            f = cls(g, f)
+            raise ParseError("mixing different implication operators "
+                             "requires parentheses", ops[1][2])
+        f = parts.pop()
+        for g in reversed(parts):
+            f = _IMP_CLASS[ops[0][0]](g, f)
         return f
 
     def quantifier(self) -> Formula:
         # The binder scopes as far right as possible; a name already bound
         # in an enclosing scope is renamed apart.
-        kind, _, off = self.take()
-        var = self.expect("ident")[1]
+        kind, _, off = self.tokens[self.pos]
+        self.pos += 1
+        var = self.expect("ident")
         self.expect(".")
         real = var
         if any(surface == var for surface, _ in self.scope):
@@ -294,63 +327,39 @@ class _Parser:
         self.scope.pop()
         return (Exists if kind == "exists" else Forall)(real, body)
 
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek()[0] == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.layer()
-        while self.peek()[0] == "&":
-            self.take()
-            f = And(f, self.layer())
-        return f
-
-    def layer(self) -> Formula:
-        f = self.unit()
-        if self.peek()[0] == "|>":
-            self.take()
-            f = LayerConj(f, self.unit())
-            if self.peek()[0] == "|>":
-                raise ParseError(
-                    "chained non-associative operator '|>'", self.peek()[2]
-                )
-        return f
-
     def unit(self) -> Formula:
-        kind, text, off = self.peek()
+        kind, text, off = self.tokens[self.pos]
+        self.pos += 1
         if kind == "ident":
-            self.take()
             if not self.pred:
                 return Atom(text)
-            if self.peek()[0] != "~>":
+            if self.tokens[self.pos][0] != "~>":
                 raise ParseError(f"bare name {text!r}: predicate formulas "
                                  "have no propositional atoms", off)
-            self.take()
-            target = self.expect("ident")[1]
-            return PointsTo(self.resolve(text), self.resolve(target))
+            self.pos += 1
+            return PointsTo(self.resolve(text),
+                            self.resolve(self.expect("ident")))
+        if kind == "(":  # the most common nesting, so inline
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP, off)
+            f = self.form()
+            self.depth -= 1
+            if self.tokens[self.pos][0] != ")":
+                self.expect(")")  # raises
+            self.pos += 1
+            return f
         if kind == "Contains":
-            self.take()
             self.expect("(")
-            name = self.expect("ident")[1]
+            name = self.expect("ident")
             self.expect(")")
             return Contains(self.resolve(name))
         if kind == "top":
-            self.take()
             return TOP
         if kind == "bot":
-            self.take()
             return BOT
         if kind == "~":
-            self.take()
             return Imp(self.nested(self.unit, off), BOT)
-        if kind == "(":
-            self.take()
-            f = self.nested(self.form, off)
-            self.expect(")")
-            return f
         raise ParseError(f"unexpected {text or 'end of input'!r}", off,
                          _UNIT_EXPECTED)
 
@@ -358,12 +367,12 @@ class _Parser:
 def _parse(text: str, pred: bool) -> Formula:
     parser = _Parser(_tokenize(text, pred), pred)
     f = parser.form()
-    kind, tok, off = parser.peek()
+    kind, tok, off = parser.tokens[parser.pos]
     if kind != "end":
         raise ParseError(f"trailing input {tok!r}", off, ("end of input",))
     # A tree is no higher than its number of tokens.
     if len(parser.tokens) > MAX_DEPTH and _height(f) > MAX_DEPTH:
-        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
+        raise ParseError(_TOO_DEEP, 0)
     return f
 
 

@@ -14,8 +14,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .formula import Formula, InputError
 from .relational import (MAX_FRAME_WORLDS, Evaluator, IntLayeredFrame, bits,
-                         closure_pairs, persistence_failures, upset_masks,
-                         valuation_from_dict)
+                         closure_rows, persistence_failures, upset_masks,
+                         valuation_from_dict, world_ids)
 
 Edge = Tuple[str, str]
 
@@ -63,7 +63,7 @@ class GraphMasks:
         self._ebit = {e: 1 << i for i, e in enumerate(self.edges)}
         # Per edge: the bits of its tail and head vertices.
         self.ends = [(self._vbit[u], self._vbit[v]) for u, v in self.edges]
-        self.eset = sum(self._ebit[e] for e in eset)
+        self.eset = sum(map(self._ebit.__getitem__, eset))
         self._sums: Dict[int, Tuple[int, int]] = {}
 
     def sums(self, vm: int) -> Tuple[int, int]:
@@ -85,8 +85,8 @@ class GraphMasks:
         return out & inn
 
     def part(self, sg: Subgraph) -> Part:
-        return (sum(self._vbit[v] for v in sg.vertices),
-                sum(self._ebit[e] for e in sg.edges))
+        return (sum(map(self._vbit.__getitem__, sg.vertices)),
+                sum(map(self._ebit.__getitem__, sg.edges)))
 
     def subgraph(self, part: Part) -> Subgraph:
         return Subgraph(frozenset(self.vertices[v] for v in bits(part[0])),
@@ -128,7 +128,8 @@ class GraphMasks:
                     up[v] |= up[w]
         return [((left, em & self.inner(left)),
                  (vm ^ left, em & self.inner(vm ^ left)))
-                for left in upset_masks(up.values())
+                # the empty up-set and the whole split off an empty part
+                for left in upset_masks(up.values())[1:-1]
                 if self.sums(left)[0] & self.sums(vm ^ left)[1] & self.eset]
 
 
@@ -140,11 +141,15 @@ class OrderedScaffold:
     order: FrozenSet[Tuple[int, int]]  # full preorder on X indices
 
     def __post_init__(self):
-        self.masks = GraphMasks(self.graph, self.eset)
+        self.masks = masks = GraphMasks(self.graph, self.eset)
         n = len(self.subgraphs)
-        self.order = frozenset(
-            closure_pairs(self.order, range(n)))
-        self.parts = [self.masks.part(sg) for sg in self.subgraphs]
+        # The preorder as bit rows: up[i] holds the members at or above i.
+        self.order = frozenset(self.order)
+        self.up = closure_rows(self.order, range(n))
+        if len(self.order) < sum(map(int.bit_count, self.up)):  # not closed
+            self.order = frozenset((i, j) for i in range(n)
+                                   for j in bits(self.up[i]))
+        self.parts = [masks.part(sg) for sg in self.subgraphs]
         index = {part: i for i, part in enumerate(self.parts)}
         if len(index) < n:  # X is a set: a copy would be a second world
             j = next(j for j, part in enumerate(self.parts)
@@ -153,18 +158,28 @@ class OrderedScaffold:
                              "the same subgraph")
         # Composition table over X: comp[(i, j)] = index of X[i] @ X[j]
         # when that lies in X; the (h, k, h @ k) leaving X are kept apart.
+        # X[i] @ X[j] needs an eset edge from X[i] into X[j], which are
+        # disjoint, so only a member holding the tail of one but not its
+        # head and a member holding its head but not its tail compose.
         self._comp: Dict[Tuple[int, int], int] = {}
         self._escapes: Set[Tuple[Part, Part, Part]] = set()
-        for i, h in enumerate(self.parts):
-            for j, k in enumerate(self.parts):
-                out = self.masks.compose(h, k)
-                if out in index:
-                    self._comp[(i, j)] = index[out]
-                elif out is not None:
-                    self._escapes.add((h, k, out))
+        joined = set()
+        for e in bits(masks.eset):
+            tail, head = masks.ends[e]
+            tails = [i for i, (vm, _) in enumerate(self.parts)
+                     if vm & (tail | head) == tail]
+            joined.update((i, j) for j, (vm, _) in enumerate(self.parts)
+                          if vm & (tail | head) == head for i in tails)
+        for i, j in joined:
+            h, k = self.parts[i], self.parts[j]
+            out = masks.compose(h, k)
+            if out in index:
+                self._comp[(i, j)] = index[out]
+            elif out is not None:
+                self._escapes.add((h, k, out))
 
     def leq(self, i: int, j: int) -> bool:
-        return (i, j) in self.order
+        return self.up[i] >> j & 1 == 1
 
 
 @dataclass
@@ -187,6 +202,8 @@ def check_admissible(scaffold: OrderedScaffold) -> List[dict]:
     found = set(scaffold._escapes)
     for member in in_x:
         found.update((h, k, member) for h, k in masks.decompositions(member))
+    if not found:
+        return []
 
     def describe(part: Part) -> dict:
         return subgraph_to_dict(masks.subgraph(part))
@@ -224,7 +241,8 @@ def scaffold_to_frame(scaffold: OrderedScaffold) -> IntLayeredFrame:
 
 def model_evaluator(model: LayeredGraphModel) -> Evaluator:
     """One evaluator for every satisfaction query on ``model``."""
-    return Evaluator(scaffold_to_frame(model.scaffold), model.valuation)
+    return Evaluator(scaffold_to_frame(model.scaffold), model.valuation,
+                     up=model.scaffold.up)
 
 
 def satisfies(model: LayeredGraphModel, world: int, f: Formula) -> bool:
@@ -277,7 +295,8 @@ def model_from_dict(data: dict) -> LayeredGraphModel:
                  for sg in data["X"]]
     scaffold = OrderedScaffold(
         graph, frozenset(edge(e) for e in data["eset"]), subgraphs,
-        frozenset((int(i), int(j)) for i, j in data.get("order", [])))
+        frozenset((i, j) for i, j in (world_ids(pair, f"order pair {pair!r}")
+                                      for pair in data.get("order", []))))
     return LayeredGraphModel(scaffold,
                              valuation_from_dict(data, len(subgraphs)))
 

@@ -204,8 +204,11 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
     singles = [Subgraph(frozenset([v]), frozenset(), graph)
                for v in sorted(place_vertices)]
     masks = GraphMasks(graph, eset)
+    # X is a set: a link-graph world equal to a place single is listed once.
+    taken = {masks.part(sg) for sg in singles}
     pool = [masks.part(Subgraph(frozenset(vs), frozenset(es), graph))
             for vs, es in link_worlds]
+    pool = [part for part in pool if part not in taken]
     grown = True
     while grown:
         grown = False

@@ -36,19 +36,27 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def closure_rows(pairs, domain) -> List[int]:
+    """Reflexive-transitive closure of ``pairs`` over ``domain``: each
+    element's successors, as a mask of positions in ``domain``."""
+    at = {d: k for k, d in enumerate(domain)}
+    up = [1 << k for k in range(len(at))]
+    for a, b in pairs:
+        if a not in at or b not in at:
+            raise ValueError(f"order pair ({a},{b}) outside the domain")
+        up[at[a]] |= 1 << at[b]
+    for w in range(len(up)):  # Warshall on bit rows
+        row, bit = up[w], 1 << w
+        if row != bit:  # a row of w alone adds nothing
+            up = [r | row if r & bit else r for r in up]
+    return up
+
+
 def closure_pairs(pairs, domain) -> Set[Tuple]:
     """Reflexive-transitive closure of ``pairs`` over ``domain``."""
-    bit = {d: 1 << k for k, d in enumerate(domain)}
-    up = dict(bit)  # each element's successors, as a bitmask
-    for a, b in pairs:
-        if a not in bit or b not in bit:
-            raise ValueError(f"order pair ({a},{b}) outside the domain")
-        up[a] |= bit[b]
-    for w, w_bit in bit.items():  # Warshall on bit rows
-        for v in up:
-            if up[v] & w_bit:
-                up[v] |= up[w]
-    return {(a, b) for a in up for b, b_bit in bit.items() if up[a] & b_bit}
+    domain = list(domain)
+    return {(a, b) for a, row in zip(domain, closure_rows(pairs, domain))
+            for k, b in enumerate(domain) if row >> k & 1}
 
 
 def principal_upsets(n: int, order) -> List[int]:
@@ -142,7 +150,7 @@ def persistence_failures(valuation: Dict[str, FrozenSet[int]], n: int,
     for p, ws in sorted(valuation.items()):
         for i in ws:
             for j in range(n):
-                if leq(i, j) and j not in ws:
+                if j not in ws and leq(i, j):
                     bad.append((p, i, j))
     return bad
 
@@ -161,9 +169,9 @@ class Evaluator:
 
     def __init__(self, frame: IntLayeredFrame,
                  valuation: Dict[str, FrozenSet[int]],
-                 places=(), succ=(), upsets=()):
+                 places=(), succ=(), upsets=(), up=None):
         self.n = frame.worlds
-        self.up = principal_upsets(self.n, frame.order)
+        self.up = up or principal_upsets(self.n, frame.order)
         self.rel = frame.rel
         self.valuation = valuation
         self.places, self.succ, self.upsets = places, succ, upsets
@@ -576,18 +584,25 @@ def frame_from_dict(data: dict) -> RelationalModel:
     if n > MAX_FRAME_WORLDS:
         raise InputError(f"{n} worlds exceed the frame bound "
                          f"{MAX_FRAME_WORLDS}")
-    order = closure_pairs([(int(i), int(j)) for i, j in data.get("order", [])],
-                          range(n))
-    frame = IntLayeredFrame(
-        n, frozenset(order),
-        frozenset((int(y), int(z), int(x))
-                  for y, z, x in data.get("rel", [])))
+    order = closure_pairs([world_ids(pair, f"order pair {pair!r}")
+                           for pair in data.get("order", [])], range(n))
+    frame = IntLayeredFrame(n, frozenset(order), frozenset(
+        (y, z, x) for y, z, x in (world_ids(t, f"relation triple {t!r}")
+                                  for t in data.get("rel", []))))
     return RelationalModel(frame, valuation_from_dict(data, n))
+
+
+def world_ids(ids, what: str) -> list:
+    """``ids``, which must be a list of integers, booleans excluded."""
+    for i in ids if type(ids) is list else [ids]:
+        if type(i) is not int:
+            raise InputError(f"{what} holds {i!r}, not a world id")
+    return ids
 
 
 def valuation_from_dict(data: dict, n: int) -> Dict[str, FrozenSet[int]]:
     """The file's valuation: each atom's worlds, all among 0..n-1."""
-    valuation = {p: frozenset(int(i) for i in ws)
+    valuation = {p: frozenset(world_ids(ws, f"valuation of {p!r}"))
                  for p, ws in data.get("valuation", {}).items()}
     for p, ws in valuation.items():
         for i in ws:

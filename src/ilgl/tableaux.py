@@ -28,7 +28,7 @@ SignedFormula = Tuple[bool, Formula, Label]  # sign True = asserted
 Constraint = Tuple[Label, Label]
 
 # Where a rule's conclusion sits: the slice of its witness w that is all
-# of w, its first letter, or its second letter.
+# of w, its first letter, or its second letter (told apart by identity).
 W, FIRST, SECOND = slice(None), slice(0, 1), slice(1, 2)
 
 
@@ -66,11 +66,6 @@ class ConstraintSet:
         for c in constraints:
             self.add(c)
 
-    @property
-    def closure(self) -> Set[Constraint]:
-        return {(x, self.labels[j]) for x, i in self.domain.items()
-                for j in bits(self.up[i])}
-
     def add(self, constraint: Constraint) -> List[Label]:
         """Add a constraint; returns the labels it added to the domain.
         Each label at or below ``a`` gains those at or above ``b``."""
@@ -102,9 +97,9 @@ class ConstraintSet:
 
     def lift(self, mask: int, place: slice) -> int:
         """The witnesses whose label at ``place`` lies in ``mask``."""
-        if place == W:
+        if place is W:
             return mask
-        rows = self.firsts if place == FIRST else self.seconds
+        rows = self.firsts if place is FIRST else self.seconds
         out = 0
         for i in bits(mask):
             out |= rows[i]
@@ -266,7 +261,7 @@ class Rule:
         """The labels an instance at witness ``w`` is traced with."""
         if not self.ranged:
             return ()
-        return (w,) if self.over[1] == W else (w[self.over[1]], w)
+        return (w,) if self.over[1] is W else (w[self.over[1]], w)
 
 
 RULES: Dict[Tuple[type, bool], Rule] = {
@@ -318,7 +313,8 @@ def _met(css: CSS, rule: Rule, f: Formula) -> int:
     for child in rule.children:
         mask = -1
         for sign, operand, place in child:
-            mask &= lift(at.get((sign, getattr(f, operand)), 0), place)
+            got = at.get((sign, getattr(f, operand)), 0)
+            mask &= got if place is W else lift(got, place)
         out |= mask
     return out
 
@@ -469,11 +465,7 @@ def check_hintikka(css: CSS) -> List[dict]:
     """The fifteen saturation conditions: 1-3 are closure, 4-15 are the
     rule table's.  A premise off the label domain fails its condition."""
     fails = []
-    cset = css.cset
-    denied: Dict[Formula, List[Label]] = {}
-    for sign, f, x in css.formulas:
-        if not sign:
-            denied.setdefault(f, []).append(x)
+    cset, at = css.cset, css.at
 
     def fail(cond: int, slf: SignedFormula, **extra) -> None:
         fails.append({"condition": cond, "formula": _format_slf(slf),
@@ -481,26 +473,26 @@ def check_hintikka(css: CSS) -> List[dict]:
 
     for slf in css.formulas:
         sign, f, x = slf
+        i = cset.domain.get(x)
         if sign and isinstance(f, Bot):
             fail(3, slf)
         if not sign and isinstance(f, Top):
             fail(2, slf)
-        if sign:
-            for y in denied.get(f, ()):
+        if sign and i is not None and at.get((False, f), 0) & cset.up[i]:
+            for y in [y for s, g, y in css.formulas if not s and g is f]:
                 if cset.holds(x, y):
                     fail(1, slf, other=_format_slf((False, f, y)))
         rule = RULES.get((type(f), sign))
         if rule is None:
             continue
-        i = cset.domain.get(x)
         if i is None:
             fail(rule.condition, slf)
         elif rule.fresh:
             if not cset.witnesses(rule.over, i) & _met(css, rule, f):
                 fail(rule.condition, slf)
         elif rule.ranged:
-            for w in bits(cset.witnesses(rule.over, i)
-                          & ~_met(css, rule, f)):
+            todo = cset.witnesses(rule.over, i)
+            for w in bits(todo and todo & ~_met(css, rule, f)):
                 fail(rule.condition, slf, label=label_str(cset.labels[w]))
         elif not _met(css, rule, f) >> i & 1:
             fail(rule.condition, slf)
@@ -511,26 +503,27 @@ def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
     """Turn a Hintikka branch into a layered graph countermodel.
 
     Atomic labels become single vertices, two-letter labels the two-vertex
-    layered graphs over them; the order is the constraint closure and each
-    atom holds wherever some T-occurrence sits at or below the world.
+    layered graphs over them; the order is the constraint closure, read
+    off its bit rows, and each atom holds wherever some T-occurrence sits
+    at or below the world.
     """
     fails = check_hintikka(css)
     if fails:
         raise ValueError(f"not a Hintikka branch: {fails[:3]}")
     cset = css.cset
-    vertices = frozenset(f"c{i}" for lab in cset.domain for i in lab)
-    eset = frozenset((f"c{x[0]}", f"c{x[1]}") for x in cset.domain
-                     if len(x) == 2)
-    graph = DirectedGraph(vertices, eset)
-    labels = sorted(cset.domain, key=lambda x: (len(x), x))
+    labels = sorted(sorted(cset.domain), key=len)
     label_map = {lab: idx for idx, lab in enumerate(labels)}
-    subgraphs = []
-    for lab in labels:
-        names = [f"c{i}" for i in lab]
-        subgraphs.append(Subgraph(frozenset(names),
-                                  frozenset(zip(names, names[1:])), graph))
-    order = frozenset((label_map[a], label_map[b])
-                      for (a, b) in cset.closure)
+    name = {i: f"c{i}" for lab in labels for i in lab}
+    edges = [tuple(map(name.get, lab)) for lab in labels if len(lab) == 2]
+    eset = frozenset(edges)
+    graph = DirectedGraph(frozenset(name.values()), eset)
+    subgraphs = [Subgraph(frozenset({name[lab[0]]}), frozenset(), graph)
+                 for lab in labels if len(lab) == 1]
+    subgraphs += [Subgraph(frozenset(e), frozenset({e}), graph)
+                  for e in edges]
+    world = [label_map[lab] for lab in cset.labels]  # by bit
+    order = frozenset((world[i], world[j]) for i, row in enumerate(cset.up)
+                      for j in bits(row))
     scaffold = OrderedScaffold(graph, eset, subgraphs, order)
     valuation = {f.name: frozenset(label_map[x] for x in labels
                                    if cset.down[cset.domain[x]] & mask)

@@ -11,7 +11,8 @@ and ``GraphMasks.decompositions`` against it.
 ``reaches`` and ``compose`` are the edge test and the layering
 composition on ``Subgraph`` objects, and ``composition_index`` reads a
 scaffold's composition table: the tests state facts about graphs and
-models through them.
+models through them.  ``composition_table`` rebuilds that table from
+``compose`` over every X×X pair.
 """
 
 from typing import FrozenSet, Optional
@@ -45,6 +46,23 @@ def composition_index(scaffold: OrderedScaffold, i: int,
                       j: int) -> Optional[int]:
     """Index of X[i] @ X[j]; None when undefined or outside X."""
     return scaffold._comp.get((i, j))
+
+
+def composition_table(scaffold: OrderedScaffold) -> tuple:
+    """(comp, escapes) as ``OrderedScaffold`` keeps them, from every pair
+    of members: comp[(i, j)] is the index of X[i] @ X[j] when that lies
+    in X, and escapes holds the (h, k, h @ k) parts that leave X."""
+    masks = scaffold.masks
+    index = {sg: i for i, sg in enumerate(scaffold.subgraphs)}
+    comp, escapes = {}, set()
+    for i, h in enumerate(scaffold.subgraphs):
+        for j, k in enumerate(scaffold.subgraphs):
+            out = compose(h, k, scaffold.eset)
+            if out in index:
+                comp[i, j] = index[out]
+            elif out is not None:
+                escapes.add((masks.part(h), masks.part(k), masks.part(out)))
+    return comp, escapes
 
 
 def all_decompositions(member: Subgraph, eset):

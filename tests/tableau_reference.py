@@ -12,6 +12,8 @@ hold extracted countermodels against it.
 ``prove_by_pairs`` queues every rule instance of an admitted branch as its
 own entry and skips the entries of branches already expanded; the tests
 hold ``tableaux.prove``, which queues each open branch once, against it.
+``closure`` reads a constraint set's closure off its bit rows as label
+pairs.
 """
 
 import time
@@ -23,8 +25,16 @@ from ilgl import graph as graphmod
 from ilgl import tableaux
 from ilgl.formula import Formula
 from ilgl.graph import LayeredGraphModel
-from ilgl.tableaux import (CSS, Label, Limits, Proved, RuleInstance,
-                           UnknownResult, _format_slf, label_str)
+from ilgl.relational import bits
+from ilgl.tableaux import (CSS, ConstraintSet, Label, Limits, Proved,
+                           RuleInstance, UnknownResult, _format_slf,
+                           label_str)
+
+
+def closure(cset: ConstraintSet) -> set:
+    """Every (a, b) with a <= b in the closure of ``cset``."""
+    return {(x, cset.labels[j]) for x, i in cset.domain.items()
+            for j in bits(cset.up[i])}
 
 
 def css_check(css: CSS) -> List[dict]:
@@ -68,7 +78,7 @@ def realize_check(css: CSS, model: LayeredGraphModel,
             if m is None or m != assignment[x]:
                 problems.append({"clause": "composition",
                                  "label": label_str(x)})
-    for (a, b) in sorted(css.cset.closure):
+    for (a, b) in sorted(closure(css.cset)):
         if a in assignment and b in assignment:
             if not sc.leq(assignment[a], assignment[b]):
                 problems.append({"clause": "order",

@@ -267,3 +267,240 @@ class TestTokenize:
     def test_matches_probing_tokenizer(self, text, pred):
         assert _tokens_or_error(_tokenize, text, pred) \
             == _tokens_or_error(tokenize_by_probes, text, pred)
+
+
+# Malformed inputs with the message, offset and expected set that each
+# ParseError carried before the tokenizer and parser were rewritten for
+# speed: (text, predicate mode, str(error), offset, expected).
+UNIT = ("identifier", "top", "bot", "~", "(")
+PINNED_ERRORS = [
+    ('(p & q', False,
+     "unexpected '' at offset 6 (expected ))",
+     6, (')',)),
+    ('p & q)', False,
+     "trailing input ')' at offset 5 (expected end of input)",
+     5, ('end of input',)),
+    ('((p)', False,
+     "unexpected '' at offset 4 (expected ))",
+     4, (')',)),
+    (')', False,
+     "unexpected ')' at offset 0 (expected identifier, top, bot, ~, ()",
+     0, UNIT),
+    ('(', False,
+     "unexpected 'end of input'"
+     ' at offset 1 (expected identifier, top, bot, ~, ()',
+     1, UNIT),
+    ('p -> q -|> r', False,
+     'mixing different implication operators requires parentheses at offset 7',
+     7, ()),
+    ('p <|- q -> r', False,
+     'mixing different implication operators requires parentheses at offset 8',
+     8, ()),
+    ('(p -|> q) -> r <|- s', False,
+     'mixing different implication operators requires parentheses'
+     ' at offset 15',
+     15, ()),
+    ('p |> q |> r', False,
+     "chained non-associative operator '|>' at offset 7",
+     7, ()),
+    ('(p |> q) |> r |> s', False,
+     "chained non-associative operator '|>' at offset 14",
+     14, ()),
+    ('p |> q & r |> s |> t', False,
+     "chained non-associative operator '|>' at offset 16",
+     16, ()),
+    ('P', False,
+     "bad identifier 'P' at offset 0 (expected identifier)",
+     0, ('identifier',)),
+    ('Pq -> r', False,
+     "bad identifier 'Pq' at offset 0 (expected identifier)",
+     0, ('identifier',)),
+    ('1p', False,
+     "unexpected character '1' at offset 0",
+     0, ()),
+    ('p -> 2', False,
+     "unexpected character '2' at offset 5",
+     5, ()),
+    ('é', False,
+     "bad identifier 'é' at offset 0 (expected identifier)",
+     0, ('identifier',)),
+    ('pé & q', False,
+     "bad identifier 'pé' at offset 0 (expected identifier)",
+     0, ('identifier',)),
+    ('p q', False,
+     "trailing input 'q' at offset 2 (expected end of input)",
+     2, ('end of input',)),
+    ('p & q r', False,
+     "trailing input 'r' at offset 6 (expected end of input)",
+     6, ('end of input',)),
+    ("~" * 101 + "p", False,
+     'formula nested deeper than 100 levels at offset 100',
+     100, ()),
+    ("(" * 101 + "p" + ")" * 101, False,
+     'formula nested deeper than 100 levels at offset 100',
+     100, ()),
+    ("p -> " * 100 + "p", False,
+     'formula nested deeper than 100 levels at offset 0',
+     0, ()),
+    ('', False,
+     "unexpected 'end of input'"
+     ' at offset 0 (expected identifier, top, bot, ~, ()',
+     0, UNIT),
+    ('   ', False,
+     "unexpected 'end of input'"
+     ' at offset 3 (expected identifier, top, bot, ~, ()',
+     3, UNIT),
+    ('p &', False,
+     "unexpected 'end of input'"
+     ' at offset 3 (expected identifier, top, bot, ~, ()',
+     3, UNIT),
+    ('p & & q', False,
+     "unexpected '&' at offset 4 (expected identifier, top, bot, ~, ()",
+     4, UNIT),
+    ('-> p', False,
+     "unexpected '->' at offset 0 (expected identifier, top, bot, ~, ()",
+     0, UNIT),
+    ('p -> -> q', False,
+     "unexpected '->' at offset 5 (expected identifier, top, bot, ~, ()",
+     5, UNIT),
+    ('p ->', False,
+     "unexpected 'end of input'"
+     ' at offset 4 (expected identifier, top, bot, ~, ()',
+     4, UNIT),
+    ('p $ q', False,
+     "unexpected character '$' at offset 2",
+     2, ()),
+    ('_p', False,
+     "unexpected character '_' at offset 0",
+     0, ()),
+    ('p_ & 9', False,
+     "unexpected character '9' at offset 5",
+     5, ()),
+    ('top bot', False,
+     "trailing input 'bot' at offset 4 (expected end of input)",
+     4, ('end of input',)),
+    ('p -| q', False,
+     "unexpected character '-' at offset 2",
+     2, ()),
+    ('p <| q', False,
+     "unexpected character '<' at offset 2",
+     2, ()),
+    ('p\t&\n(q', False,
+     "unexpected '' at offset 6 (expected ))",
+     6, (')',)),
+    ('exists s. Contains(s)', False,
+     "unexpected character '.' at offset 8",
+     8, ()),
+    ('p ~> q', False,
+     "unexpected character '>' at offset 3",
+     3, ()),
+    ('p . q', False,
+     "unexpected character '.' at offset 2",
+     2, ()),
+    ('p ∧ q', False,
+     "unexpected character '∧' at offset 2",
+     2, ()),
+    ('~', False,
+     "unexpected 'end of input'"
+     ' at offset 1 (expected identifier, top, bot, ~, ()',
+     1, UNIT),
+    ('()', False,
+     "unexpected ')' at offset 1 (expected identifier, top, bot, ~, ()",
+     1, UNIT),
+    ('p | | q', False,
+     "unexpected '|' at offset 4 (expected identifier, top, bot, ~, ()",
+     4, UNIT),
+    ('p -> q -> r -|> s', False,
+     'mixing different implication operators requires parentheses at offset 7',
+     7, ()),
+    ('p -|> q -|> r <|- s -|> t', False,
+     'mixing different implication operators requires parentheses at offset 8',
+     8, ()),
+    ('~(p |> q |> r)', False,
+     "chained non-associative operator '|>' at offset 9",
+     9, ()),
+    ('p |> (q |>', False,
+     "unexpected 'end of input'"
+     ' at offset 10 (expected identifier, top, bot, ~, ()',
+     10, UNIT),
+    ('p\xa0&& q', False,
+     "unexpected '&' at offset 3 (expected identifier, top, bot, ~, ()",
+     3, UNIT),
+    ('exists s Contains(s)', True,
+     "unexpected 'Contains' at offset 9 (expected .)",
+     9, ('.',)),
+    ('Contains(s', True,
+     "unexpected '' at offset 10 (expected ))",
+     10, (')',)),
+    ('p', True,
+     "bare name 'p': predicate formulas have no propositional atoms"
+     ' at offset 0',
+     0, ()),
+    ('exists s. p', True,
+     "bare name 'p': predicate formulas have no propositional atoms"
+     ' at offset 10',
+     10, ()),
+    ('s ~>', True,
+     "unexpected '' at offset 4 (expected ident)",
+     4, ('ident',)),
+    ('forall . Contains(s)', True,
+     "unexpected '.' at offset 7 (expected ident)",
+     7, ('ident',)),
+    ('Contains s', True,
+     "unexpected 's' at offset 9 (expected ()",
+     9, ('(',)),
+    ('Contains(s) |> Contains(s) |> Contains(s)', True,
+     "chained non-associative operator '|>' at offset 27",
+     27, ()),
+    ('exists', True,
+     "unexpected '' at offset 6 (expected ident)",
+     6, ('ident',)),
+    ('s ~> t ~> u', True,
+     "trailing input '~>' at offset 7 (expected end of input)",
+     7, ('end of input',)),
+    ("exists s. " * 101 + "Contains(s)", True,
+     'formula nested deeper than 100 levels at offset 1000',
+     1000, ()),
+    ('Contains(S)', True,
+     "bad identifier 'S' at offset 9 (expected identifier)",
+     9, ('identifier',)),
+    ('contains(s)', True,
+     "bare name 'contains': predicate formulas have no propositional atoms"
+     ' at offset 0',
+     0, ()),
+    ('exists 1s. Contains(s)', True,
+     "unexpected character '1' at offset 7",
+     7, ()),
+    ('top ~> s', True,
+     "trailing input '~>' at offset 4 (expected end of input)",
+     4, ('end of input',)),
+    ('exists s. Contains(s) -> forall t. t ~> s -|> Contains(t)', True,
+     "unexpected 'forall' at offset 25 (expected identifier, top, bot, ~, ()",
+     25, UNIT),
+    ('forall s. (Contains(s)', True,
+     "unexpected '' at offset 22 (expected ))",
+     22, (')',)),
+    ('Contains()', True,
+     "unexpected ')' at offset 9 (expected ident)",
+     9, ('ident',)),
+    ('s ~> top', True,
+     "unexpected 'top' at offset 5 (expected ident)",
+     5, ('ident',)),
+]
+
+
+class TestPinnedErrors:
+    @pytest.mark.parametrize("text, pred, message, offset, expected",
+                             PINNED_ERRORS)
+    def test_error_unchanged(self, text, pred, message, offset, expected):
+        with pytest.raises(ParseError) as err:
+            (parse_pred if pred else parse)(text)
+        assert (str(err.value), err.value.offset, err.value.expected) \
+            == (message, offset, expected)
+
+    def test_sweep_round_trips_to_the_same_node(self):
+        for depth in (4, 5):
+            rng = random.Random(20240)
+            for _ in range(500):
+                f = random_formula(rng, depth)
+                assert parse(render(f)) is f

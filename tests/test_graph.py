@@ -166,6 +166,49 @@ def same_violations(scaffold) -> bool:
     return sorted(map(repr, new)) == sorted(map(repr, old))
 
 
+class TestCompositionTable:
+    """The table composes only pairs joined by an eset edge, and equals
+    the all-pairs table of ``tests/graph_reference.py``."""
+
+    @staticmethod
+    def same_table(sc) -> bool:
+        return (sc._comp, sc._escapes) == graph_reference.composition_table(
+            sc)
+
+    def test_gen_scaffolds_with_members_removed(self):
+        rng = random.Random(12)
+        composed = escaping = 0
+        for _ in range(300):
+            sc = None
+            while sc is None:
+                sc = _try_scaffold(rng)
+            xs = list(sc.subgraphs)
+            for i in sorted(rng.sample(range(len(xs)),
+                                       min(len(xs), rng.randrange(4))),
+                            reverse=True):
+                del xs[i]
+            cut = OrderedScaffold(sc.graph, sc.eset, xs, frozenset())
+            assert self.same_table(sc) and self.same_table(cut)
+            composed += bool(cut._comp)
+            escaping += bool(cut._escapes)
+        assert composed >= 80 and escaping >= 25
+
+    def test_graph_models(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            assert self.same_table(random_graph_model(rng).scaffold)
+
+    @pytest.mark.parametrize("members", [
+        [(0, 13)], [(0, 5), (6, 13)], [(0, 0), (1, 1), (0, 1), (2, 13)],
+        [(0, 13), (0, 5), (5, 13), (6, 13), (5, 5)]])
+    def test_chains(self, members):
+        for eset_too in (True, False):
+            assert self.same_table(chain_scaffold(14, members, eset_too))
+
+    def test_bigraph_fixture(self):
+        assert self.same_table(_bigraph_fixture().model.scaffold)
+
+
 class TestAdmissibleAgainstReference:
     """The X×X compositions plus up-set decompositions report the same
     violations as the pool-wide scan of ``tests/graph_reference.py``."""

@@ -107,6 +107,43 @@ def test_valuation_world_out_of_range_exit_two(capsys, tmp_path, content,
         assert "Traceback" not in err, argv
 
 
+# A world id is a JSON integer: a string, a float or a boolean is refused,
+# not read as its characters, truncated or taken for 0 or 1.
+MODEL_ID_ARGVS = MODEL_ARGVS + [("check", "{}", "p", "--world", "1")]
+
+
+@pytest.mark.parametrize("content, argvs, named", [
+    (json.dumps({**MODEL, "valuation": {"p": "12"}}), MODEL_ID_ARGVS,
+     "valuation of 'p' holds '12', not a world id"),
+    (json.dumps({**MODEL, "valuation": {"p": [0.7]}}), MODEL_ID_ARGVS,
+     "valuation of 'p' holds 0.7"),
+    (json.dumps({**MODEL, "valuation": {"p": [True]}}), MODEL_ID_ARGVS,
+     "valuation of 'p' holds True"),
+    (json.dumps({**MODEL, "order": [[0.9, 1]]}), MODEL_ARGVS,
+     "order pair [0.9, 1] holds 0.9"),
+    (json.dumps({**MODEL, "order": [[0, False]]}), MODEL_ARGVS,
+     "order pair [0, False] holds False"),
+    (FRAME_TEXT % '{"p": "1"}', FRAME_ARGVS, "valuation of 'p' holds '1'"),
+    (FRAME_TEXT % '{"p": [1.0]}', FRAME_ARGVS, "valuation of 'p' holds 1.0"),
+    ('{"worlds": 2, "order": [[0.9, 1]], "rel": []}', FRAME_ARGVS,
+     "order pair [0.9, 1] holds 0.9"),
+    ('{"worlds": 2, "order": [[0, true]], "rel": []}', FRAME_ARGVS,
+     "order pair [0, True] holds True"),
+    ('{"worlds": 2, "order": [], "rel": [[0, 1, 1.5]]}', FRAME_ARGVS,
+     "relation triple [0, 1, 1.5] holds 1.5"),
+], ids=["model-string", "model-float", "model-bool", "model-order-float",
+        "model-order-bool", "frame-string", "frame-float",
+        "frame-order-float", "frame-order-bool", "frame-rel-float"])
+def test_world_id_not_an_integer_exit_two(capsys, tmp_path, content, argvs,
+                                          named):
+    for argv in argvs:
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message and named in message, argv
+        assert "Traceback" not in err, argv
+
+
 @pytest.mark.parametrize("worlds", [10 ** 9, MAX_FRAME_WORLDS + 1])
 def test_frame_beyond_world_bound_exit_two(capsys, tmp_path, worlds):
     content = json.dumps({"worlds": worlds, "order": [], "rel": []})

@@ -226,6 +226,17 @@ class TestBigraphBuilder:
                      if m is not None]
         assert frame_rel == []
 
+    def test_link_world_equal_to_a_place_single_listed_once(self):
+        # The one-node link graph {a} is the place single {a}: one world.
+        rm = build_bigraph_scaffold(
+            [{"a": None}],
+            [LinkGraphSpec(nodes=["a"], inner=[], outer=[], hyperedges=[])],
+            [])
+        sc = rm.model.scaffold
+        assert [sorted(sg.vertices) for sg in sc.subgraphs] == [["a"]]
+        assert sc.order == frozenset({(0, 0)})
+        assert validate_model(rm.model) == []
+
     def test_name_collision_rejected(self):
         with pytest.raises(ValueError):
             build_bigraph_scaffold(

@@ -19,8 +19,9 @@ from ilgl.tableaux import (CSS, RULES, ConstraintSet, Limits, RuleInstance,
                            extract_model, initial_tableau, is_closed,
                            label_str, prove)
 
-from graph_reference import composition_index
-from tableau_reference import css_check, prove_by_pairs, realize_check
+from graph_reference import composition_index, composition_table
+from tableau_reference import (closure, css_check, prove_by_pairs,
+                               realize_check)
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
 
@@ -137,18 +138,18 @@ def sweep():
 
 class TestClosure:
     def test_transitivity(self):
-        closure = ConstraintSet([(c0, c1), (c1, c2)]).closure
-        assert (c0, c2) in closure
+        pairs = closure(ConstraintSet([(c0, c1), (c1, c2)]))
+        assert (c0, c2) in pairs
 
     def test_two_letter_fixpoint(self):
         # Hand fixpoint of the reflexivity rules plus transitivity over
         # the single constraint c0c1 <= c2.
-        closure = ConstraintSet([((0, 1), c2)]).closure
-        assert closure == {(c0, c0), (c1, c1), (c2, c2),
+        pairs = closure(ConstraintSet([((0, 1), c2)]))
+        assert pairs == {(c0, c0), (c1, c1), (c2, c2),
                            ((0, 1), (0, 1)), ((0, 1), c2)}
 
     def test_empty(self):
-        assert ConstraintSet([]).closure == set()
+        assert closure(ConstraintSet([])) == set()
 
     def test_idempotent(self):
         rng = random.Random(8)
@@ -157,8 +158,8 @@ class TestClosure:
             labels.append((4, 5))
             constraints = {(rng.choice(labels), rng.choice(labels))
                            for _ in range(4)}
-            once = ConstraintSet(constraints).closure
-            assert ConstraintSet(once).closure == once
+            once = closure(ConstraintSet(constraints))
+            assert closure(ConstraintSet(once)) == once
 
     def test_domain_preserved(self):
         cs = ConstraintSet([((0, 1), c2)])
@@ -176,7 +177,7 @@ class TestClosure:
             inc = ConstraintSet()
             for con in constraints:
                 inc.add(con)
-            assert inc.closure == ConstraintSet(constraints).closure
+            assert closure(inc) == closure(ConstraintSet(constraints))
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(LABELS, LABELS), max_size=12))
@@ -185,15 +186,15 @@ class TestClosure:
         for i, con in enumerate(constraints):
             before, _ = naive_closure(constraints[:i])
             added = cs.add(con)
-            domain, closure = naive_closure(constraints[:i + 1])
+            domain, fixpoint = naive_closure(constraints[:i + 1])
             assert added == sorted(domain - before)
-            assert cs.closure == closure
+            assert closure(cs) == fixpoint
             assert set(cs.domain) == domain
-        domain, closure = naive_closure(constraints)
+        domain, fixpoint = naive_closure(constraints)
         probe = sorted(domain | {(6,), (0, 6)})
         for x in probe:
             for y in probe:
-                assert cs.holds(x, y) == ((x, y) in closure)
+                assert cs.holds(x, y) == ((x, y) in fixpoint)
 
 
 class TestCssCheck:
@@ -794,6 +795,20 @@ class TestSoundnessSample:
             proved += 1
             for model in models:
                 assert graphmod.valid_in_model(model, f), render(f)
+
+
+def test_sweep_composition_tables_equal_all_pairs():
+    # Every countermodel's table, built from the pairs an eset edge joins,
+    # equals the one from composing every pair of members.
+    models = 0
+    for f in sweep():
+        result = prove(f)
+        if result.status == "countermodel":
+            sc = result.model.scaffold
+            assert (sc._comp, sc._escapes) == composition_table(sc), \
+                render(f)
+            models += 1
+    assert models == 875
 
 
 # Digests of the 1,000-formula sweep (a fresh random.Random(20240) per
