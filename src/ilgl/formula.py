@@ -461,18 +461,20 @@ def _height(f: Formula) -> int:
 
 
 def postfix(f: Formula) -> list:
-    """Every node occurrence of ``f``, operands before their connective."""
+    """Every node occurrence of ``f``, operands before their connective:
+    a walk that takes each node before its operands, right operand first,
+    reversed."""
     out = []
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, BINARY_NODES):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, QUANT_NODES):
-            walk(g.body)
+    stack = [f]
+    while stack:
+        g = stack.pop()
         out.append(g)
-
-    walk(f)
+        if isinstance(g, BINARY_NODES):
+            stack.append(g.left)
+            stack.append(g.right)
+        elif isinstance(g, QUANT_NODES):
+            stack.append(g.body)
+    out.reverse()
     return out
 
 

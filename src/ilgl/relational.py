@@ -462,7 +462,9 @@ def _preorder_chunks(n: int, cap: Optional[int]) -> Iterator[tuple]:
 class _StackedStep:
     """The algebras of one step, stacked for vectorized evaluation:
     ``entries`` in enumeration order, and per up-set count u a group of
-    entry ``indices`` with their int16 operation ``tables``, (A, u, u)."""
+    entry ``indices`` with their int16 operation ``tables``, (A, u, u).
+    The scan reads a table as one flat array, so each algebra's u * u
+    cells are contiguous and algebra i's start at offset i * u * u."""
 
     def __init__(self, chunks):
         import numpy as np
@@ -492,13 +494,15 @@ def _scan_stacked(nodes: list, names: list, step: _StackedStep
                   ) -> Optional[Counterexample]:
     """Evaluate the formula whose ``postfix`` is ``nodes`` over every
     (algebra, assignment) of a stacked step at once; returns the
-    counterexample earliest in enumeration order.  Axis 0 indexes the
-    group's algebras and axis m + 1 atom m's up-set, so broadcasting
-    evaluates each subformula over the atoms it mentions only.  Each
-    table lookup is one ``take`` from the group's flattened tables: int16
-    ids at int32 offsets.  Only the root's value is spread to (algebras,
-    u^k): assignment t gives atom m the up-set its m-th base-u digit
-    names, most significant first."""
+    counterexample earliest in enumeration order.  Axis m indexes atom
+    m's up-set and the last axis the group's algebras, so broadcasting
+    evaluates each subformula over the atoms it mentions only, and
+    numpy's inner loops run along the algebras.  Each table lookup is
+    one ``take`` from the group's flattened int16 tables, at offsets of
+    the narrowest type that holds the group's A * u * u cells: int16 up
+    to 32,767, int32 above.  Only the root's value is spread to (u^k,
+    algebras): assignment t gives atom m the up-set its m-th base-u
+    digit names, most significant first."""
     import numpy as np
     k = len(names)
     best = None  # (position, frame, ups, assignment index, value index)
@@ -506,21 +510,24 @@ def _scan_stacked(nodes: list, names: list, step: _StackedStep
         group = step.groups[u]
         flat = {name: t.reshape(-1) for name, t in group["tables"].items()}
         a_count = len(group["indices"])
-        base = np.arange(0, a_count * u * u, u * u, dtype=np.int32
-                         ).reshape((a_count,) + (1,) * k)
-        atom_vec = {name: np.arange(u, dtype=np.int16).reshape(
-                        (1,) * (m + 1) + (u,) + (1,) * (k - 1 - m))
+        cells = a_count * u * u
+        dtype = np.int16 if cells < 1 << 15 else np.int32
+        width = dtype(u)
+        base = np.arange(0, cells, u * u, dtype=dtype
+                         ).reshape((1,) * k + (a_count,))
+        atom_vec = {name: np.arange(u, dtype=dtype).reshape(
+                        (1,) * m + (u,) + (1,) * (k - m))
                     for m, name in enumerate(names)}
         result = np.broadcast_to(fold_tables(
-            nodes, lambda name, a, b: flat[name].take(base + a * u + b),
-            atom_vec, 0, u - 1), (a_count,) + (u,) * k).reshape(a_count, -1)
+            nodes, lambda name, a, b: flat[name].take(base + a * width + b),
+            atom_vec, 0, u - 1), (u,) * k + (a_count,)).reshape(-1, a_count)
         failing = result != (u - 1)
-        hit = failing.any(axis=1)
-        row = int(hit.argmax())  # positions ascend with the rows
-        position, frame, ups = step.entries[group["indices"][row]]
-        if hit[row] and (best is None or position < best[0]):
-            t = int(failing[row].argmax())
-            best = (position, frame, ups, t, int(result[row, t]))
+        hit = failing.any(axis=0)
+        column = int(hit.argmax())  # positions ascend with the columns
+        position, frame, ups = step.entries[group["indices"][column]]
+        if hit[column] and (best is None or position < best[0]):
+            t = int(failing[:, column].argmax())
+            best = (position, frame, ups, t, int(result[t, column]))
     if best is None:
         return None
     # The atoms take the up-sets the digits of t index; the formula's
@@ -541,17 +548,25 @@ def rel_valid_upto(f: Formula, max_worlds: int, max_atoms: int,
 
     Search order is world count, then preorder, then relation (size, lex),
     then valuation; the result is schedule-independent.  The family stops
-    at 4 worlds.
+    at 4 worlds.  ``rel_caps`` maps world counts 1 to 4 to a relation
+    size cap: None for no cap, or an integer from 0.
     """
+    if type(max_worlds) is not int or max_worlds < 1:
+        raise ValueError(f"max_worlds must be a world count from 1, "
+                         f"got {max_worlds!r}")
     if max_worlds > 4:
         raise ValueError(f"{max_worlds} worlds exceed the oracle's limit 4")
+    caps = {**DEFAULT_REL_CAPS, **(rel_caps or {})}
+    for n, cap in caps.items():
+        if n not in DEFAULT_REL_CAPS or cap is not None and (
+                type(cap) is not int or cap < 0):
+            raise ValueError(f"rel_caps maps {n!r} to {cap!r}: it needs a "
+                             f"world count from 1 to 4 and None or an "
+                             f"integer from 0")
     names = atoms(f)
     if len(names) > max_atoms:
         raise ValueError(f"{len(names)} atoms exceed the limit {max_atoms}")
     nodes = postfix(f)
-    caps = dict(DEFAULT_REL_CAPS)
-    if rel_caps:
-        caps.update(rel_caps)
     for n in range(1, max_worlds + 1):
         hit = _scan_stacked(nodes, names, _stacked_step(n, caps[n]))
         if hit is not None:

@@ -12,7 +12,7 @@ from ilgl.formula import (_FIXED, _KEYWORDS, _NODES, _PRED_FIXED,
                           _PRED_KEYWORDS, ATOM_RE, And, Atom, Bot, Contains,
                           Exists, Forall, Imp, ImpLeft, ImpRight, LayerConj,
                           Or, ParseError, PointsTo, Top, _tokenize, atoms,
-                          parse, parse_pred, render, subformulas)
+                          parse, parse_pred, postfix, render, subformulas)
 from ilgl.gen import random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -195,6 +195,33 @@ class TestSubformulas:
     def test_atoms(self):
         assert atoms(parse("p -> q | p")) == ["p", "q"]
         assert atoms(parse("forall -> exists")) == ["exists", "forall"]
+
+    def test_postfix_every_occurrence_operands_first(self):
+        def walk(g):
+            if hasattr(g, "left"):
+                return walk(g.left) + walk(g.right) + [g]
+            if hasattr(g, "body"):
+                return walk(g.body) + [g]
+            return [g]
+
+        rng = random.Random(7)
+        formulas = [random_formula(rng, 5) for _ in range(100)] + [
+            parse_pred("forall s. (exists t. t ~> s) & Contains(s) -> s ~> s")]
+        for f in formulas:
+            assert postfix(f) == walk(f)
+
+    def test_postfix_leaves_no_garbage(self):
+        # The cyclic collector is off, so a reference cycle made by the
+        # call would still be there for ``collect`` to find.
+        f = parse("(p |> q) -> (p |> (q | r)) & exists")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                postfix(f)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def tokenize_by_probes(text: str, pred: bool) -> list:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -230,6 +231,19 @@ class TestValidityOracle:
         with pytest.raises(ValueError, match="4"):
             rel_valid_upto(parse("p -> p"), 5, 1)
 
+    @pytest.mark.parametrize("max_worlds, rel_caps, named", [
+        (0, None, "max_worlds"), (-2, None, "max_worlds"),
+        (2.0, None, "max_worlds"), (True, None, "max_worlds"),
+        (3, {3: -1}, "rel_caps"), (3, {3: 2.5}, "rel_caps"),
+        (3, {3: "2"}, "rel_caps"), (3, {3: False}, "rel_caps"),
+        (2, {4: -1}, "rel_caps"), (3, {0: 1}, "rel_caps"),
+        (3, {5: None}, "rel_caps")])
+    def test_bad_arguments_rejected(self, max_worlds, rel_caps, named):
+        # None is the answer for a valid formula, so a bad argument must
+        # raise rather than return it or fail inside numpy.
+        with pytest.raises(ValueError, match=named):
+            rel_valid_upto(parse("p"), max_worlds, 1, rel_caps)
+
     def test_matches_direct_brute_force(self):
         # Independent oracle: sweep the identical two-world family with
         # rel_satisfies directly (no algebra tables) and compare both the
@@ -345,8 +359,9 @@ def _falsified(cex, f) -> bool:
 
 
 class TestScan:
-    """``_scan_stacked`` gives atom m its own axis; the answers must be
-    those of evaluating every (algebra, assignment) on its own."""
+    """``_scan_stacked`` gives atom m its own axis and the algebras the
+    last; the answers must be those of evaluating every (algebra,
+    assignment) on its own."""
 
     @pytest.mark.parametrize("text", ["top", "bot", "top -> bot",
                                       "top |> top", "(top |> top) <|- top"])
@@ -412,6 +427,57 @@ class TestScan:
                     assert interpret(interp, f) == alg.top, (text, n)
 
 
+    @pytest.mark.parametrize("u, width, refutable", [
+        # 108 algebras, 27,648 cells: int16 offsets.
+        (16, np.int16, "(p <|- p) & q & (q -|> q -|> q) <|- "
+                       "(q & p & (q -|> q) -|> q & top)"),
+        # 1,033 algebras, 148,752 cells: int32 offsets.
+        (12, np.int32, "((p | p) |> p & (p | p | (p -|> q)) <|- (q <|- bot)"
+                       " | top |> (q | p)) | (p -> (q | (bot -|> q)) |> "
+                       "(p & q -|> p -|> p))")], ids=["int16", "int32"])
+    def test_offset_widths(self, u, width, refutable):
+        # One group of the 4-world cap-2 step scanned on its own.  The
+        # refutable formula's first counterexample lies past offset 10,000
+        # (int16) or 32,767 (int32), and the valid formula reads every
+        # algebra's tables, so an offset that overflows gives a wrong
+        # answer here.
+        step = _stacked_step(4, 2)
+        group = step.groups[u]
+        a_count = len(group["indices"])
+        assert (a_count * u * u < 1 << 15) == (width is np.int16)
+        one = types.SimpleNamespace(entries=step.entries, groups={u: group})
+        column = {index: c for c, index in enumerate(group["indices"])}
+        entry = {id(frame): i for i, (_, frame, _) in enumerate(step.entries)}
+        rng = random.Random(26)
+        valid = parse("(p |> q) -> (p |> (q | r))")
+        assert relmod._scan_stacked(postfix(valid), atoms(valid), one) is None
+        f = parse(refutable)
+        names = atoms(f)
+        cex = relmod._scan_stacked(postfix(f), names, one)
+        first = column[entry[id(cex.frame)]]
+        assert first * u * u > (10_000 if width is np.int16 else 1 << 15)
+        assert _falsified(cex, f)
+        for c in rng.sample(range(first), 5) + [first, a_count - 1]:
+            _, frame, ups = step.entries[group["indices"][c]]
+            alg, elements = complex_algebra_with_elements(frame)
+            assert elements == ups
+            failing = next((combo for combo in itertools.product(
+                range(u), repeat=len(names)) if interpret(
+                    AlgebraInterpretation(alg, dict(zip(names, combo))), f)
+                != alg.top), None)
+            if c < first:
+                assert failing is None, (u, c)
+            elif c == first:
+                assert {p: ups[e] for p, e in zip(names, failing)} == {
+                    p: sum(1 << w for w in ws)
+                    for p, ws in cex.valuation.items()}
+            if c in (first, a_count - 1):
+                for combo in itertools.product(range(u), repeat=3):
+                    interp = AlgebraInterpretation(
+                        alg, dict(zip(atoms(valid), combo)))
+                    assert interpret(interp, valid) == alg.top, (u, c)
+
+
 def _sha(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -466,10 +532,30 @@ def test_oracle_byte_identical():
     assert _sha(lines) == COUNTEREXAMPLES_DIGEST
 
 
+def test_oracle_four_world_cap_one_byte_identical():
+    # The path the benchmark's oracle sweep runs: 4 worlds with the
+    # 4-world cap set to 1, once with every smaller step at its default
+    # cap and once with them capped to the empty relation, so that 58 of
+    # the counterexamples lie in the 4-world step.  The digest was
+    # recorded before the scan put the algebra axis last.
+    formulas = []
+    for depth in (3, 4, 5):
+        rng = random.Random(20240)
+        formulas += [random_formula(rng, depth) for _ in range(75)]
+    lines = []
+    for caps in ({4: 1}, {1: 0, 2: 0, 3: 0, 4: 1}):
+        results = [rel_valid_upto(f, 4, 3, caps) for f in formulas]
+        lines += map(_counterexample_line, results)
+    assert sum('"worlds": 4' in line for line in lines) == 58
+    assert _sha(lines) == FOUR_WORLD_CAP_ONE_DIGEST
+
+
 STEPS_DIGEST = (
     "f7e66ba1bc6ad27eb89bafe931149b274b8949ddd4d693f84f30836f73350e6f")
 COUNTEREXAMPLES_DIGEST = (
     "bc89d3485bda0a4a4e1ce3f228e09ad98ded67af62d18e3bfcccd982e918d4cc")
+FOUR_WORLD_CAP_ONE_DIGEST = (
+    "96a528983250cd1ed4e8ff95d425b459f6150fdcdb987e61b5a4b5810c2ed8d8")
 
 
 class TestFrameJson:
