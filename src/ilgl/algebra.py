@@ -296,18 +296,31 @@ def algebra_to_dict(alg: FiniteLayeredHeytingAlgebra) -> dict:
     }
 
 
+def _integers(values, name: str, bits: bool = False) -> list:
+    """``values``, which must be JSON integers (booleans excluded), or
+    with ``bits`` only 0, 1, true or false; the error names ``name``."""
+    for x in values:
+        if bits and not (type(x) in (int, bool) and x in (0, 1)):
+            raise InputError(f"{name} holds {x!r}: only 0, 1, true or false")
+        if not bits and type(x) is not int:
+            raise InputError(f"{name} holds {x!r}, not an integer")
+    return values
+
+
 def algebra_from_dict(data: dict) -> FiniteLayeredHeytingAlgebra:
     """The algebra a JSON object describes.  Raises ValueError unless
     size <= MAX_ALGEBRA_SIZE (checked first), every table is size x size
-    and every entry, top and bot is an element id (KeyError or TypeError
-    on a missing or mistyped field); the laws are ``validate_algebra``'s."""
-    n = int(data["size"])
+    and every entry, top and bot is an element id: a JSON integer, and in
+    ``leq`` 0, 1, true or false (KeyError or TypeError on a missing or
+    mistyped field); the laws are ``validate_algebra``'s."""
+    (n,) = _integers([data["size"]], "size")
     if n > MAX_ALGEBRA_SIZE:
         raise InputError(f"size {n} over the algebra bound {MAX_ALGEBRA_SIZE}")
-    leq = [[bool(x) for x in row] for row in data["leq"]]
-    ops = {name: [[int(x) for x in row] for row in data[name]]
+    leq = [[bool(x) for x in _integers(row, "leq", bits=True)]
+           for row in data["leq"]]
+    ops = {name: [_integers(row, name) for row in data[name]]
            for name in BINOPS}
-    top, bot = int(data["top"]), int(data["bot"])
+    (top,), (bot,) = (_integers([data[key]], key) for key in ("top", "bot"))
     for name, rows in {"leq": leq, **ops}.items():
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"{name} is not a {n} x {n} table")

@@ -133,7 +133,8 @@ def cmd_check(args) -> RunResult:
     n = model.frame.worlds if kind == "frame" else model.world_count()
     if args.world is not None and not 0 <= args.world < n:
         raise InputError(f"world {args.world} is not among the {what}'s "
-                         f"worlds 0..{n - 1}")
+                         f"worlds 0..{n - 1}" if n else
+                         f"world {args.world}: the {what} has no worlds")
     problems = (model.validate() if kind == "frame"
                 else graphmod.validate_model(model))
     if problems:

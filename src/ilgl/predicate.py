@@ -250,8 +250,14 @@ def resource_model_from_dict(data: dict) -> ResourceModel:
     if outside:
         raise InputError(f"placement vertex {min(outside)!r} is not a "
                          "vertex of the graph")
-    return ResourceModel(model, placement,
-                         frozenset(data.get("resources", [])))
+    resources = data.get("resources", [])
+    if type(resources) is not list:
+        raise InputError(f"resources is {resources!r}, not a list of "
+                         "resource names")
+    for r in resources:
+        if type(r) is not str:
+            raise InputError(f"resources holds {r!r}, not a resource name")
+    return ResourceModel(model, placement, frozenset(resources))
 
 
 def resource_model_to_dict(rm: ResourceModel) -> dict:

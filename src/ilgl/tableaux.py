@@ -1,6 +1,6 @@
 """Labelled tableaux for ILGL: graph labels, constraint closure, branches
-(CSS), the twelve expansion rules, bounded-saturation proof search,
-Hintikka checking, and countermodel extraction.
+(CSS), the twelve expansion rules, bounded-saturation proof search, and
+countermodel extraction and certification.
 
 Labels are words of one or two atomic-label indices; a two-letter word
 stands for a graph layered from its letters.  Proof search is a
@@ -15,7 +15,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Set, Tuple, Union)
+                    Tuple, Union)
 
 from . import graph as graphmod
 from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
@@ -124,11 +124,12 @@ class CSS:
     """One branch: signed labelled formulas plus a constraint set.
 
     ``formulas`` keeps them in the order added, ``at[(sign, f)]`` the
-    labels a signed formula sits at as a mask, ``premises`` the formulas
-    with a rule that may have unspent instances, and ``applied[premise]``
-    the witnesses used.  A formula off the domain waits in ``unplaced``
-    until its label enters.  ``clash`` is set once a T-label lies below
-    an F-label of the same formula, or ``T bot`` or ``F top`` is added.
+    labels a signed formula sits at as a mask, and ``premises`` the
+    formulas with a rule that may have unspent instances.  A formula must
+    sit at a label of the domain (Ref): ``add_formula`` raises otherwise,
+    so constraints come first.  ``clash`` is set once a T-label lies
+    below an F-label of the same formula, or ``T bot`` or ``F top`` is
+    added.
     """
 
     def __init__(self, formulas: Iterable[SignedFormula] = (),
@@ -137,8 +138,6 @@ class CSS:
         self.cset = ConstraintSet(constraints)
         self.at: Dict[Tuple[bool, Formula], int] = {}
         self.premises: Dict[SignedFormula, Rule] = {}
-        self.applied: Dict[SignedFormula, int] = {}
-        self.unplaced: List[SignedFormula] = []
         self.clash = False
         self.branch_id = 0  # assigned by the owning tableau
         for slf in formulas:
@@ -147,19 +146,15 @@ class CSS:
     def add_formula(self, slf: SignedFormula) -> None:
         if slf in self.formulas:
             return
-        self.formulas[slf] = None
-        sign, f, _ = slf
-        if isinstance(f, Bot if sign else Top):
-            self.clash = True
-        self._place(slf)
-
-    def _place(self, slf: SignedFormula) -> None:
         sign, f, x = slf
         cset = self.cset
         i = cset.domain.get(x)
         if i is None:
-            self.unplaced.append(slf)
-            return
+            raise RuntimeError(f"Ref {label_str(x)}: {_format_slf(slf)} "
+                               "sits off the label domain")
+        self.formulas[slf] = None
+        if isinstance(f, Bot if sign else Top):
+            self.clash = True
         self.at[sign, f] = self.at.get((sign, f), 0) | 1 << i
         rows = cset.up if sign else cset.down
         if self.at.get((not sign, f), 0) & rows[i]:
@@ -171,10 +166,6 @@ class CSS:
     def add_constraint(self, constraint: Constraint) -> List[Label]:
         """Add a constraint; returns the labels it added to the domain."""
         labels = self.cset.add(constraint)
-        if labels and self.unplaced:
-            waiting, self.unplaced = self.unplaced, []
-            for slf in waiting:
-                self._place(slf)
         if not self.clash:
             # Every pair the constraint adds runs from below a to above b.
             cset, at = self.cset, self.at
@@ -187,22 +178,18 @@ class CSS:
     def copy(self) -> "CSS":
         dup = CSS.__new__(CSS)
         dup.formulas, dup.at = dict(self.formulas), dict(self.at)
-        dup.premises, dup.applied = dict(self.premises), dict(self.applied)
-        dup.cset, dup.unplaced = self.cset.copy(), list(self.unplaced)
+        dup.premises, dup.cset = dict(self.premises), self.cset.copy()
         dup.clash, dup.branch_id = self.clash, 0
         return dup
 
 
-def _step_problems(css: CSS, formulas: List[SignedFormula],
-                   labels: List[Label]) -> List[str]:
-    """The Ref, Contra and Freshness violations that adding ``formulas``
-    and the domain ``labels`` to a branch can make.  Domains and closures
-    only grow, so on a branch that had none these are all it has."""
+def _step_problems(css: CSS, labels: List[Label]) -> List[str]:
+    """The Contra and Freshness violations that adding the domain
+    ``labels`` to a branch can make.  Domains only grow, so on a branch
+    that had none these are all it has.  ``add_formula`` enforces Ref."""
     domain = css.cset.domain
     twos = [lab for lab in labels if len(lab) == 2]
-    return ([f"Ref {label_str(x)}" for (_, _, x) in formulas
-             if x not in domain]
-            + [f"Contra {label_str((i, j))}" for i, j in twos
+    return ([f"Contra {label_str((i, j))}" for i, j in twos
                if (j, i) in domain]
             + [f"Freshness {label_str((i, j))} {label_str(other)}"
                for i, j in twos for other in domain if len(other) == 2
@@ -218,16 +205,16 @@ def is_closed(css: CSS) -> bool:
 # -- the rule table -------------------------------------------------------
 #
 # One entry per (connective, sign): the twelve expansion rules, each with
-# its Hintikka condition (4-15) and, for each child, its conclusions as
-# data: (sign, operand, place), the premise's left or right operand at a
-# place read off the witness w.  The two rules of each of ->, |>, -|> and
-# <|- share a range of witnesses at the premise's label x.  The rule
-# without fresh labels has one instance per witness in range, and each
-# must be met.  The rule with fresh labels has one instance; ``create``
-# makes its witness from the first unused letter n, with the constraints
-# that put it in range, and some witness in range must be met: condition 9
-# takes it from the whole domain although F-> creates an atomic label.
-# & and | range over nothing: their witness is x.
+# its conclusions for each child as data: (sign, operand, place), the
+# premise's left or right operand at a place read off the witness w.  The
+# two rules of each of ->, |>, -|> and <|- share a range of witnesses at
+# the premise's label x.  The rule without fresh labels has one instance
+# per witness in range, and each must be met.  The rule with fresh labels
+# has one instance; ``create`` makes its witness from the first unused
+# letter n, with the constraints that put it in range.  Its range is where
+# a saturated branch must meet it, and F-> takes it from the whole domain
+# although it creates an atomic label.  & and | range over nothing: their
+# witness is x.
 
 # Ranges as (upward, place): the witnesses whose label at ``place`` lies
 # at or above x, or the two-letter labels below x.
@@ -238,8 +225,7 @@ LEFT, RIGHT = "left", "right"
 
 @dataclass(frozen=True)
 class Rule:
-    name: str       # as it appears in traces
-    condition: int  # its Hintikka condition
+    name: str  # as it appears in traces
     children: List[List[Tuple[bool, str, slice]]]
     over: Optional[Tuple[bool, slice]] = None
     fresh: int = 0  # atomic labels the rule creates
@@ -265,30 +251,29 @@ class Rule:
 
 
 RULES: Dict[Tuple[type, bool], Rule] = {
-    (And, True): Rule("T&", 4, [[(True, LEFT, W), (True, RIGHT, W)]]),
-    (And, False): Rule("F&", 5, [[(False, LEFT, W)], [(False, RIGHT, W)]]),
-    (Or, True): Rule("T|", 6, [[(True, LEFT, W)], [(True, RIGHT, W)]]),
-    (Or, False): Rule("F|", 7, [[(False, LEFT, W), (False, RIGHT, W)]]),
-    (Imp, True): Rule("T->", 8, [[(False, LEFT, W)], [(True, RIGHT, W)]],
-                      ABOVE),
-    (Imp, False): Rule("F->", 9, [[(True, LEFT, W), (False, RIGHT, W)]],
+    (And, True): Rule("T&", [[(True, LEFT, W), (True, RIGHT, W)]]),
+    (And, False): Rule("F&", [[(False, LEFT, W)], [(False, RIGHT, W)]]),
+    (Or, True): Rule("T|", [[(True, LEFT, W)], [(True, RIGHT, W)]]),
+    (Or, False): Rule("F|", [[(False, LEFT, W), (False, RIGHT, W)]]),
+    (Imp, True): Rule("T->", [[(False, LEFT, W)], [(True, RIGHT, W)]], ABOVE),
+    (Imp, False): Rule("F->", [[(True, LEFT, W), (False, RIGHT, W)]],
                        ABOVE, 1, lambda n, x: ((n,), [(x, (n,))])),
     (LayerConj, True): Rule(
-        "T|>", 10, [[(True, LEFT, FIRST), (True, RIGHT, SECOND)]],
+        "T|>", [[(True, LEFT, FIRST), (True, RIGHT, SECOND)]],
         LAYERED_BELOW, 2, lambda n, x: ((n, n + 1), [((n, n + 1), x)])),
     (LayerConj, False): Rule(
-        "F|>", 11, [[(False, LEFT, FIRST)], [(False, RIGHT, SECOND)]],
+        "F|>", [[(False, LEFT, FIRST)], [(False, RIGHT, SECOND)]],
         LAYERED_BELOW),
-    (ImpRight, True): Rule("T-|>", 12, [[(False, LEFT, SECOND)],
-                                        [(True, RIGHT, W)]], FIRST_ABOVE),
+    (ImpRight, True): Rule(
+        "T-|>", [[(False, LEFT, SECOND)], [(True, RIGHT, W)]], FIRST_ABOVE),
     (ImpRight, False): Rule(
-        "F-|>", 13, [[(True, LEFT, SECOND), (False, RIGHT, W)]],
+        "F-|>", [[(True, LEFT, SECOND), (False, RIGHT, W)]],
         FIRST_ABOVE, 2, lambda n, x: (
             (n, n + 1), [(x, (n,)), ((n, n + 1), (n, n + 1))])),
-    (ImpLeft, True): Rule("T<|-", 14, [[(False, LEFT, FIRST)],
-                                       [(True, RIGHT, W)]], SECOND_ABOVE),
+    (ImpLeft, True): Rule(
+        "T<|-", [[(False, LEFT, FIRST)], [(True, RIGHT, W)]], SECOND_ABOVE),
     (ImpLeft, False): Rule(
-        "F<|-", 15, [[(True, LEFT, FIRST), (False, RIGHT, W)]],
+        "F<|-", [[(True, LEFT, FIRST), (False, RIGHT, W)]],
         SECOND_ABOVE, 2, lambda n, x: (
             (n + 1, n), [(x, (n,)), ((n + 1, n), (n + 1, n))])),
 }
@@ -321,12 +306,12 @@ def _met(css: CSS, rule: Rule, f: Formula) -> int:
 
 def _unspent(css: CSS, rule: Rule, slf: SignedFormula) -> int:
     """The witnesses of the premise's unspent instances: in range (the
-    premise's label for a rule without one), not applied here, and not
-    met (conclusions on fresh labels never are)."""
+    premise's label for a rule without one) and not met.  Conclusions on
+    fresh labels never are: a rule that makes them is spent once applied,
+    when ``expand`` takes its premise off the child's premises."""
     cset = css.cset
     i = cset.domain[slf[2]]
-    todo = ((cset.witnesses(rule.over, i) if rule.ranged else 1 << i)
-            & ~css.applied.get(slf, 0))
+    todo = cset.witnesses(rule.over, i) if rule.ranged else 1 << i
     if todo and not rule.fresh:
         todo &= ~_met(css, rule, slf[1])
     return todo
@@ -426,12 +411,11 @@ def expand(tableau: Tableau, branch: CSS, inst: RuleInstance) -> Tableau:
         raise ValueError(f"instance {inst} is stale")
     _, f, x = slf = inst.premise
     rule = _rule(inst)
-    w = inst.facts[-1] if inst.facts else x  # the witness
-    used = 1 << branch.cset.domain[w]
     if rule.fresh:
         w, new_constraints = rule.create(tableau.next_fresh, x)
         tableau.next_fresh += rule.fresh
     else:
+        w = inst.facts[-1] if inst.facts else x
         new_constraints = []
     children = []
     conclusions = rule.conclude(f, w)
@@ -439,12 +423,13 @@ def expand(tableau: Tableau, branch: CSS, inst: RuleInstance) -> Tableau:
         child = branch.copy()
         child.branch_id = tableau.next_branch
         tableau.next_branch += 1
-        child.applied[slf] = child.applied.get(slf, 0) | used
+        if rule.fresh:
+            del child.premises[slf]
         labels = [lab for c in new_constraints
                   for lab in child.add_constraint(c)]
         for new in new_formulas:
             child.add_formula(new)
-        bad = _step_problems(child, new_formulas, labels)
+        bad = _step_problems(child, labels)
         if bad:
             raise RuntimeError(f"rule {inst.rule} broke CSS invariants: "
                                f"{bad}")
@@ -459,57 +444,17 @@ def expand(tableau: Tableau, branch: CSS, inst: RuleInstance) -> Tableau:
     return tableau
 
 
-# -- Hintikka conditions and countermodel extraction ----------------------
-
-def check_hintikka(css: CSS) -> List[dict]:
-    """The fifteen saturation conditions: 1-3 are closure, 4-15 are the
-    rule table's.  A premise off the label domain fails its condition."""
-    fails = []
-    cset, at = css.cset, css.at
-
-    def fail(cond: int, slf: SignedFormula, **extra) -> None:
-        fails.append({"condition": cond, "formula": _format_slf(slf),
-                      **extra})
-
-    for slf in css.formulas:
-        sign, f, x = slf
-        i = cset.domain.get(x)
-        if sign and isinstance(f, Bot):
-            fail(3, slf)
-        if not sign and isinstance(f, Top):
-            fail(2, slf)
-        if sign and i is not None and at.get((False, f), 0) & cset.up[i]:
-            for y in [y for s, g, y in css.formulas if not s and g is f]:
-                if cset.holds(x, y):
-                    fail(1, slf, other=_format_slf((False, f, y)))
-        rule = RULES.get((type(f), sign))
-        if rule is None:
-            continue
-        if i is None:
-            fail(rule.condition, slf)
-        elif rule.fresh:
-            if not cset.witnesses(rule.over, i) & _met(css, rule, f):
-                fail(rule.condition, slf)
-        elif rule.ranged:
-            todo = cset.witnesses(rule.over, i)
-            for w in bits(todo and todo & ~_met(css, rule, f)):
-                fail(rule.condition, slf, label=label_str(cset.labels[w]))
-        elif not _met(css, rule, f) >> i & 1:
-            fail(rule.condition, slf)
-    return fails
-
+# -- countermodel extraction ---------------------------------------------
 
 def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
-    """Turn a Hintikka branch into a layered graph countermodel.
+    """Turn a branch into a layered graph model, with each label's world.
 
     Atomic labels become single vertices, two-letter labels the two-vertex
     layered graphs over them; the order is the constraint closure, read
     off its bit rows, and each atom holds wherever some T-occurrence sits
-    at or below the world.
+    at or below the world.  Nothing here checks that the branch is
+    saturated: ``_certify_countermodel`` checks the model instead.
     """
-    fails = check_hintikka(css)
-    if fails:
-        raise ValueError(f"not a Hintikka branch: {fails[:3]}")
     cset = css.cset
     labels = sorted(sorted(cset.domain), key=len)
     label_map = {lab: idx for idx, lab in enumerate(labels)}

@@ -14,6 +14,10 @@ own entry and skips the entries of branches already expanded; the tests
 hold ``tableaux.prove``, which queues each open branch once, against it.
 ``closure`` reads a constraint set's closure off its bit rows as label
 pairs.
+``check_hintikka`` lists a branch's failures of the fifteen saturation
+conditions of the paper's completeness proof; the tests hold the prover's
+countermodel branches against it, while the prover itself relies on
+certification of the model alone.
 """
 
 import time
@@ -23,12 +27,12 @@ from typing import Dict, List, Optional
 from graph_reference import composition_index
 from ilgl import graph as graphmod
 from ilgl import tableaux
-from ilgl.formula import Formula
+from ilgl.formula import Bot, Formula, Top
 from ilgl.graph import LayeredGraphModel
 from ilgl.relational import bits
-from ilgl.tableaux import (CSS, ConstraintSet, Label, Limits, Proved,
-                           RuleInstance, UnknownResult, _format_slf,
-                           label_str)
+from ilgl.tableaux import (CSS, RULES, ConstraintSet, Label, Limits, Proved,
+                           RuleInstance, SignedFormula, UnknownResult,
+                           _format_slf, _met, label_str)
 
 
 def closure(cset: ConstraintSet) -> set:
@@ -146,3 +150,48 @@ def prove_by_pairs(f: Formula, limits: Optional[Limits] = None):
             return Proved(tableau)
     # Queue drained: the live branches left are starved (label budget).
     return UnknownResult("label budget exhausted", tableau)
+
+
+# The Hintikka condition of each rule: conditions 1-3 are closure.
+CONDITIONS = {"T&": 4, "F&": 5, "T|": 6, "F|": 7, "T->": 8, "F->": 9,
+              "T|>": 10, "F|>": 11, "T-|>": 12, "F-|>": 13, "T<|-": 14,
+              "F<|-": 15}
+
+
+def check_hintikka(css: CSS) -> List[dict]:
+    """The fifteen saturation conditions: 1-3 are closure, 4-15 are the
+    rule table's.  A ranged rule must be met at every witness in its
+    range, a rule that makes fresh labels at some witness in its range,
+    and & and | at the premise's label."""
+    fails = []
+    cset, at = css.cset, css.at
+
+    def fail(cond: int, slf: SignedFormula, **extra) -> None:
+        fails.append({"condition": cond, "formula": _format_slf(slf),
+                      **extra})
+
+    for slf in css.formulas:
+        sign, f, x = slf
+        i = cset.domain[x]
+        if sign and isinstance(f, Bot):
+            fail(3, slf)
+        if not sign and isinstance(f, Top):
+            fail(2, slf)
+        if sign and at.get((False, f), 0) & cset.up[i]:
+            for y in [y for s, g, y in css.formulas if not s and g is f]:
+                if cset.holds(x, y):
+                    fail(1, slf, other=_format_slf((False, f, y)))
+        rule = RULES.get((type(f), sign))
+        if rule is None:
+            continue
+        condition = CONDITIONS[rule.name]
+        if rule.fresh:
+            if not cset.witnesses(rule.over, i) & _met(css, rule, f):
+                fail(condition, slf)
+        elif rule.ranged:
+            todo = cset.witnesses(rule.over, i)
+            for w in bits(todo and todo & ~_met(css, rule, f)):
+                fail(condition, slf, label=label_str(cset.labels[w]))
+        elif not _met(css, rule, f) >> i & 1:
+            fail(condition, slf)
+    return fails

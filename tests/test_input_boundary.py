@@ -144,6 +144,62 @@ def test_world_id_not_an_integer_exit_two(capsys, tmp_path, content, argvs,
         assert "Traceback" not in err, argv
 
 
+# The two-element chain: the complex algebra of a one-world frame.
+CHAIN = algebra_to_dict(complex_algebra(
+    IntLayeredFrame(1, frozenset([(0, 0)]), frozenset())))
+ALGEBRA_ARGVS = [("validate", "{}"), ("algebra", "primefilters", "{}")]
+
+
+# Algebra sizes, table entries, top and bot are JSON integers, and leq
+# entries only 0, 1, true or false: nothing is truncated, parsed from a
+# string or read for its truth value.
+@pytest.mark.parametrize("change, named", [
+    ({"size": "2"}, "size holds '2', not an integer"),
+    ({"size": 2.0}, "size holds 2.0"),
+    ({"join": [[0, 1.9], [1, 1]]}, "join holds 1.9, not an integer"),
+    ({"meet": [[0, False], [0, 1]]}, "meet holds False"),
+    ({"top": "1"}, "top holds '1', not an integer"),
+    ({"bot": False}, "bot holds False, not an integer"),
+    ({"leq": [[1, 1], [0, "x"]]}, "leq holds 'x': only 0, 1, true or false"),
+    ({"leq": [[1, 1], ["0", 1]]}, "leq holds '0'"),
+    ({"leq": [[True, 1.0], [0, 1]]}, "leq holds 1.0"),
+    ({"leq": [[1, 2], [0, 1]]}, "leq holds 2"),
+    ({"size": "2", "leq": [[True, 1.0], [0, "x"]],
+      "join": [[0, 1.9], [1, 1]], "top": "1", "bot": False}, "size holds"),
+], ids=["size-string", "size-float", "join-float", "meet-bool",
+        "top-string", "bot-bool", "leq-string", "leq-zero-string",
+        "leq-float", "leq-two", "all"])
+def test_algebra_field_not_an_integer_exit_two(capsys, tmp_path, change,
+                                               named):
+    content = json.dumps({**CHAIN, **change})
+    for argv in ALGEBRA_ARGVS:
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message and named in message, argv
+        assert "Traceback" not in err, argv
+
+
+def test_algebra_leq_booleans_accepted(capsys, tmp_path):
+    leq = [[x == 1 for x in row] for row in CHAIN["leq"]]
+    for argv in ALGEBRA_ARGVS:
+        code, body, _ = run(capsys, tmp_path,
+                            json.dumps({**CHAIN, "leq": leq}), *argv)
+        assert code == 0 and body["status"] == "ok", argv
+
+
+@pytest.mark.parametrize("content", [
+    '{"worlds": 0, "order": [], "rel": []}',
+    '{"vertices": [], "edges": [], "eset": [], "X": [], "order": [], '
+    '"valuation": {}}'], ids=["frame", "model"])
+def test_world_of_zero_world_file_exit_two(capsys, tmp_path, content):
+    what = "frame" if "worlds" in content else "model"
+    code, body, err = run(capsys, tmp_path, content, "check", "{}", "p",
+                          "--world", "0")
+    assert code == 2 and body["status"] == "error" and "Traceback" not in err
+    assert body["payload"]["message"] == f"world 0: the {what} has no worlds"
+
+
 @pytest.mark.parametrize("worlds", [10 ** 9, MAX_FRAME_WORLDS + 1])
 def test_frame_beyond_world_bound_exit_two(capsys, tmp_path, worlds):
     content = json.dumps({"worlds": worlds, "order": [], "rel": []})
@@ -289,6 +345,22 @@ def test_placement_vertex_outside_graph_exit_two(capsys, tmp_path,
         message = body["payload"]["message"]
         assert "input.json" in message and "Traceback" not in err, argv
         assert f"placement vertex '{vertex}' is not a vertex" in message
+
+
+@pytest.mark.parametrize("resources, named", [
+    ("r1", "resources is 'r1', not a list of resource names"),
+    ([1, None], "resources holds 1, not a resource name"),
+    (["r1", None], "resources holds None, not a resource name"),
+], ids=["string", "number", "null"])
+def test_resources_not_a_list_of_names_exit_two(capsys, tmp_path, resources,
+                                                named):
+    content = json.dumps({**PLACED, "resources": resources})
+    for argv in SENTENCE_ARGVS:
+        code, body, err = run(capsys, tmp_path, content, *argv)
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message and named in message, argv
+        assert "Traceback" not in err, argv
 
 
 def test_numeric_placement_vertex_is_a_string_id(capsys, tmp_path):

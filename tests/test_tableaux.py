@@ -15,13 +15,12 @@ from ilgl.formula import (Atom, Bot, Imp, LayerConj, Top, parse, render,
                           subformulas)
 from ilgl.gen import random_formula
 from ilgl.tableaux import (CSS, RULES, ConstraintSet, Limits, RuleInstance,
-                           applicable_rules, check_hintikka, expand,
-                           extract_model, initial_tableau, is_closed,
-                           label_str, prove)
+                           applicable_rules, expand, extract_model,
+                           initial_tableau, is_closed, label_str, prove)
 
 from graph_reference import composition_index, composition_table
-from tableau_reference import (closure, css_check, prove_by_pairs,
-                               realize_check)
+from tableau_reference import (check_hintikka, closure, css_check,
+                               prove_by_pairs, realize_check)
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
 
@@ -78,16 +77,17 @@ RANGES = {"T->": _above, "F|>": _layered_below, "T-|>": _first_above,
 def rules_from_scratch(css):
     """Every unspent rule instance by a scan of the whole branch over the
     sorted domain, one instance at a time: the reference for the agenda.
-    An instance is spent when its witness is applied, or when some child's
-    conclusions are all present already (those on fresh labels never are).
-    A formula off the domain has no instances."""
+    An instance is spent when some child's conclusions are all present
+    already.  Those on fresh labels never are: a rule that makes fresh
+    labels is spent once applied, which takes its premise off the
+    branch's premises."""
     cset = css.cset
     labels = sorted(cset.domain)
     out = []
     for slf in css.formulas:
         sign, f, x = slf
         rule = RULES.get((type(f), sign))
-        if rule is None or x not in cset.domain:
+        if rule is None or rule.fresh and slf not in css.premises:
             continue
         over = RANGES.get(rule.name)
         for facts in over(cset, x, labels) if over else [()]:
@@ -95,8 +95,7 @@ def rules_from_scratch(css):
             met = not rule.fresh and any(
                 all(c in css.formulas for c in child)
                 for child in rule.conclude(f, w))
-            used = css.applied.get(slf, 0) >> cset.domain[w] & 1
-            if not met and not used:
+            if not met:
                 out.append(RuleInstance(rule.name, slf, facts))
     return out
 
@@ -214,7 +213,6 @@ class TestCssCheck:
         css = CSS.__new__(CSS)
         css.formulas = {(True, Atom("p"), c0): None}
         css.cset = ConstraintSet()
-        css.applied = set()
         css.branch_id = 0
         assert any(v["property"] == "Ref" for v in css_check(css))
 
@@ -262,9 +260,15 @@ class TestCssCheck:
         (inst,) = applicable_rules(css)
         with pytest.raises(RuntimeError, match=prop):
             expand(tableau, css, inst)
+        monkeypatch.setattr(tableaux, "_step_problems", lambda *args: [])
+        if prop == "Ref":
+            # The branch refuses a formula off its domain when it is
+            # added, with or without the per-step check.
+            with pytest.raises(RuntimeError, match="Ref"):
+                expand(tableau, css, inst)
+            return
         # With the per-step check off, a full rescan of the child finds
         # the same property.
-        monkeypatch.setattr(tableaux, "_step_problems", lambda *args: [])
         expand(tableau, css, inst)
         (child,) = tableau.branches
         assert {v["property"] for v in css_check(child)} == {prop}
@@ -354,7 +358,7 @@ class TestApplicableRules:
                                              data):
         # The labels enter sorted, as on a prover's branch; then the
         # constraints and some signed subformulas of a random formula come
-        # in a random order, and some instances are marked applied.  Some
+        # in a random order, and some instances are applied.  Some
         # premises come with one child's conclusions at a drawn witness,
         # often their own label.
         domain = sorted({lab for pair in constraints for end in pair
@@ -382,12 +386,18 @@ class TestApplicableRules:
                 css.add_formula(item)
             assert is_closed(css) == closed_by_rescan(css)
             assert applicable_rules(css) == rules_from_scratch(css)
+        # Applying an instance takes a fresh rule's premise off the
+        # premises, and gives any other rule one child's conclusions.
         insts = rules_from_scratch(css)
         for inst in data.draw(st.lists(st.sampled_from(insts), max_size=3)
                               if insts else st.just([])):
-            w = inst.facts[-1] if inst.facts else inst.premise[2]
-            css.applied[inst.premise] = (css.applied.get(inst.premise, 0)
-                                         | 1 << css.cset.domain[w])
+            rule, (_, f, x) = tableaux._rule(inst), inst.premise
+            if rule.fresh:
+                css.premises.pop(inst.premise, None)
+                continue
+            w = inst.facts[-1] if inst.facts else x
+            for slf in data.draw(st.sampled_from(rule.conclude(f, w))):
+                css.add_formula(slf)
         expected = rules_from_scratch(css)
         assert applicable_rules(css) == expected
         assert applicable_rules(css) == expected
@@ -481,12 +491,17 @@ class TestClosed:
         assert is_closed(css) and closed_by_rescan(css)
         assert not is_closed(twin)  # a copy keeps its own index
 
-    def test_label_enters_domain_after_formulas(self):
-        # Without c3 in the domain, c3 <= c3 does not hold yet.
-        css = CSS([(True, Atom("p"), c3), (False, Atom("p"), c3)])
-        assert not is_closed(css) and not closed_by_rescan(css)
+    def test_off_domain_formula_raises_ref(self):
+        # A formula must sit at a label of the domain when it is added.
+        with pytest.raises(RuntimeError, match="Ref c3"):
+            CSS([(True, Atom("p"), c3), (False, Atom("p"), c3)])
+        css = CSS([(True, Atom("p"), c0)], [(c0, c0)])
+        with pytest.raises(RuntimeError, match="Ref c3"):
+            css.add_formula((False, Atom("p"), c3))
+        assert list(css.formulas) == [(True, Atom("p"), c0)]
         css.add_constraint((c3, c3))
-        assert is_closed(css) and closed_by_rescan(css)
+        css.add_formula((False, Atom("p"), c3))
+        assert not is_closed(css) and not closed_by_rescan(css)
 
     def test_incremental_matches_rescan_on_sweep(self, monkeypatch):
         incremental = tableaux.is_closed
@@ -739,10 +754,17 @@ class TestExtractModel:
             seen += 1
             assert graphmod.validate_model(result.model) == []
 
-    def test_rejects_non_hintikka(self):
+    def test_certification_rejects_non_hintikka_branch(self):
+        # T p |> q at c0 without its witness: extraction builds the
+        # one-world model, in which p |> q fails at the root, so the
+        # model does not falsify p |> q -> bot and certification stops it.
         css = CSS([(True, parse("p |> q"), c0)], [(c0, c0)])
-        with pytest.raises(ValueError):
-            extract_model(css)
+        assert check_hintikka(css) != []
+        model, _ = extract_model(css)
+        assert model.world_count() == 1
+        f = parse("(p |> q) -> bot")
+        with pytest.raises(RuntimeError, match="fails to falsify"):
+            tableaux._certify_countermodel(f, css, initial_tableau(f))
 
 
 class TestRealize:
@@ -795,6 +817,18 @@ class TestSoundnessSample:
             proved += 1
             for model in models:
                 assert graphmod.valid_in_model(model, f), render(f)
+
+
+def test_sweep_countermodel_branches_are_hintikka():
+    # The prover checks countermodels by certification alone; the branch
+    # each one comes from still meets all fifteen conditions.
+    models = 0
+    for f in sweep():
+        result = prove(f)
+        if result.status == "countermodel":
+            assert check_hintikka(result.branch) == [], render(f)
+            models += 1
+    assert models == 875
 
 
 def test_sweep_composition_tables_equal_all_pairs():
