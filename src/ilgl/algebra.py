@@ -314,6 +314,9 @@ def algebra_from_dict(data: dict) -> FiniteLayeredHeytingAlgebra:
     ``leq`` 0, 1, true or false (KeyError or TypeError on a missing or
     mistyped field); the laws are ``validate_algebra``'s."""
     (n,) = _integers([data["size"]], "size")
+    if n < 1:
+        raise InputError(f"size {n} is below 1, the fewest elements of an "
+                         "algebra")
     if n > MAX_ALGEBRA_SIZE:
         raise InputError(f"size {n} over the algebra bound {MAX_ALGEBRA_SIZE}")
     leq = [[bool(x) for x in _integers(row, "leq", bits=True)]

@@ -95,19 +95,20 @@ def _bigraph_fixture():
 
 def _persistence_instances(seed: int, budget: int) -> Iterator[tuple]:
     """The persistence suite's instances in drawing order: (semantics,
-    evaluator, formula, assignment, order, writer).  The assignment is the
-    evaluator's: (variable, vertex mask) pairs.  The writer gives the
-    repro's model and, in the predicate semantics, the assignment's blocks
-    as sorted vertex names."""
+    evaluator, formula, assignment, writer).  The assignment is the
+    evaluator's: (variable, vertex mask) pairs.  The order checked is the
+    one the evaluator reads, ``ev.up``: the model's own order.  The writer
+    gives the repro's model and, in the predicate semantics, the
+    assignment's blocks as sorted vertex names."""
     rng = random.Random(seed)
     for _ in range(budget):
         model = gen.random_graph_model(rng)
         yield ("graph", graphmod.model_evaluator(model),
-               gen.random_formula(rng, 3), frozenset(), model.scaffold.leq,
+               gen.random_formula(rng, 3), frozenset(),
                lambda model=model: {"model": graphmod.model_to_dict(model)})
         rmodel = gen.random_relational_model(rng, rng.randrange(1, 5))
         yield ("relational", relmod.Evaluator(rmodel.frame, rmodel.valuation),
-               gen.random_formula(rng, 3), frozenset(), rmodel.frame.leq,
+               gen.random_formula(rng, 3), frozenset(),
                lambda rmodel=rmodel: {"model": relmod.frame_to_dict(rmodel)})
     rm = _bigraph_fixture()
     ev = resource_evaluator(rm)
@@ -119,8 +120,7 @@ def _persistence_instances(seed: int, budget: int) -> Iterator[tuple]:
     for _ in range(min(budget, 60)):
         s = frozenset({"r1": rng.choice(ev.upsets),
                        "r2": rng.choice(ev.upsets)}.items())
-        yield ("predicate", ev, rng.choice(pformulas), s,
-               rm.model.scaffold.leq, lambda s=s: {
+        yield ("predicate", ev, rng.choice(pformulas), s, lambda s=s: {
                    "model": resource_model_to_dict(rm),
                    "assignment": {r: [domain[j] for j in relmod.bits(m)]
                                   for r, m in s}})
@@ -133,13 +133,13 @@ def suite_persistence(seed: int, budget: int
     worlds count as checked in row-major order, up to the least one
     where the formula is lost going up."""
     checked = 0
-    for semantics, ev, f, s, leq, write in _persistence_instances(seed,
-                                                                  budget):
-        # The formula's worlds, as the one atom of a valuation.
+    for semantics, ev, f, s, write in _persistence_instances(seed, budget):
+        # The formula's worlds, and the pairs going up that leave them.
         holds = frozenset(w for w in range(ev.n) if ev.sat(w, f, s))
-        lost = relmod.persistence_failures({"": holds}, ev.n, leq)
+        lost = [(i, j) for i in holds for j in relmod.bits(ev.up[i])
+                if j not in holds]
         if lost:
-            a, b = min((i, j) for _, i, j in lost)
+            a, b = min(lost)
             return False, {"checked": checked + a * ev.n + b}, {
                 "suite": "persistence", "semantics": semantics,
                 "formula": render(f), "below": a, "above": b, **write()}

@@ -7,7 +7,7 @@ an explicit random.Random so runs are reproducible from a seed.
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Optional
 
 from .formula import BINARY_NODES, Atom, Bot, Formula, Top
 from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
@@ -18,18 +18,17 @@ from .relational import (IntLayeredFrame, RelationalModel, closure_pairs,
 ATOM_NAMES = ("p", "q", "r")
 
 
-def random_formula(rng: random.Random, max_depth: int = 4,
-                   atom_names: Tuple[str, ...] = ATOM_NAMES) -> Formula:
+def random_formula(rng: random.Random, max_depth: int = 4) -> Formula:
     if max_depth == 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.1:
             return Top()
         if roll < 0.2:
             return Bot()
-        return Atom(rng.choice(atom_names))
+        return Atom(rng.choice(ATOM_NAMES))
     cls = rng.choice(BINARY_NODES)
-    return cls(random_formula(rng, max_depth - 1, atom_names),
-               random_formula(rng, max_depth - 1, atom_names))
+    return cls(random_formula(rng, max_depth - 1),
+               random_formula(rng, max_depth - 1))
 
 
 def random_preorder(rng: random.Random, n: int) -> frozenset:

@@ -3,8 +3,8 @@ layered-graph satisfaction relation.
 
 Worlds of a model are indices into the scaffold's admissible subgraph list
 X; the preorder is stored as its full reflexive-transitive closure.
-Satisfaction is relational satisfaction on the scaffold's frame, where
-R(i, j, k) holds iff X[i] @ X[j] = X[k].
+Satisfaction is relational satisfaction on the frame the scaffold
+carries, where R(i, j, k) holds iff X[i] @ X[j] = X[k].
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .formula import Formula, InputError
 from .relational import (MAX_FRAME_WORLDS, Evaluator, IntLayeredFrame, bits,
-                         closure_rows, persistence_failures, upset_masks,
-                         valuation_from_dict, world_ids)
+                         closure_rows, id_list, id_lists, json_list,
+                         persistence_failures, upset_masks,
+                         valuation_from_dict)
 
 Edge = Tuple[str, str]
 
@@ -135,6 +136,12 @@ class GraphMasks:
 
 @dataclass
 class OrderedScaffold:
+    """A graph, its eset, the admissible subgraphs X and a preorder on X.
+
+    Built once: the order is closed, X is checked to be a set, and
+    ``frame`` is the layered frame the scaffold induces, with worlds the
+    indices of X, the closed order, and R(i, j, k) iff X[i] @ X[j] =
+    X[k].  Every reader of a model's order or relation reads ``frame``."""
     graph: DirectedGraph
     eset: FrozenSet[Edge]
     subgraphs: List[Subgraph]
@@ -143,12 +150,12 @@ class OrderedScaffold:
     def __post_init__(self):
         self.masks = masks = GraphMasks(self.graph, self.eset)
         n = len(self.subgraphs)
-        # The preorder as bit rows: up[i] holds the members at or above i.
+        # Close the preorder: up[i] holds the members at or above i.
         self.order = frozenset(self.order)
-        self.up = closure_rows(self.order, range(n))
-        if len(self.order) < sum(map(int.bit_count, self.up)):  # not closed
+        up = closure_rows(self.order, range(n))
+        if len(self.order) < sum(map(int.bit_count, up)):  # not closed
             self.order = frozenset((i, j) for i in range(n)
-                                   for j in bits(self.up[i]))
+                                   for j in bits(up[i]))
         self.parts = [masks.part(sg) for sg in self.subgraphs]
         index = {part: i for i, part in enumerate(self.parts)}
         if len(index) < n:  # X is a set: a copy would be a second world
@@ -177,9 +184,8 @@ class OrderedScaffold:
                 self._comp[(i, j)] = index[out]
             elif out is not None:
                 self._escapes.add((h, k, out))
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.up[i] >> j & 1 == 1
+        self.frame = IntLayeredFrame(n, self.order, frozenset(
+            (i, j, m) for (i, j), m in self._comp.items()))
 
 
 @dataclass
@@ -188,7 +194,7 @@ class LayeredGraphModel:
     valuation: Dict[str, FrozenSet[int]]
 
     def world_count(self) -> int:
-        return len(self.scaffold.subgraphs)
+        return self.scaffold.frame.worlds
 
 
 def check_admissible(scaffold: OrderedScaffold) -> List[dict]:
@@ -218,31 +224,20 @@ def check_admissible(scaffold: OrderedScaffold) -> List[dict]:
         v[s][f] for s in ("left", "right") for f in ("vertices", "edges")])
 
 
-def check_persistent(model: LayeredGraphModel) -> List[tuple]:
-    """All (atom, i, j) with i below j but only i in the atom's extension."""
-    return persistence_failures(model.valuation, model.world_count(),
-                                model.scaffold.leq)
-
-
 def validate_model(model: LayeredGraphModel) -> List[dict]:
     problems = [dict(kind="admissibility", **v)
                 for v in check_admissible(model.scaffold)]
     problems += [{"kind": "persistence", "atom": p, "below": i, "above": j}
-                 for (p, i, j) in check_persistent(model)]
+                 for (p, i, j) in persistence_failures(
+                     model.valuation, model.world_count(),
+                     model.scaffold.frame.leq)]
     return problems
 
 
-def scaffold_to_frame(scaffold: OrderedScaffold) -> IntLayeredFrame:
-    """Frame on X with R(i,j,k) iff X[i] @ X[j] is defined and equals X[k]."""
-    n = len(scaffold.subgraphs)
-    rel = {(i, j, m) for (i, j), m in scaffold._comp.items()}
-    return IntLayeredFrame(n, scaffold.order, frozenset(rel))
-
-
 def model_evaluator(model: LayeredGraphModel) -> Evaluator:
-    """One evaluator for every satisfaction query on ``model``."""
-    return Evaluator(scaffold_to_frame(model.scaffold), model.valuation,
-                     up=model.scaffold.up)
+    """One evaluator for every satisfaction query on ``model``, on the
+    frame its scaffold carries."""
+    return Evaluator(model.scaffold.frame, model.valuation)
 
 
 def satisfies(model: LayeredGraphModel, world: int, f: Formula) -> bool:
@@ -276,27 +271,39 @@ def model_to_dict(model: LayeredGraphModel) -> dict:
     }
 
 
+def vertex_set(ids, what: str) -> FrozenSet[str]:
+    """A file's list of vertex ids, as strings: numeric ids in
+    hand-written files are normalized on load."""
+    return frozenset(map(str, id_list(ids, what, "vertex id")))
+
+
+def vertex_pairs(pairs, what: str, each: str) -> FrozenSet[Edge]:
+    """A file's list of pairs of vertex ids, as pairs of strings."""
+    return frozenset((str(u), str(v)) for u, v in id_lists(
+        pairs, what, each, 2, "vertex id"))
+
+
 def model_from_dict(data: dict) -> LayeredGraphModel:
     # The scaffold composes every pair of members of X, so their number
     # is held to the frame bound before any subgraph is built.
-    if len(data["X"]) > MAX_FRAME_WORLDS:
-        raise InputError(f"{len(data['X'])} members of X exceed the frame "
+    members = json_list(data["X"], "X")
+    if len(members) > MAX_FRAME_WORLDS:
+        raise InputError(f"{len(members)} members of X exceed the frame "
                          f"bound {MAX_FRAME_WORLDS}")
-    # Vertex ids are strings; numeric ids in hand-written files are
-    # normalized on load.
-    def edge(e) -> Edge:
-        u, v = e
-        return (str(u), str(v))
-
-    graph = DirectedGraph(frozenset(str(v) for v in data["vertices"]),
-                          frozenset(edge(e) for e in data["edges"]))
-    subgraphs = [Subgraph(frozenset(str(v) for v in sg["vertices"]),
-                          frozenset(edge(e) for e in sg["edges"]), graph)
-                 for sg in data["X"]]
+    graph = DirectedGraph(vertex_set(data["vertices"], "vertices"),
+                          vertex_pairs(data["edges"], "edges", "edge"))
+    subgraphs = []
+    for j, sg in enumerate(members):
+        if type(sg) is not dict:
+            raise InputError(f"X[{j}] is {sg!r:.40}, not an object")
+        subgraphs.append(Subgraph(
+            vertex_set(sg["vertices"], f"X[{j}] vertices"),
+            vertex_pairs(sg["edges"], f"X[{j}] edges", f"X[{j}] edge"),
+            graph))
     scaffold = OrderedScaffold(
-        graph, frozenset(edge(e) for e in data["eset"]), subgraphs,
-        frozenset((i, j) for i, j in (world_ids(pair, f"order pair {pair!r}")
-                                      for pair in data.get("order", []))))
+        graph, vertex_pairs(data["eset"], "eset", "eset edge"), subgraphs,
+        frozenset(map(tuple, id_lists(data.get("order", []), "order",
+                                      "order pair", 2))))
     return LayeredGraphModel(scaffold,
                              valuation_from_dict(data, len(subgraphs)))
 

@@ -19,7 +19,7 @@ from .formula import (BINARY_NODES, QUANT_NODES, Contains, Formula,
                       InputError, PointsTo)
 from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                     OrderedScaffold, Subgraph, model_from_dict,
-                    model_to_dict, scaffold_to_frame)
+                    model_to_dict, vertex_pairs)
 from .relational import (Evaluator, bits, closure_pairs, principal_upsets,
                          upset_masks)
 
@@ -96,7 +96,7 @@ def resource_evaluator(rm: ResourceModel) -> Evaluator:
     for row, sg in zip(succ, sc.subgraphs):
         for u, v in sg.edges:
             row[index[u]] |= 1 << index[v]
-    return Evaluator(scaffold_to_frame(sc), rm.model.valuation,
+    return Evaluator(sc.frame, rm.model.valuation,
                      [_mask(index, sg.vertices) for sg in sc.subgraphs],
                      succ, placement_upsets(rm.placement)[1])
 
@@ -243,8 +243,8 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
 def resource_model_from_dict(data: dict) -> ResourceModel:
     model = model_from_dict(data)
     # Placement ids are vertex ids, normalized to strings in the same way.
-    placement = frozenset((str(u), str(v))
-                          for u, v in data.get("placement", []))
+    placement = vertex_pairs(data.get("placement", []), "placement",
+                             "placement pair")
     outside = ({v for pair in placement for v in pair}
                - model.scaffold.graph.vertices)
     if outside:

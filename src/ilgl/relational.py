@@ -119,9 +119,7 @@ class IntLayeredFrame:
         # Transitivity in O(|order|): each world's successors as a bitmask;
         # (i, j) is transitive when j's successors are among i's.
         inside = [(i, j) for i, j in self.order if i in rng and j in rng]
-        succ = [0] * self.worlds
-        for i, j in inside:
-            succ[i] |= 1 << j
+        succ = principal_upsets(self.worlds, inside)
         for i, j in inside:
             missing = succ[j] & ~succ[i]
             if missing:
@@ -159,8 +157,9 @@ class Evaluator:
     """The satisfaction clauses of the relational, layered-graph and
     predicate semantics, one per connective in ``CLAUSES``, memoised per
     (world, formula, assignment).  Layered-graph satisfaction is this run
-    on the scaffold's frame.  Worlds are bits: ``up[w]`` holds the
-    order-successors of world w.  So are vertices in the predicate
+    on the frame the scaffold carries.  Worlds are bits: ``up[w]`` holds
+    the successors of world w in ``frame.order``, the one order every
+    clause reads.  So are vertices in the predicate
     clauses: ``places[w]`` holds those of the admissible subgraph that
     world w names and ``succ[w][i]`` vertex i's successors inside it.
     ``upsets``, the quantifier domain, and the blocks of an assignment (a
@@ -169,9 +168,9 @@ class Evaluator:
 
     def __init__(self, frame: IntLayeredFrame,
                  valuation: Dict[str, FrozenSet[int]],
-                 places=(), succ=(), upsets=(), up=None):
+                 places=(), succ=(), upsets=()):
         self.n = frame.worlds
-        self.up = up or principal_upsets(self.n, frame.order)
+        self.up = principal_upsets(self.n, frame.order)
         self.rel = frame.rel
         self.valuation = valuation
         self.places, self.succ, self.upsets = places, succ, upsets
@@ -599,26 +598,57 @@ def frame_from_dict(data: dict) -> RelationalModel:
     if n > MAX_FRAME_WORLDS:
         raise InputError(f"{n} worlds exceed the frame bound "
                          f"{MAX_FRAME_WORLDS}")
-    order = closure_pairs([world_ids(pair, f"order pair {pair!r}")
-                           for pair in data.get("order", [])], range(n))
-    frame = IntLayeredFrame(n, frozenset(order), frozenset(
-        (y, z, x) for y, z, x in (world_ids(t, f"relation triple {t!r}")
-                                  for t in data.get("rel", []))))
+    order = closure_pairs(id_lists(data.get("order", []), "order",
+                                   "order pair", 2), range(n))
+    rel = id_lists(data.get("rel", []), "rel", "relation triple", 3)
+    frame = IntLayeredFrame(n, frozenset(order), frozenset(map(tuple, rel)))
     return RelationalModel(frame, valuation_from_dict(data, n))
 
 
-def world_ids(ids, what: str) -> list:
-    """``ids``, which must be a list of integers, booleans excluded."""
-    for i in ids if type(ids) is list else [ids]:
-        if type(i) is not int:
-            raise InputError(f"{what} holds {i!r}, not a world id")
+def json_list(value, what: str) -> list:
+    """``value``, which must be a JSON list."""
+    if type(value) is not list:
+        raise InputError(f"{what} is {value!r:.40}, not a list")
+    return value
+
+
+# The JSON types of each kind of id in a file; a boolean is neither.
+ID_TYPES = {"world id": (int,), "vertex id": (str, int)}
+
+
+def id_list(ids, what: str, noun: str = "world id") -> list:
+    """``ids``, which must be a JSON list of ids of the kind ``noun``."""
+    if type(ids) is not list:
+        raise InputError(f"{what} holds {ids!r:.40}, not a {noun} list")
+    kinds = ID_TYPES[noun]
+    for i in ids:
+        if type(i) not in kinds:
+            raise InputError(f"{what} holds {i!r}, not a {noun}")
     return ids
+
+
+def id_lists(lists, what: str, each: str, count: int,
+             noun: str = "world id") -> list:
+    """``lists``, which must be a JSON list of lists of ``count`` ids of
+    the kind ``noun``; an error names the list as ``each``."""
+    kinds = ID_TYPES[noun]
+    for ids in json_list(lists, what):
+        if type(ids) is not list or len(ids) != count:
+            raise InputError(f"{each} {ids!r:.40} is not a list of {count} "
+                             f"{noun}s")
+        for i in ids:
+            if type(i) not in kinds:
+                raise InputError(f"{each} {ids!r} holds {i!r}, not a {noun}")
+    return lists
 
 
 def valuation_from_dict(data: dict, n: int) -> Dict[str, FrozenSet[int]]:
     """The file's valuation: each atom's worlds, all among 0..n-1."""
-    valuation = {p: frozenset(world_ids(ws, f"valuation of {p!r}"))
-                 for p, ws in data.get("valuation", {}).items()}
+    given = data.get("valuation", {})
+    if type(given) is not dict:
+        raise InputError(f"valuation is {given!r:.40}, not an object")
+    valuation = {p: frozenset(id_list(ws, f"valuation of {p!r}"))
+                 for p, ws in given.items()}
     for p, ws in valuation.items():
         for i in ws:
             if not 0 <= i < n:

@@ -18,8 +18,10 @@ pairs.
 conditions of the paper's completeness proof; the tests hold the prover's
 countermodel branches against it, while the prover itself relies on
 certification of the model alone.
+``sweep`` draws the 1,000-formula sweep whose traces the tests pin.
 """
 
+import random
 import time
 from collections import deque
 from typing import Dict, List, Optional
@@ -28,6 +30,7 @@ from graph_reference import composition_index
 from ilgl import graph as graphmod
 from ilgl import tableaux
 from ilgl.formula import Bot, Formula, Top
+from ilgl.gen import random_formula
 from ilgl.graph import LayeredGraphModel
 from ilgl.relational import bits
 from ilgl.tableaux import (CSS, RULES, ConstraintSet, Label, Limits, Proved,
@@ -84,7 +87,7 @@ def realize_check(css: CSS, model: LayeredGraphModel,
                                  "label": label_str(x)})
     for (a, b) in sorted(closure(css.cset)):
         if a in assignment and b in assignment:
-            if not sc.leq(assignment[a], assignment[b]):
+            if not sc.frame.leq(assignment[a], assignment[b]):
                 problems.append({"clause": "order",
                                  "constraint": f"{label_str(a)} <= "
                                                f"{label_str(b)}"})
@@ -195,3 +198,12 @@ def check_hintikka(css: CSS) -> List[dict]:
         elif not _met(css, rule, f) >> i & 1:
             fail(condition, slf)
     return fails
+
+
+def sweep():
+    """The 1,000-formula sweep: a fresh random.Random(20240) per depth,
+    500 formulas at each of depths 4 and 5."""
+    for depth in (4, 5):
+        rng = random.Random(20240)
+        for _ in range(500):
+            yield random_formula(rng, depth)

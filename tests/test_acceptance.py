@@ -21,7 +21,6 @@ from ilgl.formula import Atom, parse, parse_pred
 from ilgl.gen import (random_formula, random_frame, random_graph_model,
                       random_relational_model)
 from ilgl.hilbert import check_derivation
-from ilgl.graph import scaffold_to_frame
 from ilgl.predicate import enumerate_upsets, pred_satisfies
 from ilgl.relational import (DEFAULT_REL_CAPS, RelationalModel, _stacked_step,
                              rel_satisfies, rel_valid_upto)
@@ -99,7 +98,7 @@ def test_criterion_03_soundness_sweep():
     rng = random.Random(20240)
     proved = refuted = unknown = violations = 0
     for _ in range(500):
-        f = random_formula(rng, 4, ("p", "q", "r"))
+        f = random_formula(rng, 4)
         result = prove(f)
         if result.status == "proved":
             proved += 1
@@ -126,7 +125,7 @@ def test_criterion_04_persistence():
         n = model.world_count()
         for a in range(n):
             for b in range(n):
-                if not model.scaffold.leq(a, b):
+                if not model.scaffold.frame.leq(a, b):
                     continue
                 graph_triples += 1
                 if graphmod.satisfies(model, a, f) and \
@@ -155,7 +154,7 @@ def test_criterion_04_persistence():
         f = parse_pred(rng.choice(texts))
         for a in range(n):
             for b in range(n):
-                if not rm.model.scaffold.leq(a, b):
+                if not rm.model.scaffold.frame.leq(a, b):
                     continue
                 pred_triples += 1
                 if pred_satisfies(rm, s, a, f) and \
@@ -232,8 +231,7 @@ def test_criterion_09_scaffold_frame_agreement():
     disagreements = 0
     for _ in range(200):
         model = random_graph_model(rng)
-        rmodel = RelationalModel(scaffold_to_frame(model.scaffold),
-                                 model.valuation)
+        rmodel = RelationalModel(model.scaffold.frame, model.valuation)
         f = random_formula(rng, 4)
         for w in range(model.world_count()):
             if graphmod.satisfies(model, w, f) \

@@ -4,6 +4,7 @@
 metrics, so this test installs the tracer and takes it off again."""
 
 import os
+import random
 import sys
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -29,3 +30,18 @@ def test_tracer_wraps_and_unwraps_every_traced_name():
     finally:
         tr.unwrap()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_model_json_equals_model_to_dict():
+    # The benchmark writes its models from the scaffold's fields, not
+    # through ``graph.model_to_dict``; the two must agree.
+    ilgl = worker.import_program()
+    from ilgl import gen
+    from ilgl.crosscheck import _bigraph_fixture
+    from ilgl.formula import parse
+    rng = random.Random(5)
+    models = [gen.random_graph_model(rng) for _ in range(30)]
+    models.append(ilgl.tableaux.prove(parse("(p |> q) -> p")).model)
+    models.append(_bigraph_fixture().model)
+    for model in models:
+        assert worker.model_json(model) == ilgl.graph.model_to_dict(model)

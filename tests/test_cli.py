@@ -642,7 +642,7 @@ class TestCrosscheckFailures:
         real = relmod.Evaluator.sat
 
         def sat(self, w, f, s=frozenset()):
-            kind_, _, formula, assignment, _, _ = current[self]
+            kind_, _, formula, assignment, _ = current[self]
             if kind_ == semantics and f is formula and s == assignment:
                 return self.up[w] != 1 << w
             return real(self, w, f, s)
@@ -651,7 +651,7 @@ class TestCrosscheckFailures:
         monkeypatch.setattr(relmod.Evaluator, "sat", sat)
         ok, summary, repro = crosscheck.run_suite("persistence", 3, 20)
         checked = 0
-        for kind_, ev, f, s, _, write in draw(3, 20):
+        for kind_, ev, f, s, write in draw(3, 20):
             if kind_ == semantics and lost(ev):
                 break
             checked += ev.n ** 2

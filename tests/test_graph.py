@@ -10,8 +10,8 @@ from ilgl.gen import _try_scaffold, random_formula, random_graph_model
 from graph_reference import compose, reaches
 from ilgl.graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                         OrderedScaffold, Subgraph, check_admissible,
-                        check_persistent, model_from_dict, model_to_dict,
-                        satisfies, valid_in_model, validate_model)
+                        model_from_dict, model_to_dict, satisfies,
+                        valid_in_model, validate_model)
 
 
 def g(vertices, edges):
@@ -282,6 +282,12 @@ class TestAdmissibleAgainstReference:
         assert found >= 100
 
 
+def check_persistent(model):
+    """The persistence entries of ``validate_model``, as (atom, i, j)."""
+    return [(p["atom"], p["below"], p["above"])
+            for p in validate_model(model) if p["kind"] == "persistence"]
+
+
 class TestPersistence:
     def test_valid_chain(self):
         h, k, hk, eset = scaffold_hk()
@@ -365,7 +371,7 @@ class TestPersistenceLemma:
                 if not satisfies(model, a, f):
                     continue
                 for b in range(n):
-                    if model.scaffold.leq(a, b):
+                    if model.scaffold.frame.leq(a, b):
                         assert satisfies(model, b, f)
 
 
@@ -392,8 +398,8 @@ class TestModelJson:
             "valuation": {},
         }
         model = model_from_dict(data)
-        assert model.scaffold.leq(0, 2)  # transitive
-        assert model.scaffold.leq(0, 0)  # reflexive
+        assert model.scaffold.frame.leq(0, 2)  # transitive
+        assert model.scaffold.frame.leq(0, 0)  # reflexive
 
     def test_bad_valuation_rejected(self):
         h, k, hk, eset = scaffold_hk()

@@ -144,6 +144,70 @@ def test_world_id_not_an_integer_exit_two(capsys, tmp_path, content, argvs,
         assert "Traceback" not in err, argv
 
 
+def with_member(change: dict) -> dict:
+    """MODEL with ``change`` made to its member X[2], a @ b."""
+    return {**MODEL, "X": MODEL["X"][:2] + [{**MODEL["X"][2], **change}]}
+
+
+# Each list-shaped field is a JSON list; each edge, placement pair and
+# order pair a list of two ids, and each relation triple of three; and a
+# vertex id a JSON string or integer.  A string is not read as its
+# characters, an object as an empty list, nor true, null or 1.5 as the
+# vertex "True", "None" or "1.5".
+SHAPE_ARGVS = [("validate", "{}"), ("check", "{}", "p |> top", "--world",
+                                    "2")]
+PLACED_ARGVS = [("validate", "{}"), ("check", "{}", "exists s. Contains(s)",
+                                     "--world", "0")]
+
+
+@pytest.mark.parametrize("content, argvs, named", [
+    ({**with_member({"edges": ["ab"]}), "edges": ["ab"], "eset": ["ab"]},
+     SHAPE_ARGVS, "edge 'ab' is not a list of 2 vertex ids"),
+    ({**MODEL, "eset": ["ab"]}, SHAPE_ARGVS,
+     "eset edge 'ab' is not a list of 2 vertex ids"),
+    (with_member({"edges": ["ab"]}), SHAPE_ARGVS,
+     "X[2] edge 'ab' is not a list of 2 vertex ids"),
+    ({**MODEL, "placement": ["ab"], "resources": []}, PLACED_ARGVS,
+     "placement pair 'ab' is not a list of 2 vertex ids"),
+    ({**MODEL, "vertices": "ab"}, SHAPE_ARGVS,
+     "vertices holds 'ab', not a vertex id list"),
+    (with_member({"vertices": "ab"}), SHAPE_ARGVS,
+     "X[2] vertices holds 'ab', not a vertex id list"),
+    ({**MODEL, "vertices": ["a", "b", True]}, SHAPE_ARGVS,
+     "vertices holds True, not a vertex id"),
+    ({**MODEL, "vertices": ["a", "b", None]}, SHAPE_ARGVS,
+     "vertices holds None, not a vertex id"),
+    ({**MODEL, "vertices": ["a", "b", 1.5]}, SHAPE_ARGVS,
+     "vertices holds 1.5, not a vertex id"),
+    ({**MODEL, "X": {}, "valuation": {}}, [("validate", "{}"),
+                                           ("check", "{}", "p")],
+     "X is {}, not a list"),
+    ({**MODEL, "order": {}}, SHAPE_ARGVS, "order is {}, not a list"),
+    ({**MODEL, "valuation": {"p": 0}}, SHAPE_ARGVS,
+     "valuation of 'p' holds 0, not a world id list"),
+    ({**MODEL, "order": [[0]]}, SHAPE_ARGVS,
+     "order pair [0] is not a list of 2 world ids"),
+    ({"worlds": 2, "order": {}, "rel": []}, FRAME_ARGVS,
+     "order is {}, not a list"),
+    ({"worlds": 2, "order": [], "rel": {}}, FRAME_ARGVS,
+     "rel is {}, not a list"),
+    ({"worlds": 2, "order": [], "rel": [[0, 1]]}, FRAME_ARGVS,
+     "relation triple [0, 1] is not a list of 3 world ids"),
+], ids=["edges-all-strings", "eset-string", "member-edge-string",
+        "placement-string", "vertices-string", "member-vertices-string",
+        "vertex-true", "vertex-null", "vertex-float", "x-object",
+        "order-object", "valuation-integer", "order-pair-short",
+        "frame-order-object", "frame-rel-object", "frame-triple-short"])
+def test_field_of_wrong_shape_exit_two(capsys, tmp_path, content, argvs,
+                                       named):
+    for argv in argvs:
+        code, body, err = run(capsys, tmp_path, json.dumps(content), *argv)
+        assert code == 2 and body["status"] == "error", argv
+        message = body["payload"]["message"]
+        assert "input.json" in message and named in message, argv
+        assert "Traceback" not in err, argv
+
+
 # The two-element chain: the complex algebra of a one-world frame.
 CHAIN = algebra_to_dict(complex_algebra(
     IntLayeredFrame(1, frozenset([(0, 0)]), frozenset())))
@@ -316,6 +380,16 @@ def test_algebra_file_beyond_algebra_bound_exit_two(capsys, tmp_path):
     message = body["payload"]["message"]
     assert "input.json" in message
     assert f"size 512 over the algebra bound {MAX_ALGEBRA_SIZE}" in message
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_algebra_size_below_one_exit_two(capsys, tmp_path, size):
+    # Checked first: size 0 was refused for its top, -1 for its leq table.
+    content = json.dumps({**CHAIN, "size": size})
+    code, body, err = run(capsys, tmp_path, content, "validate", "{}")
+    assert code == 2 and body["status"] == "error" and "Traceback" not in err
+    assert (f"input.json: size {size} is below 1, the fewest elements of "
+            "an algebra") in body["payload"]["message"]
 
 
 def test_algebra_at_algebra_bound_fits_file_bound():

@@ -207,8 +207,8 @@ class TestBigraphBuilder:
         rm = composed_bigraphs()
         inner = world_by_vertices(rm, ["a2"])
         outer = world_by_vertices(rm, ["a1"])
-        assert rm.model.scaffold.leq(inner, outer)
-        assert not rm.model.scaffold.leq(outer, inner)
+        assert rm.model.scaffold.frame.leq(inner, outer)
+        assert not rm.model.scaffold.frame.leq(outer, inner)
 
     def test_hyperedge_three_incident_edges(self):
         rm = composed_bigraphs()
@@ -315,7 +315,7 @@ class TestPredicateProperties:
                 if not pred_satisfies(rm, s, a, f):
                     continue
                 for b in range(n):
-                    if rm.model.scaffold.leq(a, b):
+                    if rm.model.scaffold.frame.leq(a, b):
                         assert pred_satisfies(rm, s, b, f)
                         checked += 1
         assert checked > 0

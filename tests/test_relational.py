@@ -11,22 +11,26 @@ import types
 import numpy as np
 import pytest
 
+from ilgl import gen
 from ilgl import graph as graphmod
 from ilgl import relational as relmod
 from ilgl.algebra import (AlgebraInterpretation,
                           complex_algebra_with_elements, interpret)
+from ilgl.crosscheck import _bigraph_fixture
 from ilgl.formula import atoms, parse, postfix
 from ilgl.gen import (random_formula, random_graph_model,
                       random_relational_model)
-from ilgl.graph import scaffold_to_frame
+from ilgl.predicate import resource_evaluator
 from ilgl.relational import (MAX_UPSETS, OP_NAME, IntLayeredFrame,
                              RelationalModel, _stacked_step, closure_pairs,
                              enumerate_preorders, frame_from_dict,
                              frame_to_dict, rel_satisfies, rel_valid_upto,
                              upset_masks)
+from ilgl.tableaux import prove
 from graph_reference import composition_index
 from oracle_reference import (class_minima, closure_reference,
                               enumerate_frames, unreduced_chunks, upsets)
+from tableau_reference import sweep
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -34,11 +38,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 class TestScaffoldToFrame:
     def test_single_composition_triple(self):
+        # Random graph models, the bigraph fixture's model and the
+        # countermodels of the 1,000-formula sweep.
         rng = random.Random(0)
+        models = [random_graph_model(rng) for _ in range(80)]
+        models.append(_bigraph_fixture().model)
+        models += [result.model for result in map(prove, sweep())
+                   if result.status == "countermodel"]
+        assert len(models) == 80 + 1 + 875
         found = False
-        for _ in range(80):
-            model = random_graph_model(rng)
-            frame = scaffold_to_frame(model.scaffold)
+        for model in models:
+            frame = model.scaffold.frame
             assert frame.worlds == model.world_count()
             assert frame.order == model.scaffold.order
             for (i, j), m in model.scaffold._comp.items():
@@ -49,11 +59,31 @@ class TestScaffoldToFrame:
                 assert composition_index(model.scaffold, y, z) == x
         assert found
 
+    def test_evaluator_order_is_frame_order(self):
+        # The persistence suite checks each formula's worlds against
+        # ``ev.up``: it must be the model's own order.
+        rng = random.Random(4)
+        checks = [(graphmod.model_evaluator(m), m.scaffold.frame)
+                  for m in (random_graph_model(rng) for _ in range(60))]
+        checks += [(relmod.Evaluator(m.frame, m.valuation), m.frame)
+                   for m in (random_relational_model(rng, rng.randrange(1, 5))
+                             for _ in range(60))]
+        rm = _bigraph_fixture()
+        checks.append((resource_evaluator(rm), rm.model.scaffold.frame))
+        strict = 0
+        for ev, frame in checks:
+            assert ev.n == frame.worlds
+            for i in range(ev.n):
+                for j in range(ev.n):
+                    assert (ev.up[i] >> j & 1 == 1) == frame.leq(i, j)
+                    strict += i != j and frame.leq(i, j)
+        assert strict > 0
+
     def test_no_compositions_empty_rel(self):
         g = graphmod.DirectedGraph(frozenset(["a"]), frozenset())
         sg = graphmod.Subgraph(frozenset(["a"]), frozenset(), g)
         sc = graphmod.OrderedScaffold(g, frozenset(), [sg], frozenset())
-        assert scaffold_to_frame(sc).rel == frozenset()
+        assert sc.frame.rel == frozenset()
 
 
 class TestRelSatisfies:
@@ -82,8 +112,7 @@ class TestRelSatisfies:
         rng = random.Random(77)
         for _ in range(200):
             model = random_graph_model(rng)
-            rmodel = RelationalModel(scaffold_to_frame(model.scaffold),
-                                     model.valuation)
+            rmodel = RelationalModel(model.scaffold.frame, model.valuation)
             f = random_formula(rng, 3)
             for w in range(model.world_count()):
                 assert graphmod.satisfies(model, w, f) \
@@ -244,7 +273,7 @@ class TestValidityOracle:
         with pytest.raises(ValueError, match=named):
             rel_valid_upto(parse("p"), max_worlds, 1, rel_caps)
 
-    def test_matches_direct_brute_force(self):
+    def test_matches_direct_brute_force(self, monkeypatch):
         # Independent oracle: sweep the identical two-world family with
         # rel_satisfies directly (no algebra tables) and compare both the
         # verdict and the first counterexample found.
@@ -267,10 +296,11 @@ class TestValidityOracle:
                             return frame, valuation, w
             return None
 
+        monkeypatch.setattr(gen, "ATOM_NAMES", ("p", "q"))  # two atoms
         rng = random.Random(271)
         outcomes = set()
         for _ in range(40):
-            f = random_formula(rng, 3, ("p", "q"))
+            f = random_formula(rng, 3)
             fast = rel_valid_upto(f, 2, 2)
             slow = brute(f)
             outcomes.add(slow is None)

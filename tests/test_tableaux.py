@@ -20,7 +20,7 @@ from ilgl.tableaux import (CSS, RULES, ConstraintSet, Limits, RuleInstance,
 
 from graph_reference import composition_index, composition_table
 from tableau_reference import (check_hintikka, closure, css_check,
-                               prove_by_pairs, realize_check)
+                               prove_by_pairs, realize_check, sweep)
 
 c0, c1, c2, c3 = (0,), (1,), (2,), (3,)
 
@@ -124,15 +124,6 @@ def naive_closure(constraints):
         if not more:
             return domain, closure
         closure |= more
-
-
-def sweep():
-    """The 1,000-formula sweep: a fresh random.Random(20240) per depth,
-    500 formulas at each of depths 4 and 5."""
-    for depth in (4, 5):
-        rng = random.Random(20240)
-        for _ in range(500):
-            yield random_formula(rng, depth)
 
 
 class TestClosure:
@@ -732,7 +723,7 @@ class TestExtractModel:
         sg = model.scaffold.subgraphs[comp]
         assert sg.vertices == frozenset(["c1", "c2"])
         assert sg.edges == frozenset([("c1", "c2")])
-        assert model.scaffold.leq(comp, label_map[c0])
+        assert model.scaffold.frame.leq(comp, label_map[c0])
         assert composition_index(
             model.scaffold, label_map[(1,)], label_map[(2,)]) == comp
 
