@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import merge
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .formula import Formula, InputError, postfix
 from .relational import (MAX_ALGEBRA_SIZE, OP_NAME, Evaluator,
                          IntLayeredFrame, RelationalModel, bits, fold_tables,
-                         frame_tables, preimages)
+                         frame_tables, json_list, preimages)
 
 BINOPS = tuple(OP_NAME.values())
 
@@ -296,34 +296,26 @@ def algebra_to_dict(alg: FiniteLayeredHeytingAlgebra) -> dict:
     }
 
 
-def _integers(values, name: str, bits: bool = False) -> list:
-    """``values``, which must be JSON integers (booleans excluded), or
-    with ``bits`` only 0, 1, true or false; the error names ``name``."""
-    for x in values:
-        if bits and not (type(x) in (int, bool) and x in (0, 1)):
-            raise InputError(f"{name} holds {x!r}: only 0, 1, true or false")
-        if not bits and type(x) is not int:
-            raise InputError(f"{name} holds {x!r}, not an integer")
-    return values
-
-
 def algebra_from_dict(data: dict) -> FiniteLayeredHeytingAlgebra:
     """The algebra a JSON object describes.  Raises ValueError unless
-    size <= MAX_ALGEBRA_SIZE (checked first), every table is size x size
-    and every entry, top and bot is an element id: a JSON integer, and in
-    ``leq`` 0, 1, true or false (KeyError or TypeError on a missing or
-    mistyped field); the laws are ``validate_algebra``'s."""
-    (n,) = _integers([data["size"]], "size")
+    size <= MAX_ALGEBRA_SIZE (checked first), every table is a size x size
+    list of lists and every entry, top and bot is an element id: a JSON
+    integer, and in ``leq`` 0, 1, true or false (KeyError on a missing
+    field); the laws are ``validate_algebra``'s."""
+    (n,) = json_list([data["size"]], "size", "an integer")
     if n < 1:
         raise InputError(f"size {n} is below 1, the fewest elements of an "
                          "algebra")
     if n > MAX_ALGEBRA_SIZE:
         raise InputError(f"size {n} over the algebra bound {MAX_ALGEBRA_SIZE}")
-    leq = [[bool(x) for x in _integers(row, "leq", bits=True)]
-           for row in data["leq"]]
-    ops = {name: [_integers(row, name) for row in data[name]]
-           for name in BINOPS}
-    (top,), (bot,) = (_integers([data[key]], key) for key in ("top", "bot"))
+    leq = [json_list(row, "leq") for row in json_list(data["leq"], "leq")]
+    for x in chain.from_iterable(leq):
+        if type(x) not in (int, bool) or x not in (0, 1):
+            raise InputError(f"leq holds {x!r}: only 0, 1, true or false")
+    ops = {name: [json_list(row, name, "an integer")
+                  for row in json_list(data[name], name)] for name in BINOPS}
+    (top,), (bot,) = (json_list([data[key]], key, "an integer")
+                      for key in ("top", "bot"))
     for name, rows in {"leq": leq, **ops}.items():
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"{name} is not a {n} x {n} table")
@@ -331,5 +323,6 @@ def algebra_from_dict(data: dict) -> FiniteLayeredHeytingAlgebra:
             raise ValueError(f"{name} has an entry outside 0..{n - 1}")
     if not (0 <= top < n and 0 <= bot < n):
         raise ValueError(f"top or bot outside 0..{n - 1}")
-    return FiniteLayeredHeytingAlgebra(size=n, leq=leq, top=top, bot=bot,
-                                       **ops)
+    return FiniteLayeredHeytingAlgebra(
+        size=n, leq=[list(map(bool, row)) for row in leq], top=top, bot=bot,
+        **ops)

@@ -14,11 +14,21 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .formula import Formula, InputError
 from .relational import (MAX_FRAME_WORLDS, Evaluator, IntLayeredFrame, bits,
-                         closure_rows, id_list, id_lists, json_list,
+                         closure_rows, json_list,
                          persistence_failures, upset_masks,
                          valuation_from_dict)
 
 Edge = Tuple[str, str]
+
+
+def _check_edges(vertices: FrozenSet[str], edges: FrozenSet[Edge],
+                 what: str) -> None:
+    """Raises ValueError naming the least edge with an end outside
+    ``vertices``, the vertices of ``what``."""
+    for u, v in edges:
+        if u not in vertices or v not in vertices:
+            stray = min(e for e in edges if not vertices.issuperset(e))
+            raise ValueError(f"edge {list(stray)} leaves {what}")
 
 
 @dataclass(frozen=True)
@@ -27,9 +37,7 @@ class DirectedGraph:
     edges: FrozenSet[Edge]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge ({u},{v}) leaves the vertex set")
+        _check_edges(self.vertices, self.edges, "the vertex set")
 
 
 @dataclass(frozen=True)
@@ -39,13 +47,14 @@ class Subgraph:
     parent: DirectedGraph = field(compare=False, repr=False)
 
     def __post_init__(self):
+        # A message names the least vertex or edge at fault.
         if not self.vertices <= self.parent.vertices:
-            raise ValueError("subgraph vertices not in parent")
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge ({u},{v}) leaves the subgraph")
-            if (u, v) not in self.parent.edges:
-                raise ValueError(f"edge ({u},{v}) not in parent")
+            stray = min(self.vertices - self.parent.vertices)
+            raise ValueError(f"vertex {stray!r} is not a vertex of the graph")
+        if not self.edges <= self.parent.edges:
+            stray = min(self.edges - self.parent.edges)
+            raise ValueError(f"edge {list(stray)} is not an edge of the graph")
+        _check_edges(self.vertices, self.edges, "the subgraph")
 
 
 Part = Tuple[int, int]  # (vertex mask, edge mask) of a subgraph
@@ -57,7 +66,9 @@ class GraphMasks:
 
     def __init__(self, graph: DirectedGraph, eset: FrozenSet[Edge]):
         if not eset <= graph.edges:
-            raise ValueError("eset must be a subset of the graph's edges")
+            stray = min(eset - graph.edges)
+            raise ValueError(f"eset edge {list(stray)} is not an edge of "
+                             "the graph")
         self.graph = graph
         self.vertices, self.edges = sorted(graph.vertices), sorted(graph.edges)
         self._vbit = {v: 1 << i for i, v in enumerate(self.vertices)}
@@ -272,15 +283,20 @@ def model_to_dict(model: LayeredGraphModel) -> dict:
 
 
 def vertex_set(ids, what: str) -> FrozenSet[str]:
-    """A file's list of vertex ids, as strings: numeric ids in
+    """A file's list of distinct vertex ids, as strings: numeric ids in
     hand-written files are normalized on load."""
-    return frozenset(map(str, id_list(ids, what, "vertex id")))
+    vertices = frozenset(map(str, json_list(ids, what, "a vertex id")))
+    if len(vertices) < len(ids):
+        names = sorted(map(str, ids))
+        twice = next(a for a, b in zip(names, names[1:]) if a == b)
+        raise InputError(f"{what} lists vertex {twice!r} twice")
+    return vertices
 
 
 def vertex_pairs(pairs, what: str, each: str) -> FrozenSet[Edge]:
     """A file's list of pairs of vertex ids, as pairs of strings."""
-    return frozenset((str(u), str(v)) for u, v in id_lists(
-        pairs, what, each, 2, "vertex id"))
+    return frozenset((str(u), str(v)) for u, v in json_list(
+        json_list(pairs, what), each, "a vertex id", 2))
 
 
 def model_from_dict(data: dict) -> LayeredGraphModel:
@@ -296,14 +312,17 @@ def model_from_dict(data: dict) -> LayeredGraphModel:
     for j, sg in enumerate(members):
         if type(sg) is not dict:
             raise InputError(f"X[{j}] is {sg!r:.40}, not an object")
-        subgraphs.append(Subgraph(
-            vertex_set(sg["vertices"], f"X[{j}] vertices"),
-            vertex_pairs(sg["edges"], f"X[{j}] edges", f"X[{j}] edge"),
-            graph))
-    scaffold = OrderedScaffold(
-        graph, vertex_pairs(data["eset"], "eset", "eset edge"), subgraphs,
-        frozenset(map(tuple, id_lists(data.get("order", []), "order",
-                                      "order pair", 2))))
+        vertices = vertex_set(sg["vertices"], f"X[{j}] vertices")
+        edges = vertex_pairs(sg["edges"], f"X[{j}] edges", f"X[{j}] edge")
+        try:
+            subgraphs.append(Subgraph(vertices, edges, graph))
+        except ValueError as exc:
+            raise InputError(f"X[{j}] {exc}") from None
+    eset = vertex_pairs(data["eset"], "eset", "eset edge")
+    order = json_list(json_list(data.get("order", []), "order"),
+                      "order pair", "a world id", 2)
+    scaffold = OrderedScaffold(graph, eset, subgraphs,
+                               frozenset(map(tuple, order)))
     return LayeredGraphModel(scaffold,
                              valuation_from_dict(data, len(subgraphs)))
 

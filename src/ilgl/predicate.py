@@ -20,8 +20,8 @@ from .formula import (BINARY_NODES, QUANT_NODES, Contains, Formula,
 from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                     OrderedScaffold, Subgraph, model_from_dict,
                     model_to_dict, vertex_pairs)
-from .relational import (Evaluator, bits, closure_pairs, principal_upsets,
-                         upset_masks)
+from .relational import (Evaluator, bits, closure_pairs, json_list,
+                         principal_upsets, upset_masks)
 
 MAX_PLACEMENT_VERTICES = 14
 
@@ -250,13 +250,8 @@ def resource_model_from_dict(data: dict) -> ResourceModel:
     if outside:
         raise InputError(f"placement vertex {min(outside)!r} is not a "
                          "vertex of the graph")
-    resources = data.get("resources", [])
-    if type(resources) is not list:
-        raise InputError(f"resources is {resources!r}, not a list of "
-                         "resource names")
-    for r in resources:
-        if type(r) is not str:
-            raise InputError(f"resources holds {r!r}, not a resource name")
+    resources = json_list(data.get("resources", []), "resources",
+                          "a resource name")
     return ResourceModel(model, placement, frozenset(resources))
 
 

@@ -21,9 +21,9 @@ from operator import or_
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Set,
                     Tuple)
 
-from .formula import (And, Atom, Bot, Contains, Exists, Forall, Formula, Imp,
-                      ImpLeft, ImpRight, LayerConj, Or, InputError, PointsTo,
-                      Top, atoms, postfix)
+from .formula import (_KEYWORDS, ATOM_RE, And, Atom, Bot, Contains, Exists,
+                      Forall, Formula, Imp, ImpLeft, ImpRight, LayerConj, Or,
+                      InputError, PointsTo, Top, atoms, postfix)
 
 Triple = Tuple[int, int, int]
 
@@ -598,58 +598,56 @@ def frame_from_dict(data: dict) -> RelationalModel:
     if n > MAX_FRAME_WORLDS:
         raise InputError(f"{n} worlds exceed the frame bound "
                          f"{MAX_FRAME_WORLDS}")
-    order = closure_pairs(id_lists(data.get("order", []), "order",
-                                   "order pair", 2), range(n))
-    rel = id_lists(data.get("rel", []), "rel", "relation triple", 3)
-    frame = IntLayeredFrame(n, frozenset(order), frozenset(map(tuple, rel)))
+    order = json_list(json_list(data.get("order", []), "order"),
+                      "order pair", "a world id", 2)
+    rel = json_list(json_list(data.get("rel", []), "rel"), "relation triple",
+                    "a world id", 3)
+    frame = IntLayeredFrame(n, frozenset(closure_pairs(order, range(n))),
+                            frozenset(map(tuple, rel)))
     return RelationalModel(frame, valuation_from_dict(data, n))
 
 
-def json_list(value, what: str) -> list:
-    """``value``, which must be a JSON list."""
+# The JSON types of each kind of item in a file's lists, named with their
+# article; a boolean is none of them.
+ID_TYPES = {"a world id": (int,), "a vertex id": (str, int),
+            "an integer": (int,), "a resource name": (str,)}
+
+
+def json_list(value, what: str, noun: str = "", count: int = 0) -> list:
+    """``value``, which must be a JSON list of items of the kind ``noun``
+    of ``ID_TYPES`` if given; with ``count``, a checked list of lists of
+    ``count`` such items (edges, pairs, triples), each named ``what``."""
     if type(value) is not list:
         raise InputError(f"{what} is {value!r:.40}, not a list")
+    if count:
+        kinds = ID_TYPES[noun]
+        for ids in value:
+            if type(ids) is not list or len(ids) != count:
+                raise InputError(f"{what} is {ids!r:.40}, not a list of "
+                                 f"{count}")
+            for x in ids:
+                if type(x) not in kinds:
+                    raise InputError(f"{what} {ids!r} holds {x!r}, not {noun}")
+    elif noun:
+        kinds = ID_TYPES[noun]
+        for x in value:
+            if type(x) not in kinds:
+                raise InputError(f"{what} holds {x!r}, not {noun}")
     return value
 
 
-# The JSON types of each kind of id in a file; a boolean is neither.
-ID_TYPES = {"world id": (int,), "vertex id": (str, int)}
-
-
-def id_list(ids, what: str, noun: str = "world id") -> list:
-    """``ids``, which must be a JSON list of ids of the kind ``noun``."""
-    if type(ids) is not list:
-        raise InputError(f"{what} holds {ids!r:.40}, not a {noun} list")
-    kinds = ID_TYPES[noun]
-    for i in ids:
-        if type(i) not in kinds:
-            raise InputError(f"{what} holds {i!r}, not a {noun}")
-    return ids
-
-
-def id_lists(lists, what: str, each: str, count: int,
-             noun: str = "world id") -> list:
-    """``lists``, which must be a JSON list of lists of ``count`` ids of
-    the kind ``noun``; an error names the list as ``each``."""
-    kinds = ID_TYPES[noun]
-    for ids in json_list(lists, what):
-        if type(ids) is not list or len(ids) != count:
-            raise InputError(f"{each} {ids!r:.40} is not a list of {count} "
-                             f"{noun}s")
-        for i in ids:
-            if type(i) not in kinds:
-                raise InputError(f"{each} {ids!r} holds {i!r}, not a {noun}")
-    return lists
-
-
 def valuation_from_dict(data: dict, n: int) -> Dict[str, FrozenSet[int]]:
-    """The file's valuation: each atom's worlds, all among 0..n-1."""
+    """The file's valuation: each atom's worlds, all among 0..n-1, keyed
+    by names a formula can read as atoms."""
     given = data.get("valuation", {})
     if type(given) is not dict:
         raise InputError(f"valuation is {given!r:.40}, not an object")
-    valuation = {p: frozenset(id_list(ws, f"valuation of {p!r}"))
+    valuation = {p: frozenset(json_list(ws, f"valuation of {p!r}",
+                                        "a world id"))
                  for p, ws in given.items()}
     for p, ws in valuation.items():
+        if not ATOM_RE.match(p) or p in _KEYWORDS:
+            raise InputError(f"valuation key {p!r} is not an atom name")
         for i in ws:
             if not 0 <= i < n:
                 raise ValueError(f"valuation of {p!r} mentions world {i}")

@@ -114,7 +114,7 @@ MODEL_ID_ARGVS = MODEL_ARGVS + [("check", "{}", "p", "--world", "1")]
 
 @pytest.mark.parametrize("content, argvs, named", [
     (json.dumps({**MODEL, "valuation": {"p": "12"}}), MODEL_ID_ARGVS,
-     "valuation of 'p' holds '12', not a world id"),
+     "valuation of 'p' is '12', not a list"),
     (json.dumps({**MODEL, "valuation": {"p": [0.7]}}), MODEL_ID_ARGVS,
      "valuation of 'p' holds 0.7"),
     (json.dumps({**MODEL, "valuation": {"p": [True]}}), MODEL_ID_ARGVS,
@@ -123,7 +123,8 @@ MODEL_ID_ARGVS = MODEL_ARGVS + [("check", "{}", "p", "--world", "1")]
      "order pair [0.9, 1] holds 0.9"),
     (json.dumps({**MODEL, "order": [[0, False]]}), MODEL_ARGVS,
      "order pair [0, False] holds False"),
-    (FRAME_TEXT % '{"p": "1"}', FRAME_ARGVS, "valuation of 'p' holds '1'"),
+    (FRAME_TEXT % '{"p": "1"}', FRAME_ARGVS,
+     "valuation of 'p' is '1', not a list"),
     (FRAME_TEXT % '{"p": [1.0]}', FRAME_ARGVS, "valuation of 'p' holds 1.0"),
     ('{"worlds": 2, "order": [[0.9, 1]], "rel": []}', FRAME_ARGVS,
      "order pair [0.9, 1] holds 0.9"),
@@ -144,16 +145,28 @@ def test_world_id_not_an_integer_exit_two(capsys, tmp_path, content, argvs,
         assert "Traceback" not in err, argv
 
 
+PLACED = {**MODEL, "placement": [["a", "b"]], "resources": []}
+
+
 def with_member(change: dict) -> dict:
     """MODEL with ``change`` made to its member X[2], a @ b."""
     return {**MODEL, "X": MODEL["X"][:2] + [{**MODEL["X"][2], **change}]}
 
 
+# The two-element chain: the complex algebra of a one-world frame.
+CHAIN = algebra_to_dict(complex_algebra(
+    IntLayeredFrame(1, frozenset([(0, 0)]), frozenset())))
+ALGEBRA_ARGVS = [("validate", "{}"), ("algebra", "primefilters", "{}")]
+
+
 # Each list-shaped field is a JSON list; each edge, placement pair and
 # order pair a list of two ids, and each relation triple of three; and a
 # vertex id a JSON string or integer.  A string is not read as its
-# characters, an object as an empty list, nor true, null or 1.5 as the
-# vertex "True", "None" or "1.5".
+# characters, an object as an empty list or its keys, nor true, null or
+# 1.5 as the vertex "True", "None" or "1.5".  The vertex ids of a list are
+# distinct once read as strings: 5 and "5" are one vertex, and a list
+# naming both is refused, not merged.  A member of X or an eset edge that
+# leaves the graph is named, with the least vertex or edge at fault.
 SHAPE_ARGVS = [("validate", "{}"), ("check", "{}", "p |> top", "--world",
                                     "2")]
 PLACED_ARGVS = [("validate", "{}"), ("check", "{}", "exists s. Contains(s)",
@@ -162,17 +175,17 @@ PLACED_ARGVS = [("validate", "{}"), ("check", "{}", "exists s. Contains(s)",
 
 @pytest.mark.parametrize("content, argvs, named", [
     ({**with_member({"edges": ["ab"]}), "edges": ["ab"], "eset": ["ab"]},
-     SHAPE_ARGVS, "edge 'ab' is not a list of 2 vertex ids"),
+     SHAPE_ARGVS, "edge is 'ab', not a list of 2"),
     ({**MODEL, "eset": ["ab"]}, SHAPE_ARGVS,
-     "eset edge 'ab' is not a list of 2 vertex ids"),
+     "eset edge is 'ab', not a list of 2"),
     (with_member({"edges": ["ab"]}), SHAPE_ARGVS,
-     "X[2] edge 'ab' is not a list of 2 vertex ids"),
+     "X[2] edge is 'ab', not a list of 2"),
     ({**MODEL, "placement": ["ab"], "resources": []}, PLACED_ARGVS,
-     "placement pair 'ab' is not a list of 2 vertex ids"),
+     "placement pair is 'ab', not a list of 2"),
     ({**MODEL, "vertices": "ab"}, SHAPE_ARGVS,
-     "vertices holds 'ab', not a vertex id list"),
+     "vertices is 'ab', not a list"),
     (with_member({"vertices": "ab"}), SHAPE_ARGVS,
-     "X[2] vertices holds 'ab', not a vertex id list"),
+     "X[2] vertices is 'ab', not a list"),
     ({**MODEL, "vertices": ["a", "b", True]}, SHAPE_ARGVS,
      "vertices holds True, not a vertex id"),
     ({**MODEL, "vertices": ["a", "b", None]}, SHAPE_ARGVS,
@@ -184,20 +197,50 @@ PLACED_ARGVS = [("validate", "{}"), ("check", "{}", "exists s. Contains(s)",
      "X is {}, not a list"),
     ({**MODEL, "order": {}}, SHAPE_ARGVS, "order is {}, not a list"),
     ({**MODEL, "valuation": {"p": 0}}, SHAPE_ARGVS,
-     "valuation of 'p' holds 0, not a world id list"),
+     "valuation of 'p' is 0, not a list"),
     ({**MODEL, "order": [[0]]}, SHAPE_ARGVS,
-     "order pair [0] is not a list of 2 world ids"),
+     "order pair is [0], not a list of 2"),
     ({"worlds": 2, "order": {}, "rel": []}, FRAME_ARGVS,
      "order is {}, not a list"),
     ({"worlds": 2, "order": [], "rel": {}}, FRAME_ARGVS,
      "rel is {}, not a list"),
     ({"worlds": 2, "order": [], "rel": [[0, 1]]}, FRAME_ARGVS,
-     "relation triple [0, 1] is not a list of 3 world ids"),
+     "relation triple is [0, 1], not a list of 3"),
+    ({**CHAIN, "meet": 5}, ALGEBRA_ARGVS, "meet is 5, not a list"),
+    ({**CHAIN, "leq": None}, ALGEBRA_ARGVS, "leq is None, not a list"),
+    ({**CHAIN, "join": [[0, 1], 5]}, ALGEBRA_ARGVS, "join is 5, not a list"),
+    ({**CHAIN, "leq": [[1, 1], 5]}, ALGEBRA_ARGVS, "leq is 5, not a list"),
+    ({**CHAIN, "meet": {"a": [0, 0], "b": [0, 1]}}, ALGEBRA_ARGVS,
+     "meet is {'a': [0, 0], 'b': [0, 1]}, not a list"),
+    ({**MODEL, "vertices": ["a", "b", "a"]}, SHAPE_ARGVS,
+     "vertices lists vertex 'a' twice"),
+    ({**MODEL, "vertices": [5, "5", "a", "b"]}, SHAPE_ARGVS,
+     "vertices lists vertex '5' twice"),
+    (with_member({"vertices": ["a", "b", "b"]}), SHAPE_ARGVS,
+     "X[2] vertices lists vertex 'b' twice"),
+    ({**PLACED, "X": [{"vertices": [7, "a", "7"], "edges": []}],
+      "vertices": ["a", "b", 7], "valuation": {}}, PLACED_ARGVS,
+     "X[0] vertices lists vertex '7' twice"),
+    ({**MODEL, "X": [MODEL["X"][0], {"vertices": ["z", "y"], "edges": []}]},
+     SHAPE_ARGVS, "X[1] vertex 'y' is not a vertex of the graph"),
+    (with_member({"edges": [["b", "a"]]}), SHAPE_ARGVS,
+     "X[2] edge ['b', 'a'] is not an edge of the graph"),
+    (with_member({"vertices": ["a"]}), SHAPE_ARGVS,
+     "X[2] edge ['a', 'b'] leaves the subgraph"),
+    ({**MODEL, "eset": [["b", "a"], ["a", "a"]]}, SHAPE_ARGVS,
+     "eset edge ['a', 'a'] is not an edge of the graph"),
+    ({**MODEL, "edges": [["a", "z"], ["b", "y"], ["a", "x"]]}, SHAPE_ARGVS,
+     "edge ['a', 'x'] leaves the vertex set"),
 ], ids=["edges-all-strings", "eset-string", "member-edge-string",
         "placement-string", "vertices-string", "member-vertices-string",
         "vertex-true", "vertex-null", "vertex-float", "x-object",
         "order-object", "valuation-integer", "order-pair-short",
-        "frame-order-object", "frame-rel-object", "frame-triple-short"])
+        "frame-order-object", "frame-rel-object", "frame-triple-short",
+        "meet-number", "leq-null", "join-row-number", "leq-row-number",
+        "meet-object", "vertices-twice", "vertices-number-and-string",
+        "member-vertices-twice", "placed-member-vertices-twice",
+        "member-vertex-outside", "member-edge-outside", "member-loose-edge",
+        "eset-edge-outside", "edge-outside"])
 def test_field_of_wrong_shape_exit_two(capsys, tmp_path, content, argvs,
                                        named):
     for argv in argvs:
@@ -206,12 +249,6 @@ def test_field_of_wrong_shape_exit_two(capsys, tmp_path, content, argvs,
         message = body["payload"]["message"]
         assert "input.json" in message and named in message, argv
         assert "Traceback" not in err, argv
-
-
-# The two-element chain: the complex algebra of a one-world frame.
-CHAIN = algebra_to_dict(complex_algebra(
-    IntLayeredFrame(1, frozenset([(0, 0)]), frozenset())))
-ALGEBRA_ARGVS = [("validate", "{}"), ("algebra", "primefilters", "{}")]
 
 
 # Algebra sizes, table entries, top and bot are JSON integers, and leq
@@ -401,7 +438,6 @@ def test_algebra_at_algebra_bound_fits_file_bound():
     assert len(text.encode()) < files.MAX_FILE_BYTES
 
 
-PLACED = {**MODEL, "placement": [["a", "b"]], "resources": []}
 SENTENCE_ARGVS = [("check", "{}", "exists s. Contains(s)", "--world", "0"),
                   ("validate", "{}")]
 
@@ -422,7 +458,7 @@ def test_placement_vertex_outside_graph_exit_two(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("resources, named", [
-    ("r1", "resources is 'r1', not a list of resource names"),
+    ("r1", "resources is 'r1', not a list"),
     ([1, None], "resources holds 1, not a resource name"),
     (["r1", None], "resources holds None, not a resource name"),
 ], ids=["string", "number", "null"])
@@ -435,6 +471,20 @@ def test_resources_not_a_list_of_names_exit_two(capsys, tmp_path, resources,
         message = body["payload"]["message"]
         assert "input.json" in message and named in message, argv
         assert "Traceback" not in err, argv
+
+
+# A valuation key is a name a formula reads as an atom: no other key could
+# ever be checked, so it is refused in every kind of file with a valuation.
+@pytest.mark.parametrize("key", ["P Q", "top", "", "Contains", "p-q"])
+@pytest.mark.parametrize("content", [
+    MODEL, PLACED, frame_to_dict(RelationalModel(FRAME, {}))],
+    ids=["model", "resource-model", "frame"])
+def test_valuation_key_not_an_atom_exit_two(capsys, tmp_path, key, content):
+    text = json.dumps({**content, "valuation": {"p": [0], key: [1]}})
+    code, body, err = run(capsys, tmp_path, text, "validate", "{}")
+    assert code == 2 and body["status"] == "error" and "Traceback" not in err
+    assert body["payload"]["message"].endswith(
+        f"input.json: valuation key {key!r} is not an atom name")
 
 
 def test_numeric_placement_vertex_is_a_string_id(capsys, tmp_path):
@@ -610,8 +660,10 @@ def test_reader_raises_only_input_error(doc_path, text):
     doc_path.write_text(text)
     try:
         files.read(str(doc_path), *KINDS)
-    except InputError:
-        pass
+    except InputError as exc:
+        # The builders' own checks name the field; a Python TypeError's
+        # text, such as "'int' object is not iterable", names none.
+        assert not isinstance(exc.__cause__, TypeError), str(exc)
 
 
 COMMANDS = [("check", "{}", "p -> p"),
