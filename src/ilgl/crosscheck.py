@@ -29,8 +29,7 @@ from . import tableaux
 from .formula import (Contains, Exists, Forall, Formula, InputError, PointsTo,
                       render, subformulas)
 from .predicate import (LinkGraphSpec, build_bigraph_scaffold,
-                        placement_upsets, resource_evaluator,
-                        resource_model_to_dict)
+                        resource_evaluator, resource_model_to_dict)
 
 
 def _shrink_formula(f: Formula, failing: Callable[[Formula], bool]) -> Formula:
@@ -112,7 +111,7 @@ def _persistence_instances(seed: int, budget: int) -> Iterator[tuple]:
                lambda rmodel=rmodel: {"model": relmod.frame_to_dict(rmodel)})
     rm = _bigraph_fixture()
     ev = resource_evaluator(rm)
-    domain = placement_upsets(rm.placement)[0]  # the upsets' bit order
+    names = rm.model.scaffold.masks.vertices  # the evaluator's bit order
     pformulas = [Contains("r1"), PointsTo("r1", "r2"),
                  Exists("s", Contains("s")),
                  Forall("s", Contains("s"))]
@@ -122,7 +121,7 @@ def _persistence_instances(seed: int, budget: int) -> Iterator[tuple]:
                        "r2": rng.choice(ev.upsets)}.items())
         yield ("predicate", ev, rng.choice(pformulas), s, lambda s=s: {
                    "model": resource_model_to_dict(rm),
-                   "assignment": {r: [domain[j] for j in relmod.bits(m)]
+                   "assignment": {r: [names[j] for j in relmod.bits(m)]
                                   for r, m in s}})
 
 

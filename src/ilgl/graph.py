@@ -71,10 +71,11 @@ class GraphMasks:
                              "the graph")
         self.graph = graph
         self.vertices, self.edges = sorted(graph.vertices), sorted(graph.edges)
-        self._vbit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        # Each vertex's bit: the one numbering of the graph's vertices.
+        self.vbit = {v: 1 << i for i, v in enumerate(self.vertices)}
         self._ebit = {e: 1 << i for i, e in enumerate(self.edges)}
         # Per edge: the bits of its tail and head vertices.
-        self.ends = [(self._vbit[u], self._vbit[v]) for u, v in self.edges]
+        self.ends = [(self.vbit[u], self.vbit[v]) for u, v in self.edges]
         self.eset = sum(map(self._ebit.__getitem__, eset))
         self._sums: Dict[int, Tuple[int, int]] = {}
 
@@ -97,7 +98,7 @@ class GraphMasks:
         return out & inn
 
     def part(self, sg: Subgraph) -> Part:
-        return (sum(map(self._vbit.__getitem__, sg.vertices)),
+        return (sum(map(self.vbit.__getitem__, sg.vertices)),
                 sum(map(self._ebit.__getitem__, sg.edges)))
 
     def subgraph(self, part: Part) -> Subgraph:
@@ -282,21 +283,28 @@ def model_to_dict(model: LayeredGraphModel) -> dict:
     }
 
 
+def _distinct(items: list, what: str, noun: str) -> frozenset:
+    """``items`` as a set; the least item listed twice is refused."""
+    found = frozenset(items)
+    if len(found) < len(items):
+        items = sorted(items)
+        twice = next(a for a, b in zip(items, items[1:]) if a == b)
+        shown = list(twice) if type(twice) is tuple else twice
+        raise InputError(f"{what} lists {noun} {shown!r} twice")
+    return found
+
+
 def vertex_set(ids, what: str) -> FrozenSet[str]:
     """A file's list of distinct vertex ids, as strings: numeric ids in
     hand-written files are normalized on load."""
-    vertices = frozenset(map(str, json_list(ids, what, "a vertex id")))
-    if len(vertices) < len(ids):
-        names = sorted(map(str, ids))
-        twice = next(a for a, b in zip(names, names[1:]) if a == b)
-        raise InputError(f"{what} lists vertex {twice!r} twice")
-    return vertices
+    return _distinct(list(map(str, json_list(ids, what, "a vertex id"))),
+                     what, "vertex")
 
 
 def vertex_pairs(pairs, what: str, each: str) -> FrozenSet[Edge]:
-    """A file's list of pairs of vertex ids, as pairs of strings."""
-    return frozenset((str(u), str(v)) for u, v in json_list(
-        json_list(pairs, what), each, "a vertex id", 2))
+    """A file's list of distinct pairs of vertex ids, as string pairs."""
+    return _distinct([(str(u), str(v)) for u, v in json_list(
+        json_list(pairs, what), each, "a vertex id", 2)], what, "pair")
 
 
 def model_from_dict(data: dict) -> LayeredGraphModel:

@@ -3,11 +3,12 @@ models: Contains / points-to atoms and intuitionistic quantifiers ranging
 over up-closed vertex sets of the placement order.
 
 Formulas are parsed by ``formula.parse_pred`` and checked by the shared
-satisfaction clauses of ``relational.Evaluator`` on the scaffold's frame,
-with vertices as bits and the quantifier domain as up-set masks.  The
-domain is fully enumerated, so models are capped at 14 placement
-vertices: 16,384 up-sets, where a whole-model ``forall`` takes about
-1.4 s.
+satisfaction clauses of ``relational.Evaluator`` on the scaffold's frame.
+Vertices are the bits the scaffold gives them, one per graph vertex in
+sorted order; the quantifier domain and an assignment's blocks are masks
+over those bits.  The domain is fully enumerated, so models are capped
+at 14 placement vertices: 16,384 up-sets, where a whole-model ``forall``
+takes about 1.4 s.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                     OrderedScaffold, Subgraph, model_from_dict,
                     model_to_dict, vertex_pairs)
 from .relational import (Evaluator, bits, closure_pairs, json_list,
-                         principal_upsets, upset_masks)
+                         upset_masks)
 
 MAX_PLACEMENT_VERTICES = 14
 
@@ -54,62 +55,58 @@ class ResourceModel:
 ResourceAssignment = Dict[str, FrozenSet[str]]
 
 
-def placement_upsets(placement: FrozenSet[Tuple[str, str]]
-                     ) -> Tuple[List[str], List[int]]:
-    """The placement vertices, sorted, and every up-closed set of them
-    once, as a mask over that order."""
-    domain = sorted({v for pair in placement for v in pair})
-    if len(domain) > MAX_PLACEMENT_VERTICES:
+def placement_upsets(placement: FrozenSet[Tuple[str, str]],
+                     vertices: List[str]) -> List[int]:
+    """Every up-set of ``placement``, a closed preorder, once and
+    ascending, as a mask over ``vertices``: a sorted list holding every
+    placement vertex, such as the graph's.  Any such list numbers the
+    placement vertices in one relative order, so the up-sets come in
+    one order too."""
+    bit = {v: 1 << j for j, v in enumerate(vertices)}
+    up: Dict[str, int] = {}
+    for u, v in placement:
+        up[u] = up.get(u, 0) | bit[v]
+    if len(up) > MAX_PLACEMENT_VERTICES:
         raise InputError(
-            f"{len(domain)} placement vertices exceed the quantifier cap "
+            f"{len(up)} placement vertices exceed the quantifier cap "
             f"of {MAX_PLACEMENT_VERTICES}; shrink the model")
-    pos = {v: j for j, v in enumerate(domain)}
-    order = {(pos[u], pos[v]) for u, v in closure_pairs(placement, domain)}
-    return domain, upset_masks(principal_upsets(len(domain), order))
+    return upset_masks(up[v] for v in sorted(up))
 
 
 def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]
                      ) -> Iterator[FrozenSet[str]]:
     """Every up-closed vertex set of the placement preorder, exactly once."""
-    domain, masks = placement_upsets(placement)
+    domain = sorted({v for pair in placement for v in pair})
+    masks = placement_upsets(closure_pairs(placement, domain), domain)
     return (frozenset(domain[j] for j in bits(mask)) for mask in masks)
 
 
-def _vertex_index(rm: ResourceModel) -> Dict[str, int]:
-    """Each vertex's bit: the placement vertices first, in the sorted order
-    of ``placement_upsets``, then the other graph vertices, sorted."""
-    domain = sorted({v for pair in rm.placement for v in pair})
-    rest = sorted(rm.model.scaffold.graph.vertices - set(domain))
-    return {v: i for i, v in enumerate(domain + rest)}
-
-
-def _mask(index: Dict[str, int], block) -> int:
-    """A vertex set as a mask; vertices outside the model are dropped."""
-    return sum(1 << index[v] for v in block if v in index)
-
-
 def resource_evaluator(rm: ResourceModel) -> Evaluator:
-    """One evaluator for every predicate query on ``rm``: the quantifier
-    domain is the placement order's up-set masks as they are."""
-    sc, index = rm.model.scaffold, _vertex_index(rm)
-    succ = [[0] * len(index) for _ in sc.subgraphs]
-    for row, sg in zip(succ, sc.subgraphs):
-        for u, v in sg.edges:
-            row[index[u]] |= 1 << index[v]
-    return Evaluator(sc.frame, rm.model.valuation,
-                     [_mask(index, sg.vertices) for sg in sc.subgraphs],
-                     succ, placement_upsets(rm.placement)[1])
+    """One evaluator for every predicate query on ``rm``, on the bits the
+    scaffold gives the graph's vertices: the quantifier domain is the
+    placement order's up-set masks as they are."""
+    sc = rm.model.scaffold
+    masks, succ = sc.masks, []
+    for _, em in sc.parts:
+        row = [0] * len(masks.vertices)
+        for e in bits(em):
+            u, v = masks.ends[e]
+            row[u.bit_length() - 1] |= v
+        succ.append(row)
+    return Evaluator(sc.frame, rm.model.valuation, [vm for vm, _ in sc.parts],
+                     succ, placement_upsets(rm.placement, masks.vertices))
 
 
 def pred_satisfies(rm: ResourceModel, s: ResourceAssignment, world: int,
                    f: Formula) -> bool:
-    """Satisfaction of a predicate formula at a world under an assignment."""
+    """Satisfaction of a predicate formula at a world under an assignment;
+    block vertices outside the model are dropped."""
     missing = free_resources(f) - set(s)
     if missing:
         raise KeyError(f"unbound resources: {sorted(missing)}")
-    index = _vertex_index(rm)
+    vbit = rm.model.scaffold.masks.vbit
     return resource_evaluator(rm).sat(world, f, frozenset(
-        (r, _mask(index, block)) for r, block in s.items()))
+        (r, sum(vbit.get(v, 0) for v in block)) for r, block in s.items()))
 
 
 def pred_valid_in_model(rm: ResourceModel, f: Formula) -> bool:
@@ -200,9 +197,8 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
     edges |= eset
     graph = DirectedGraph(frozenset(all_vertices), frozenset(edges))
 
-    place_vertices = [v for forest in place_forests for v in forest]
-    singles = [Subgraph(frozenset([v]), frozenset(), graph)
-               for v in sorted(place_vertices)]
+    place = sorted(v for forest in place_forests for v in forest)
+    singles = [Subgraph(frozenset([v]), frozenset(), graph) for v in place]
     masks = GraphMasks(graph, eset)
     # X is a set: a link-graph world equal to a place single is listed once.
     taken = {masks.part(sg) for sg in singles}
@@ -219,21 +215,14 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
                     pool.append(out)
                     grown = True
     subgraphs = singles + [masks.subgraph(p) for p in pool]
-    placement_pairs = set()
-    for forest in place_forests:
-        for child, parent in forest.items():
-            placement_pairs.add((child, child))
-            if parent is not None:
-                placement_pairs.add((child, parent))
-    placement = frozenset(closure_pairs(
-        placement_pairs, {v for p in placement_pairs for v in p}))
-    order = {(i, i) for i in range(len(subgraphs))}
-    for i, a in enumerate(singles):
-        for j, b in enumerate(singles):
-            (u,), (v,) = a.vertices, b.vertices
-            if (u, v) in placement:
-                order.add((i, j))
-    scaffold = OrderedScaffold(graph, eset, subgraphs, frozenset(order))
+    # Each place vertex, at or below itself and its parent; the model and
+    # the scaffold close the order.
+    placement = frozenset((child, up) for forest in place_forests
+                          for child, parent in forest.items()
+                          for up in (child, parent) if up is not None)
+    at = {v: i for i, v in enumerate(place)}
+    scaffold = OrderedScaffold(graph, eset, subgraphs, frozenset(
+        (at[u], at[v]) for u, v in placement))
     model = LayeredGraphModel(scaffold, {})
     return ResourceModel(model, placement, frozenset(resources))
 

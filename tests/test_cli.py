@@ -13,7 +13,6 @@ from hilbert_corpus import corpus, mutated
 
 from ilgl import algebra as algmod
 from ilgl import crosscheck, files, tableaux
-from ilgl import predicate as predmod
 from ilgl import relational as relmod
 from ilgl.algebra import algebra_to_dict, complex_algebra
 from ilgl.cli import main
@@ -665,9 +664,9 @@ class TestCrosscheckFailures:
         if semantics != "predicate":
             assert "assignment" not in repro
             return
-        index = predmod._vertex_index(written)
-        assert frozenset((r, predmod._mask(index, names))
-                         for r, names in repro["assignment"].items()) == s
+        vertices = written.model.scaffold.masks.vertices
+        assert repro["assignment"] == {
+            r: [vertices[j] for j in relmod.bits(m)] for r, m in s}
         assert all(names == sorted(names)
                    for names in repro["assignment"].values())
 

@@ -165,8 +165,10 @@ ALGEBRA_ARGVS = [("validate", "{}"), ("algebra", "primefilters", "{}")]
 # characters, an object as an empty list or its keys, nor true, null or
 # 1.5 as the vertex "True", "None" or "1.5".  The vertex ids of a list are
 # distinct once read as strings: 5 and "5" are one vertex, and a list
-# naming both is refused, not merged.  A member of X or an eset edge that
-# leaves the graph is named, with the least vertex or edge at fault.
+# naming both is refused, not merged; so is a pair listed twice in an
+# edge or placement list, [5, "a"] and ["5", "a"] being one pair.  A
+# member of X or an eset edge that leaves the graph is named, with the
+# least vertex or edge at fault.
 SHAPE_ARGVS = [("validate", "{}"), ("check", "{}", "p |> top", "--world",
                                     "2")]
 PLACED_ARGVS = [("validate", "{}"), ("check", "{}", "exists s. Contains(s)",
@@ -221,6 +223,17 @@ PLACED_ARGVS = [("validate", "{}"), ("check", "{}", "exists s. Contains(s)",
     ({**PLACED, "X": [{"vertices": [7, "a", "7"], "edges": []}],
       "vertices": ["a", "b", 7], "valuation": {}}, PLACED_ARGVS,
      "X[0] vertices lists vertex '7' twice"),
+    ({**with_member({"edges": [["a", "b"], ["a", "b"]]}),
+      "edges": [["a", "b"], ["a", "b"]], "eset": [["a", "b"], ["a", "b"]]},
+     SHAPE_ARGVS, "edges lists pair ['a', 'b'] twice"),
+    ({**MODEL, "eset": [["a", "b"], ["a", "b"]]}, SHAPE_ARGVS,
+     "eset lists pair ['a', 'b'] twice"),
+    (with_member({"edges": [["a", "b"], ["a", "b"]]}), SHAPE_ARGVS,
+     "X[2] edges lists pair ['a', 'b'] twice"),
+    ({**MODEL, "vertices": ["a", "b", 5], "edges": [[5, "a"], ["5", "a"]]},
+     SHAPE_ARGVS, "edges lists pair ['5', 'a'] twice"),
+    ({**PLACED, "placement": [["a", "b"], ["b", "b"], ["a", "b"]]},
+     PLACED_ARGVS, "placement lists pair ['a', 'b'] twice"),
     ({**MODEL, "X": [MODEL["X"][0], {"vertices": ["z", "y"], "edges": []}]},
      SHAPE_ARGVS, "X[1] vertex 'y' is not a vertex of the graph"),
     (with_member({"edges": [["b", "a"]]}), SHAPE_ARGVS,
@@ -239,6 +252,8 @@ PLACED_ARGVS = [("validate", "{}"), ("check", "{}", "exists s. Contains(s)",
         "meet-number", "leq-null", "join-row-number", "leq-row-number",
         "meet-object", "vertices-twice", "vertices-number-and-string",
         "member-vertices-twice", "placed-member-vertices-twice",
+        "edges-twice", "eset-twice", "member-edges-twice",
+        "edge-number-and-string", "placement-twice",
         "member-vertex-outside", "member-edge-outside", "member-loose-edge",
         "eset-edge-outside", "edge-outside"])
 def test_field_of_wrong_shape_exit_two(capsys, tmp_path, content, argvs,

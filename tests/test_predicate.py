@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ilgl.crosscheck import _bigraph_fixture
 from ilgl.graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
                         Subgraph, validate_model)
 from ilgl.formula import (Bot, Contains, Exists, Forall, Imp, PointsTo,
@@ -10,8 +13,9 @@ from ilgl.formula import ParseError as PredParseError
 from ilgl.formula import render as render_pred
 from ilgl.predicate import (LinkGraphSpec, ResourceModel,
                             build_bigraph_scaffold, enumerate_upsets,
-                            free_resources, pred_satisfies,
+                            free_resources, placement_upsets, pred_satisfies,
                             resource_model_from_dict, resource_model_to_dict)
+from ilgl.relational import bits, closure_pairs
 from graph_reference import composition_index
 from oracle_reference import check_assignment
 
@@ -121,6 +125,22 @@ class TestUpsets:
                 for mask in range(2 ** k))
                 if all(v in block for u, v in pairs if u in block)]
             assert list(enumerate_upsets(frozenset(pairs))) == want
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from("abcdef"),
+                              st.sampled_from("abcdef")), max_size=10),
+           st.sets(st.sampled_from(["0", "a0", "b", "c1", "z"])))
+    def test_masks_over_any_vertex_list_read_back_in_order(self, pairs,
+                                                           extra):
+        # Up-set masks over a sorted vertex list holding the placement
+        # vertices, read back as names, are the enumerated up-sets, in
+        # the same order.
+        placement = frozenset(pairs)
+        domain = sorted({v for pair in placement for v in pair})
+        vertices = sorted(set(domain) | extra)
+        masks = placement_upsets(closure_pairs(placement, domain), vertices)
+        assert [frozenset(vertices[j] for j in bits(m)) for m in masks] \
+            == list(enumerate_upsets(placement))
 
     def test_cap_enforced(self):
         placement = frozenset((f"x{i}", f"x{i}") for i in range(15))
@@ -236,6 +256,33 @@ class TestBigraphBuilder:
         assert [sorted(sg.vertices) for sg in sc.subgraphs] == [["a"]]
         assert sc.order == frozenset({(0, 0)})
         assert validate_model(rm.model) == []
+
+    def test_fixture_json_pinned(self):
+        # Building the fixture does not change the file it writes.
+        assert resource_model_to_dict(_bigraph_fixture()) == {
+            "X": [{"edges": [], "vertices": ["a1"]},
+                  {"edges": [], "vertices": ["a2"]},
+                  {"edges": [], "vertices": ["b1"]},
+                  {"edges": [["a1", "b0_e0"], ["a2", "b0_e0"],
+                             ["b0_e0", "x"]],
+                   "vertices": ["a1", "a2", "b0_e0", "x"]},
+                  {"edges": [["b1_e0", "b1"], ["x_in", "b1_e0"]],
+                   "vertices": ["b1", "b1_e0", "x_in"]},
+                  {"edges": [["a1", "b0_e0"], ["a2", "b0_e0"],
+                             ["b0_e0", "x"], ["b1_e0", "b1"], ["x", "x_in"],
+                             ["x_in", "b1_e0"]],
+                   "vertices": ["a1", "a2", "b0_e0", "b1", "b1_e0", "x",
+                                "x_in"]}],
+            "edges": [["a1", "b0_e0"], ["a2", "b0_e0"], ["b0_e0", "x"],
+                      ["b1_e0", "b1"], ["x", "x_in"], ["x_in", "b1_e0"]],
+            "eset": [["x", "x_in"]],
+            "order": [[0, 0], [1, 0], [1, 1], [2, 2], [3, 3], [4, 4],
+                      [5, 5]],
+            "placement": [["a1", "a1"], ["a2", "a1"], ["a2", "a2"],
+                          ["b1", "b1"]],
+            "resources": ["r1", "r2"],
+            "valuation": {},
+            "vertices": ["a1", "a2", "b0_e0", "b1", "b1_e0", "x", "x_in"]}
 
     def test_name_collision_rejected(self):
         with pytest.raises(ValueError):

@@ -253,8 +253,8 @@ def test_traced_sentence_check_reports_every_layer_metric(tmp_path):
     import io
     import json
 
-    import ilgl
     import worker
+    ilgl = worker.import_program()  # ``ilgl.cli`` with it
     from ilgl.crosscheck import _bigraph_fixture
     from ilgl.predicate import resource_model_to_dict
     path = tmp_path / "rm.json"
