@@ -12,8 +12,8 @@ from typing import Optional
 from .formula import BINARY_NODES, Atom, Bot, Formula, Top
 from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
                     OrderedScaffold, check_admissible)
-from .relational import (IntLayeredFrame, RelationalModel, closure_pairs,
-                         principal_upsets)
+from .relational import (IntLayeredFrame, RelationalModel, bits,
+                         closure_pairs, principal_upsets)
 
 ATOM_NAMES = ("p", "q", "r")
 
@@ -113,15 +113,16 @@ def _try_scaffold(rng: random.Random) -> Optional[OrderedScaffold]:
         pool |= grown
     else:
         return None
-    subgraphs = sorted(map(masks.subgraph, pool),
-                       key=lambda s: (sorted(s.vertices), sorted(s.edges)))
-    m = len(subgraphs)
+    parts = sorted(pool, key=lambda part: (
+        [masks.vertices[v] for v in bits(part[0])],
+        [masks.edges[e] for e in bits(part[1])]))
+    m = len(parts)
     order_pairs = [(i, j) for i in range(m) for j in range(m)
                    if i != j and rng.random() < 0.15]
-    return OrderedScaffold(graph, eset, subgraphs, frozenset(order_pairs))
+    return OrderedScaffold(masks, parts, frozenset(order_pairs))
 
 
 def random_graph_model(rng: random.Random) -> LayeredGraphModel:
     scaffold = random_scaffold(rng)
     return LayeredGraphModel(scaffold, _random_valuation(
-        rng, len(scaffold.subgraphs), scaffold.order))
+        rng, len(scaffold.parts), scaffold.order))

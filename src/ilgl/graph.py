@@ -10,7 +10,8 @@ carries, where R(i, j, k) holds iff X[i] @ X[j] = X[k].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .formula import Formula, InputError
 from .relational import (MAX_FRAME_WORLDS, Evaluator, IntLayeredFrame, bits,
@@ -73,10 +74,10 @@ class GraphMasks:
         self.vertices, self.edges = sorted(graph.vertices), sorted(graph.edges)
         # Each vertex's bit: the one numbering of the graph's vertices.
         self.vbit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        self._ebit = {e: 1 << i for i, e in enumerate(self.edges)}
+        self.ebit = {e: 1 << i for i, e in enumerate(self.edges)}
         # Per edge: the bits of its tail and head vertices.
         self.ends = [(self.vbit[u], self.vbit[v]) for u, v in self.edges]
-        self.eset = sum(map(self._ebit.__getitem__, eset))
+        self.eset = sum(map(self.ebit.__getitem__, eset))
         self._sums: Dict[int, Tuple[int, int]] = {}
 
     def sums(self, vm: int) -> Tuple[int, int]:
@@ -97,9 +98,9 @@ class GraphMasks:
         out, inn = self.sums(vm)
         return out & inn
 
-    def part(self, sg: Subgraph) -> Part:
-        return (sum(map(self.vbit.__getitem__, sg.vertices)),
-                sum(map(self._ebit.__getitem__, sg.edges)))
+    def part(self, vertices: Iterable[str], edges: Iterable[Edge]) -> Part:
+        return (sum(map(self.vbit.__getitem__, vertices)),
+                sum(map(self.ebit.__getitem__, edges)))
 
     def subgraph(self, part: Part) -> Subgraph:
         return Subgraph(frozenset(self.vertices[v] for v in bits(part[0])),
@@ -148,27 +149,34 @@ class GraphMasks:
 
 @dataclass
 class OrderedScaffold:
-    """A graph, its eset, the admissible subgraphs X and a preorder on X.
-
-    Built once: the order is closed, X is checked to be a set, and
+    """A graph's masks, the admissible subgraphs X as parts and a preorder
+    on X.  Built once: the order is closed, X is checked to be a set, and
     ``frame`` is the layered frame the scaffold induces, with worlds the
     indices of X, the closed order, and R(i, j, k) iff X[i] @ X[j] =
-    X[k].  Every reader of a model's order or relation reads ``frame``."""
-    graph: DirectedGraph
-    eset: FrozenSet[Edge]
-    subgraphs: List[Subgraph]
+    X[k].  Every reader of a model's order or relation reads ``frame``;
+    the eset and X as ``Subgraph``s are made for output, when read."""
+    masks: GraphMasks
+    parts: List[Part]
     order: FrozenSet[Tuple[int, int]]  # full preorder on X indices
 
+    @cached_property
+    def eset(self) -> FrozenSet[Edge]:
+        return frozenset(self.masks.edges[e] for e in bits(self.masks.eset))
+
+    @cached_property
+    def subgraphs(self) -> List[Subgraph]:
+        return list(map(self.masks.subgraph, self.parts))
+
     def __post_init__(self):
-        self.masks = masks = GraphMasks(self.graph, self.eset)
-        n = len(self.subgraphs)
+        masks = self.masks
+        self.graph: DirectedGraph = masks.graph
+        n = len(self.parts)
         # Close the preorder: up[i] holds the members at or above i.
         self.order = frozenset(self.order)
         up = closure_rows(self.order, range(n))
         if len(self.order) < sum(map(int.bit_count, up)):  # not closed
             self.order = frozenset((i, j) for i in range(n)
                                    for j in bits(up[i]))
-        self.parts = [masks.part(sg) for sg in self.subgraphs]
         index = {part: i for i, part in enumerate(self.parts)}
         if len(index) < n:  # X is a set: a copy would be a second world
             j = next(j for j, part in enumerate(self.parts)
@@ -329,8 +337,9 @@ def model_from_dict(data: dict) -> LayeredGraphModel:
     eset = vertex_pairs(data["eset"], "eset", "eset edge")
     order = json_list(json_list(data.get("order", []), "order"),
                       "order pair", "a world id", 2)
-    scaffold = OrderedScaffold(graph, eset, subgraphs,
-                               frozenset(map(tuple, order)))
+    masks = GraphMasks(graph, eset)
+    parts = [masks.part(sg.vertices, sg.edges) for sg in subgraphs]
+    scaffold = OrderedScaffold(masks, parts, frozenset(map(tuple, order)))
     return LayeredGraphModel(scaffold,
                              valuation_from_dict(data, len(subgraphs)))
 

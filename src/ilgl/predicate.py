@@ -19,8 +19,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from .formula import (BINARY_NODES, QUANT_NODES, Contains, Formula,
                       InputError, PointsTo)
 from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
-                    OrderedScaffold, Subgraph, model_from_dict,
-                    model_to_dict, vertex_pairs)
+                    OrderedScaffold, model_from_dict, model_to_dict,
+                    vertex_pairs)
 from .relational import (Evaluator, bits, closure_pairs, json_list,
                          upset_masks)
 
@@ -70,7 +70,7 @@ def placement_upsets(placement: FrozenSet[Tuple[str, str]],
         raise InputError(
             f"{len(up)} placement vertices exceed the quantifier cap "
             f"of {MAX_PLACEMENT_VERTICES}; shrink the model")
-    return upset_masks(up[v] for v in sorted(up))
+    return upset_masks([up[v] for v in sorted(up)])
 
 
 def enumerate_upsets(placement: FrozenSet[Tuple[str, str]]
@@ -198,13 +198,11 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
     graph = DirectedGraph(frozenset(all_vertices), frozenset(edges))
 
     place = sorted(v for forest in place_forests for v in forest)
-    singles = [Subgraph(frozenset([v]), frozenset(), graph) for v in place]
     masks = GraphMasks(graph, eset)
+    singles = [masks.part([v], []) for v in place]
     # X is a set: a link-graph world equal to a place single is listed once.
-    taken = {masks.part(sg) for sg in singles}
-    pool = [masks.part(Subgraph(frozenset(vs), frozenset(es), graph))
-            for vs, es in link_worlds]
-    pool = [part for part in pool if part not in taken]
+    pool = [masks.part(*world) for world in link_worlds]
+    pool = [part for part in pool if part not in singles]
     grown = True
     while grown:
         grown = False
@@ -214,14 +212,13 @@ def build_bigraph_scaffold(place_forests: List[Dict[str, Optional[str]]],
                 if out is not None and out not in pool:
                     pool.append(out)
                     grown = True
-    subgraphs = singles + [masks.subgraph(p) for p in pool]
     # Each place vertex, at or below itself and its parent; the model and
     # the scaffold close the order.
     placement = frozenset((child, up) for forest in place_forests
                           for child, parent in forest.items()
                           for up in (child, parent) if up is not None)
     at = {v: i for i, v in enumerate(place)}
-    scaffold = OrderedScaffold(graph, eset, subgraphs, frozenset(
+    scaffold = OrderedScaffold(masks, singles + pool, frozenset(
         (at[u], at[v]) for u, v in placement))
     model = LayeredGraphModel(scaffold, {})
     return ResourceModel(model, placement, frozenset(resources))

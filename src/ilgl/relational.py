@@ -79,16 +79,20 @@ MAX_UPSETS = 1 << 16
 MAX_ALGEBRA_SIZE = 256
 
 
-def upset_masks(principals) -> List[int]:
+def upset_masks(principals: List[int]) -> List[int]:
     """Every up-set, ascending: the unions of the principal up-set masks,
-    built by adding one principal up-set at a time.  Raises InputError as
-    soon as there are more than MAX_UPSETS."""
+    built by adding one principal up-set at a time, shifted down past the
+    low bits none holds (ints with those clear crowd a set's hash table).
+    Raises InputError as soon as there are more than MAX_UPSETS."""
+    span = reduce(or_, principals, 0)
+    shift = (span & -span).bit_length() - 1 if span else 0
     masks = {0}
     for p in principals:
+        p >>= shift
         masks |= {m | p for m in masks}
         if len(masks) > MAX_UPSETS:
             raise InputError(f"more than {MAX_UPSETS} up-sets")
-    return sorted(masks)
+    return [m << shift for m in sorted(masks)] if shift else sorted(masks)
 
 
 @dataclass

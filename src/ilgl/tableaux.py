@@ -14,13 +14,14 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 from . import graph as graphmod
 from .formula import (And, Atom, Bot, Formula, Imp, ImpLeft, ImpRight,
                       LayerConj, Or, Top, render)
-from .graph import DirectedGraph, LayeredGraphModel, OrderedScaffold, Subgraph
+from .graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
+                    OrderedScaffold)
 from .relational import bits
 
 Label = Tuple[int, ...]
@@ -326,19 +327,17 @@ def _live(css: CSS, inst: RuleInstance) -> bool:
             and _unspent(css, rule, inst.premise) >> i & 1 == 1)
 
 
-def applicable_rules(css: CSS) -> List[RuleInstance]:
+def applicable_rules(css: CSS) -> Iterator[RuleInstance]:
     """Every unspent rule instance of the branch, in formula order and
-    then in label order.  A premise without a range that is spent never
-    revives, so it leaves the branch's premises."""
-    out = []
+    then in label order, each made when read.  A premise without a range
+    that is spent never revives, so it leaves the branch's premises."""
     labels = css.cset.labels
     for slf, rule in list(css.premises.items()):
         todo = _unspent(css, rule, slf)
         if not todo and not rule.ranged:
             del css.premises[slf]
-        out += [RuleInstance(rule.name, slf, rule.facts(labels[w]))
-                for w in bits(todo)]
-    return out
+        for w in bits(todo):
+            yield RuleInstance(rule.name, slf, rule.facts(labels[w]))
 
 
 class Step(NamedTuple):
@@ -459,17 +458,14 @@ def extract_model(css: CSS) -> Tuple[LayeredGraphModel, Dict[Label, int]]:
     labels = sorted(sorted(cset.domain), key=len)
     label_map = {lab: idx for idx, lab in enumerate(labels)}
     name = {i: f"c{i}" for lab in labels for i in lab}
-    edges = [tuple(map(name.get, lab)) for lab in labels if len(lab) == 2]
-    eset = frozenset(edges)
-    graph = DirectedGraph(frozenset(name.values()), eset)
-    subgraphs = [Subgraph(frozenset({name[lab[0]]}), frozenset(), graph)
-                 for lab in labels if len(lab) == 1]
-    subgraphs += [Subgraph(frozenset(e), frozenset({e}), graph)
-                  for e in edges]
+    named = [tuple(map(name.get, lab)) for lab in labels]
+    eset = frozenset(e for e in named if len(e) == 2)
+    masks = GraphMasks(DirectedGraph(frozenset(name.values()), eset), eset)
+    parts = [masks.part(e, [e] if len(e) == 2 else []) for e in named]
     world = [label_map[lab] for lab in cset.labels]  # by bit
     order = frozenset((world[i], world[j]) for i, row in enumerate(cset.up)
                       for j in bits(row))
-    scaffold = OrderedScaffold(graph, eset, subgraphs, order)
+    scaffold = OrderedScaffold(masks, parts, order)
     valuation = {f.name: frozenset(label_map[x] for x in labels
                                    if cset.down[cset.domain[x]] & mask)
                  for (sign, f), mask in css.at.items()
@@ -544,26 +540,29 @@ def prove(f: Formula, limits: Optional[Limits] = None) -> ProofResult:
     limits = limits or Limits()
     start = time.monotonic()
     tableau = initial_tableau(f)
-    queue: deque = deque()  # (open branch, its instances), oldest first
+    queue: deque = deque()  # (branch, first instance, the rest), oldest first
     starved = False
 
     def admit(branch: CSS) -> Optional[CSS]:
-        """Queue an open branch; returns it when saturated."""
+        """Queue an open branch; returns it when saturated.  Its pop,
+        before which it does not change, reads its instances on."""
         if is_closed(branch):
             return None
         insts = applicable_rules(branch)
-        if not insts:
+        first = next(insts, None)
+        if first is None:
             return branch
-        queue.append((branch, insts))
+        queue.append((branch, first, insts))
         return None
 
     saturated_branch = admit(tableau.leaves[1])
     if saturated_branch is not None:
         return _certify_countermodel(f, saturated_branch, tableau)
     while queue:
-        branch, insts = queue.popleft()
-        inst = next((inst for inst in insts if tableau.next_fresh
-                     + _rule(inst).fresh <= limits.max_labels), None)
+        branch, inst, insts = queue.popleft()
+        while inst is not None and (tableau.next_fresh + _rule(inst).fresh
+                                    > limits.max_labels):
+            inst = next(insts, None)
         if inst is None:
             starved = True
             continue

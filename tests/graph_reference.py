@@ -15,11 +15,22 @@ models through them.  ``composition_table`` rebuilds that table from
 ``compose`` over every X×X pair.
 """
 
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
 from ilgl.graph import GraphMasks, OrderedScaffold, Subgraph
+
+
+def part(masks: GraphMasks, sg: Subgraph) -> Tuple[int, int]:
+    return masks.part(sg.vertices, sg.edges)
+
+
+def scaffold_of(graph, eset, subgraphs, order) -> OrderedScaffold:
+    """The ordered scaffold whose members are ``subgraphs``, as parts."""
+    masks = GraphMasks(graph, eset)
+    return OrderedScaffold(masks, [part(masks, sg) for sg in subgraphs],
+                           order)
 
 
 def _check_parents(h: Subgraph, k: Subgraph) -> None:
@@ -38,7 +49,7 @@ def compose(h: Subgraph, k: Subgraph, eset: FrozenSet) -> Optional[Subgraph]:
     ``GraphMasks.compose``)."""
     _check_parents(h, k)
     masks = GraphMasks(h.parent, eset)
-    out = masks.compose(masks.part(h), masks.part(k))
+    out = masks.compose(part(masks, h), part(masks, k))
     return None if out is None else masks.subgraph(out)
 
 
@@ -61,7 +72,7 @@ def composition_table(scaffold: OrderedScaffold) -> tuple:
             if out in index:
                 comp[i, j] = index[out]
             elif out is not None:
-                escapes.add((masks.part(h), masks.part(k), masks.part(out)))
+                escapes.add((part(masks, h), part(masks, k), part(masks, out)))
     return comp, escapes
 
 

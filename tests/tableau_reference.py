@@ -122,7 +122,7 @@ def prove_by_pairs(f: Formula, limits: Optional[Limits] = None):
         if tableaux.is_closed(branch):
             return None
         live[branch.branch_id] = branch
-        insts = tableaux.applicable_rules(branch)
+        insts = list(tableaux.applicable_rules(branch))
         if not insts:
             return branch
         queue.extend((branch.branch_id, inst) for inst in insts

@@ -32,6 +32,23 @@ def test_tracer_wraps_and_unwraps_every_traced_name():
     assert [dict(vars(m)) for m in modules] == before
 
 
+def test_traced_prove_records_agenda_and_certification_spans():
+    # A refuted formula reads its agenda, then extracts and certifies its
+    # countermodel: each of these layers records a span.
+    ilgl = worker.import_program()
+    tr = worker.install_tracer(ilgl)
+    try:
+        result = ilgl.tableaux.prove(
+            ilgl.formula.parse("(p |> q) -> (q |> p)"))
+    finally:
+        tr.unwrap()
+    assert result.status == "countermodel"
+    names = [tr.names[nid] for nid in tr.name]
+    for name in ("tableaux.agenda", "tableaux.extract_model",
+                 "graph.validate", "graph.satisfies"):
+        assert names.count(name) >= 1, name
+
+
 def test_model_json_equals_model_to_dict():
     # The benchmark writes its models from the scaffold's fields, not
     # through ``graph.model_to_dict``; the two must agree.

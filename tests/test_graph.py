@@ -7,11 +7,11 @@ import graph_reference
 from ilgl.crosscheck import _bigraph_fixture
 from ilgl.formula import parse
 from ilgl.gen import _try_scaffold, random_formula, random_graph_model
-from graph_reference import compose, reaches
+from graph_reference import compose, part, reaches, scaffold_of
 from ilgl.graph import (DirectedGraph, GraphMasks, LayeredGraphModel,
-                        OrderedScaffold, Subgraph, check_admissible,
-                        model_from_dict, model_to_dict, satisfies,
-                        valid_in_model, validate_model)
+                        Subgraph, check_admissible, model_from_dict,
+                        model_to_dict, satisfies, valid_in_model,
+                        validate_model)
 
 
 def g(vertices, edges):
@@ -100,19 +100,19 @@ def scaffold_hk():
 class TestAdmissibility:
     def test_closed_triple_valid(self):
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [h, k, hk], frozenset())
+        sc = scaffold_of(PARENT, eset, [h, k, hk], frozenset())
         assert check_admissible(sc) == []
 
     def test_missing_composition(self):
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [h, k], frozenset())
+        sc = scaffold_of(PARENT, eset, [h, k], frozenset())
         report = check_admissible(sc)
         assert any(v["direction"] == "composition missing from X"
                    for v in report)
 
     def test_missing_components(self):
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [hk], frozenset())
+        sc = scaffold_of(PARENT, eset, [hk], frozenset())
         report = check_admissible(sc)
         assert any(v["direction"] == "component missing from X"
                    for v in report)
@@ -121,14 +121,14 @@ class TestAdmissibility:
         # X is a set: its part index would map H @ K to one copy only.
         h, k, hk, eset = scaffold_hk()
         with pytest.raises(ValueError, match=r"X\[2\] and X\[3\]"):
-            OrderedScaffold(PARENT, eset, [h, k, hk, hk], frozenset())
+            scaffold_of(PARENT, eset, [h, k, hk, hk], frozenset())
 
     def test_exhaustive_matches_default_on_small(self):
         # The reference's exhaustive pool holds every subgraph: the
         # all-subgraph definition of admissibility.
         h, k, hk, eset = scaffold_hk()
-        good = OrderedScaffold(PARENT, eset, [h, k, hk], frozenset())
-        bad = OrderedScaffold(PARENT, eset, [hk], frozenset())
+        good = scaffold_of(PARENT, eset, [h, k, hk], frozenset())
+        bad = scaffold_of(PARENT, eset, [hk], frozenset())
         for sc in (good, bad):
             assert sorted(map(repr, check_admissible(sc))) == sorted(map(
                 repr, graph_reference.check_admissible(sc, exhaustive=True)))
@@ -156,8 +156,8 @@ def chain_scaffold(n: int, members, eset_too: bool = True):
     xs = [Subgraph(frozenset(names[a:b + 1]),
                    frozenset(zip(names[a:b], names[a + 1:b + 1])), graph)
           for a, b in members]
-    return OrderedScaffold(graph, edges if eset_too else frozenset(), xs,
-                           frozenset())
+    return scaffold_of(graph, edges if eset_too else frozenset(), xs,
+                       frozenset())
 
 
 def same_violations(scaffold) -> bool:
@@ -187,7 +187,7 @@ class TestCompositionTable:
                                        min(len(xs), rng.randrange(4))),
                             reverse=True):
                 del xs[i]
-            cut = OrderedScaffold(sc.graph, sc.eset, xs, frozenset())
+            cut = scaffold_of(sc.graph, sc.eset, xs, frozenset())
             assert self.same_table(sc) and self.same_table(cut)
             composed += bool(cut._comp)
             escaping += bool(cut._escapes)
@@ -225,7 +225,7 @@ class TestAdmissibleAgainstReference:
                                        min(len(xs), rng.randrange(4))),
                             reverse=True):
                 del xs[i]
-            cut = OrderedScaffold(sc.graph, sc.eset, xs, frozenset())
+            cut = scaffold_of(sc.graph, sc.eset, xs, frozenset())
             assert same_violations(cut)
             report = check_admissible(cut)
             assert report == sorted(report, key=part_key)
@@ -238,7 +238,7 @@ class TestAdmissibleAgainstReference:
         for i in range(len(sc.subgraphs)):
             xs = sc.subgraphs[:i] + sc.subgraphs[i + 1:]
             assert same_violations(
-                OrderedScaffold(sc.graph, sc.eset, xs, frozenset()))
+                scaffold_of(sc.graph, sc.eset, xs, frozenset()))
 
     @pytest.mark.parametrize("members", [
         [(0, 13)], [(0, 13), (0, 0)], [(0, 13), (0, 1)], [(0, 5)],
@@ -275,7 +275,7 @@ class TestAdmissibleAgainstReference:
                 if e[0] in vs and e[1] in vs and rng.random() < 0.7), graph)
             masks = GraphMasks(graph, eset)
             fast = {(masks.subgraph(h), masks.subgraph(k))
-                    for h, k in masks.decompositions(masks.part(member))}
+                    for h, k in masks.decompositions(part(masks, member))}
             slow = set(graph_reference.all_decompositions(member, eset))
             assert fast == slow
             found += bool(slow)
@@ -291,28 +291,26 @@ def check_persistent(model):
 class TestPersistence:
     def test_valid_chain(self):
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [h, k, hk],
-                             frozenset([(0, 1)]))
+        sc = scaffold_of(PARENT, eset, [h, k, hk], frozenset([(0, 1)]))
         model = LayeredGraphModel(sc, {"p": frozenset([0, 1])})
         assert check_persistent(model) == []
 
     def test_violation_reported(self):
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [h, k, hk],
-                             frozenset([(0, 1)]))
+        sc = scaffold_of(PARENT, eset, [h, k, hk], frozenset([(0, 1)]))
         model = LayeredGraphModel(sc, {"p": frozenset([0])})
         assert ("p", 0, 1) in check_persistent(model)
 
     def test_empty_valuation(self):
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [h, k, hk], frozenset([(0, 1)]))
+        sc = scaffold_of(PARENT, eset, [h, k, hk], frozenset([(0, 1)]))
         assert check_persistent(LayeredGraphModel(sc, {})) == []
 
 
 class TestSatisfaction:
     def model(self):
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [h, k, hk], frozenset())
+        sc = scaffold_of(PARENT, eset, [h, k, hk], frozenset())
         return LayeredGraphModel(sc, {"p": frozenset([0]),
                                       "q": frozenset([1])})
 
@@ -329,7 +327,7 @@ class TestSatisfaction:
 
     def test_layer_conj_needs_decomposition(self):
         single = Subgraph(frozenset(["1"]), frozenset(), PARENT)
-        sc = OrderedScaffold(PARENT, frozenset(), [single], frozenset())
+        sc = scaffold_of(PARENT, frozenset(), [single], frozenset())
         m = LayeredGraphModel(sc, {"p": frozenset([0]),
                                    "q": frozenset([0])})
         assert not satisfies(m, 0, parse("p |> q"))
@@ -346,7 +344,7 @@ class TestSatisfaction:
     def test_residuation_bridge(self):
         # p -|> q at H says: composing H (raised) with p-stuff yields q.
         h, k, hk, eset = scaffold_hk()
-        sc = OrderedScaffold(PARENT, eset, [h, k, hk], frozenset())
+        sc = scaffold_of(PARENT, eset, [h, k, hk], frozenset())
         m = LayeredGraphModel(sc, {"p": frozenset([1]),
                                    "q": frozenset([2])})
         assert satisfies(m, 0, parse("p -|> q"))
@@ -404,7 +402,7 @@ class TestModelJson:
     def test_bad_valuation_rejected(self):
         h, k, hk, eset = scaffold_hk()
         data = model_to_dict(LayeredGraphModel(
-            OrderedScaffold(PARENT, eset, [h, k, hk], frozenset()), {}))
+            scaffold_of(PARENT, eset, [h, k, hk], frozenset()), {}))
         data["valuation"] = {"p": [7]}
         with pytest.raises(ValueError):
             model_from_dict(data)

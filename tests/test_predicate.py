@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilgl.crosscheck import _bigraph_fixture
-from ilgl.graph import (DirectedGraph, LayeredGraphModel, OrderedScaffold,
-                        Subgraph, validate_model)
+from ilgl.graph import (DirectedGraph, LayeredGraphModel, Subgraph,
+                        validate_model)
 from ilgl.formula import (Bot, Contains, Exists, Forall, Imp, PointsTo,
                           parse_pred)
 from ilgl.formula import ParseError as PredParseError
@@ -16,7 +16,7 @@ from ilgl.predicate import (LinkGraphSpec, ResourceModel,
                             free_resources, placement_upsets, pred_satisfies,
                             resource_model_from_dict, resource_model_to_dict)
 from ilgl.relational import bits, closure_pairs
-from graph_reference import composition_index
+from graph_reference import composition_index, scaffold_of
 from oracle_reference import check_assignment
 
 
@@ -25,7 +25,7 @@ def tiny_model():
     g = DirectedGraph(frozenset(["v1", "v2"]), frozenset([("v1", "v2")]))
     world = Subgraph(frozenset(["v1", "v2"]),
                      frozenset([("v1", "v2")]), g)
-    sc = OrderedScaffold(g, frozenset(), [world], frozenset())
+    sc = scaffold_of(g, frozenset(), [world], frozenset())
     placement = frozenset([("v1", "v1"), ("v2", "v2")])
     return ResourceModel(LayeredGraphModel(sc, {}), placement,
                          frozenset(["r", "r2"]))

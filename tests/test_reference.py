@@ -17,8 +17,7 @@ import time
 from ilgl.algebra import complex_algebra
 from ilgl.formula import parse, parse_pred
 import graph_reference
-from ilgl.graph import (OrderedScaffold, check_admissible, model_evaluator,
-                        model_from_dict)
+from ilgl.graph import check_admissible, model_evaluator, model_from_dict
 from ilgl.predicate import (pred_satisfies, pred_valid_in_model,
                             resource_evaluator, resource_model_from_dict)
 from ilgl.relational import (DEFAULT_REL_CAPS, IntLayeredFrame, closure_pairs,
@@ -128,7 +127,8 @@ def test_admissibility_on_resource_models_matches_reference():
             sc.subgraphs[:i] + sc.subgraphs[i + 1:]
             for i in rng.sample(links_at, min(3, len(links_at)))]
         for xs in cuts:
-            cut = OrderedScaffold(sc.graph, sc.eset, xs, frozenset())
+            cut = graph_reference.scaffold_of(sc.graph, sc.eset, xs,
+                                              frozenset())
             new = check_admissible(cut)
             old = graph_reference.check_admissible(cut)
             assert sorted(map(repr, new)) == sorted(map(repr, old))

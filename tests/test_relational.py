@@ -7,9 +7,13 @@ import subprocess
 import sys
 import time
 import types
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ilgl import gen
 from ilgl import graph as graphmod
@@ -27,7 +31,7 @@ from ilgl.relational import (MAX_UPSETS, OP_NAME, IntLayeredFrame,
                              frame_to_dict, rel_satisfies, rel_valid_upto,
                              upset_masks)
 from ilgl.tableaux import prove
-from graph_reference import composition_index
+from graph_reference import composition_index, scaffold_of
 from oracle_reference import (class_minima, closure_reference,
                               enumerate_frames, unreduced_chunks, upsets)
 from tableau_reference import sweep
@@ -82,7 +86,7 @@ class TestScaffoldToFrame:
     def test_no_compositions_empty_rel(self):
         g = graphmod.DirectedGraph(frozenset(["a"]), frozenset())
         sg = graphmod.Subgraph(frozenset(["a"]), frozenset(), g)
-        sc = graphmod.OrderedScaffold(g, frozenset(), [sg], frozenset())
+        sc = scaffold_of(g, frozenset(), [sg], frozenset())
         assert sc.frame.rel == frozenset()
 
 
@@ -189,6 +193,21 @@ class TestEnumeration:
         for worlds in (17, 80):
             with pytest.raises(ValueError, match="up-sets"):
                 upset_masks([1 << w for w in range(worlds)])
+
+    @given(st.lists(st.integers(0, 1 << 12), max_size=8),
+           st.integers(0, 40))
+    def test_upsets_shift_with_their_principals(self, principals, shift):
+        # The up-sets are the unions of the principals, ascending.
+        # upset_masks works on masks shifted down past their common clear
+        # low bits; shifting every principal by s shifts every up-set by
+        # s and keeps their order.
+        ups = upset_masks(principals)
+        assert ups == sorted({reduce(or_, chosen, 0)
+                              for k in range(len(principals) + 1)
+                              for chosen in itertools.combinations(
+                                  principals, k)})
+        assert upset_masks([p << shift for p in principals]) == [
+            m << shift for m in ups]
 
 
 class TestValidityOracle:

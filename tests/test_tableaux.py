@@ -74,6 +74,11 @@ RANGES = {"T->": _above, "F|>": _layered_below, "T-|>": _first_above,
           "T<|-": _second_above}
 
 
+def agenda(css):
+    """The branch's agenda, read to its end."""
+    return list(applicable_rules(css))
+
+
 def rules_from_scratch(css):
     """Every unspent rule instance by a scan of the whole branch over the
     sorted domain, one instance at a time: the reference for the agenda.
@@ -248,7 +253,7 @@ class TestCssCheck:
         css = CSS([(key[1], parse(text), c0)], [(c0, c0)])
         tableau = tableaux.Tableau(leaves={1: css})
         css.branch_id = 1
-        (inst,) = applicable_rules(css)
+        (inst,) = agenda(css)
         with pytest.raises(RuntimeError, match=prop):
             expand(tableau, css, inst)
         monkeypatch.setattr(tableaux, "_step_problems", lambda *args: [])
@@ -268,31 +273,31 @@ class TestCssCheck:
 class TestApplicableRules:
     def test_conjunction_single_instance(self):
         css = CSS([(True, parse("p & q"), c0)], [(c0, c0)])
-        insts = applicable_rules(css)
+        insts = agenda(css)
         assert [i.rule for i in insts] == ["T&"]
 
     def test_fresh_rule_once(self):
         css = CSS([(False, parse("p -|> q"), c0)], [(c0, c0)])
-        insts = applicable_rules(css)
+        insts = agenda(css)
         assert [i.rule for i in insts] == ["F-|>"]
         css.branch_id = 1
         tableau = tableaux.Tableau(leaves={1: css})
         expand(tableau, css, insts[0])
         (child,) = tableau.branches
-        assert applicable_rules(child) == []
+        assert agenda(child) == []
 
     def test_saturation_empty(self):
         css = CSS([(True, Atom("p"), c0)], [(c0, c0)])
-        assert applicable_rules(css) == []
+        assert agenda(css) == []
 
     def test_not_saturated_before_expansion(self):
         css = CSS([(True, parse("p & q"), c0)], [(c0, c0)])
-        assert applicable_rules(css) != []
+        assert agenda(css) != []
 
     def test_gamma_rule_instances_per_fact(self):
         css = CSS([(True, parse("p -> q"), c0)],
                   [(c0, c0), (c0, c1), (c0, c2)])
-        insts = applicable_rules(css)
+        insts = agenda(css)
         assert [i.rule for i in insts] == ["T->"] * 3
         assert {i.facts for i in insts} == {(c0,), (c1,), (c2,)}
 
@@ -300,21 +305,22 @@ class TestApplicableRules:
         # c0 <= c1 between two labels already scanned widens the range
         # of an old premise: the next scan sees its new witness.
         css = CSS([(True, parse("p -> q"), c0)], [(c0, c0), (c1, c1)])
-        assert [i.facts for i in applicable_rules(css)] == [(c0,)]
+        assert [i.facts for i in agenda(css)] == [(c0,)]
         css.add_constraint((c0, c1))
-        assert applicable_rules(css) == rules_from_scratch(css)
-        assert [i.facts for i in applicable_rules(css)] == [(c0,), (c1,)]
+        assert agenda(css) == rules_from_scratch(css)
+        assert [i.facts for i in agenda(css)] == [(c0,), (c1,)]
 
     def test_inherited_agenda_matches_scan_from_scratch(self,
                                                         monkeypatch):
+        # Each admitted branch's agenda, read to its end on a copy,
+        # equals the scan from scratch; prove reads its own lazily.
         scan = tableaux.applicable_rules
         checked = [0]
 
         def compare(css):
-            expected = rules_from_scratch(css)
-            assert scan(css) == expected
+            assert list(scan(css.copy())) == rules_from_scratch(css)
             checked[0] += 1
-            return expected
+            return scan(css)
 
         monkeypatch.setattr(tableaux, "applicable_rules", compare)
         for f in sweep():
@@ -376,7 +382,7 @@ class TestApplicableRules:
             else:
                 css.add_formula(item)
             assert is_closed(css) == closed_by_rescan(css)
-            assert applicable_rules(css) == rules_from_scratch(css)
+            assert agenda(css) == rules_from_scratch(css)
         # Applying an instance takes a fresh rule's premise off the
         # premises, and gives any other rule one child's conclusions.
         insts = rules_from_scratch(css)
@@ -390,14 +396,14 @@ class TestApplicableRules:
             for slf in data.draw(st.sampled_from(rule.conclude(f, w))):
                 css.add_formula(slf)
         expected = rules_from_scratch(css)
-        assert applicable_rules(css) == expected
-        assert applicable_rules(css) == expected
+        assert agenda(css) == expected
+        assert agenda(css) == expected
 
 
 class TestExpand:
     def test_f_and_branches(self):
         t = initial_tableau(parse("p & q"))
-        inst = applicable_rules(t.branches[0])[0]
+        inst = agenda(t.branches[0])[0]
         assert inst.rule == "F&"
         expand(t, t.branches[0], inst)
         assert len(t.branches) == 2
@@ -406,7 +412,7 @@ class TestExpand:
 
     def test_f_imp_fresh_label(self):
         t = initial_tableau(parse("p -> q"))
-        inst = applicable_rules(t.branches[0])[0]
+        inst = agenda(t.branches[0])[0]
         expand(t, t.branches[0], inst)
         (branch,) = t.branches
         assert (True, Atom("p"), c1) in branch.formulas
@@ -415,9 +421,9 @@ class TestExpand:
 
     def test_t_layer_fresh_pair(self):
         t = initial_tableau(parse("(p |> q) -> bot"))
-        expand(t, t.branches[0], applicable_rules(t.branches[0])[0])  # F->
+        expand(t, t.branches[0], agenda(t.branches[0])[0])  # F->
         (branch,) = t.branches
-        inst = [i for i in applicable_rules(branch) if i.rule == "T|>"][0]
+        inst = [i for i in agenda(branch) if i.rule == "T|>"][0]
         expand(t, branch, inst)
         (target,) = t.branches
         assert (True, Atom("p"), (2,)) in target.formulas
@@ -427,7 +433,7 @@ class TestExpand:
     def test_stale_instance_rejected(self):
         t = initial_tableau(parse("p & q"))
         parent = t.branches[0]
-        inst = applicable_rules(parent)[0]
+        inst = agenda(parent)[0]
         expand(t, parent, inst)
         with pytest.raises(ValueError):
             expand(t, t.branches[0], inst)
@@ -441,7 +447,7 @@ class TestExpand:
             t = initial_tableau(f)
             for _ in range(15):
                 expandable = [(b, inst) for b in t.branches
-                              for inst in applicable_rules(b)[:1]]
+                              for inst in agenda(b)[:1]]
                 if not expandable:
                     break
                 b, inst = expandable[0]
@@ -832,6 +838,45 @@ def test_sweep_composition_tables_equal_all_pairs():
             sc = result.model.scaffold
             assert (sc._comp, sc._escapes) == composition_table(sc), \
                 render(f)
+            models += 1
+    assert models == 875
+
+
+def test_prove_builds_no_subgraph(monkeypatch):
+    # Certification reads the scaffold's parts: no countermodel of the
+    # sweep builds a ``Subgraph`` until its ``subgraphs`` are read.
+    built = [0]
+    check = graphmod.Subgraph.__post_init__
+
+    def counted(sg):
+        built[0] += 1
+        check(sg)
+
+    monkeypatch.setattr(graphmod.Subgraph, "__post_init__", counted)
+    models = []
+    for f in sweep():
+        result = prove(f)
+        if result.status == "countermodel":
+            models.append(result.model)
+    assert len(models) == 875 and built[0] == 0
+    for model in models:
+        assert len(model.scaffold.subgraphs) == model.world_count()
+    assert built[0] == sum(model.world_count() for model in models)
+
+
+def test_sweep_countermodels_round_trip_through_json():
+    # Every countermodel written as JSON loads back to an equal frame on
+    # equal parts, with the same valuation.
+    models = 0
+    for f in sweep():
+        result = prove(f)
+        if result.status == "countermodel":
+            model = result.model
+            again = graphmod.model_from_dict(json.loads(json.dumps(
+                graphmod.model_to_dict(model))))
+            assert again.scaffold.frame == model.scaffold.frame, render(f)
+            assert again.scaffold.parts == model.scaffold.parts, render(f)
+            assert again.valuation == model.valuation, render(f)
             models += 1
     assert models == 875
 
